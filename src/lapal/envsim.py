@@ -16,10 +16,23 @@ never early. The scripted experts are operational-space PD controllers
 (Jacobian-transpose for the arms); demo collection adds smooth task-space
 exploration noise so that the action distribution given a state has genuine
 spread for the action autoencoder to model.
+
+One batched kernel, `step_batch(env_id, S, A)`, steps N independent copies of
+an env over (N, d) arrays; `env_step` is its one-row view. Rows never
+interact and every reduction runs along a row, so a row of a batched step is
+bit-identical to the same row stepped alone. `rollout_episodes` rolls N
+episodes in lockstep: each episode resets from its own seed or generator, in
+order, and every timestep makes one policy call and one kernel step for all
+episodes. Policies and demo jitter therefore draw each episode's random
+stream exactly as a one-episode-at-a-time loop would. Batched policy, expert
+and kinematics arithmetic may differ from a per-row loop in the last ulp;
+returns and demo arrays agree with that loop to 1e-12 (the tests keep such a
+loop as their oracle).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import math
@@ -51,6 +64,11 @@ class EnvSpec:
     dt: float
     horizon: int
     gamma: float
+
+    def __post_init__(self):
+        # specs are cached per env_id and shared by every caller
+        self.action_low.setflags(write=False)
+        self.action_high.setflags(write=False)
 
     def canonical(self) -> str:
         lo = ",".join(f"{x:.17g}" for x in self.action_low)
@@ -103,15 +121,6 @@ class EnvDef:
     params: object
 
 
-@dataclass
-class Transition:
-    state: np.ndarray
-    action: np.ndarray
-    next_state: np.ndarray
-    done: bool
-    eval_reward: float
-
-
 # ---------------------------------------------------------------------------
 # registry
 
@@ -161,6 +170,7 @@ def _arm_def(k: int, perturbed: bool) -> EnvDef:
     return EnvDef(spec=spec, kind="arm", params=params)
 
 
+@functools.lru_cache(maxsize=64)
 def env_def(env_id: str) -> EnvDef:
     if env_id == "pointmass":
         return _pointmass_def()
@@ -179,50 +189,58 @@ def env_spec(env_id: str) -> EnvSpec:
 
 
 def forward_kinematics(lengths, angles) -> np.ndarray:
-    """Planar chain end-effector position from cumulative joint angles."""
-    lengths = np.asarray(lengths, dtype=np.float64)
-    cum = np.cumsum(np.asarray(angles, dtype=np.float64))
-    return np.array([np.sum(lengths * np.cos(cum)), np.sum(lengths * np.sin(cum))])
+    """Planar chain end-effector position from joint angles, (k,) or (N, k)."""
+    cum = np.cumsum(np.asarray(angles, dtype=np.float64), axis=-1)
+    trig = np.concatenate([np.cos(cum), np.sin(cum)], axis=-1)
+    links = trig.reshape(cum.shape[:-1] + (2, cum.shape[-1]))
+    return np.sum(np.asarray(lengths, dtype=np.float64) * links, axis=-1)
 
 
 def arm_jacobian(lengths, angles) -> np.ndarray:
-    """2 x K Jacobian of the end-effector position w.r.t. joint angles."""
+    """2 x K Jacobian of the end-effector position w.r.t. joint angles.
+
+    (N, 2, K) for (N, K) angles.
+    """
     lengths = np.asarray(lengths, dtype=np.float64)
-    cum = np.cumsum(np.asarray(angles, dtype=np.float64))
-    x_terms = lengths * np.cos(cum)
-    y_terms = lengths * np.sin(cum)
+    cum = np.cumsum(np.asarray(angles, dtype=np.float64), axis=-1)
     # d ee / d theta_j involves links j..K-1 only
-    sx = np.cumsum(x_terms[::-1])[::-1]
-    sy = np.cumsum(y_terms[::-1])[::-1]
-    return np.stack([-sy, sx])
+    sx = np.cumsum((lengths * np.cos(cum))[..., ::-1], axis=-1)[..., ::-1]
+    sy = np.cumsum((lengths * np.sin(cum))[..., ::-1], axis=-1)[..., ::-1]
+    return np.stack([-sy, sx], axis=-2)
 
 
 def nullspace_direction(lengths, angles) -> np.ndarray:
     """Unit torque direction that produces no end-effector motion.
 
     Projects a fixed alternating pattern through I - J^T (J J^T)^-1 J; zero
-    for arms without redundant joints.
+    for arms without redundant joints. (k,) or (N, k) angles.
     """
-    k = len(angles)
+    angles = np.asarray(angles, dtype=np.float64)
+    k = angles.shape[-1]
     if k <= 2:
-        return np.zeros(k)
+        return np.zeros(angles.shape)
     jac = arm_jacobian(lengths, angles)
+    jac_t = np.swapaxes(jac, -1, -2)
     pattern = np.array([1.0 if i % 2 == 0 else -1.0 for i in range(k)])
-    gram = jac @ jac.T
     try:
-        proj = pattern - jac.T @ np.linalg.solve(gram, jac @ pattern)
+        coef = np.linalg.solve(jac @ jac_t, (jac @ pattern)[..., None])
     except np.linalg.LinAlgError:
-        return np.zeros(k)
-    norm = np.linalg.norm(proj)
-    return proj / norm if norm > 1e-9 else np.zeros(k)
+        if angles.ndim == 1:
+            return np.zeros(k)
+        return np.stack([nullspace_direction(lengths, a) for a in angles])
+    proj = pattern - (jac_t @ coef)[..., 0]
+    norm = np.linalg.norm(proj, axis=-1, keepdims=True)
+    return np.where(norm > 1e-9, proj / np.maximum(norm, 1e-9), 0.0)
 
 
 def wrap_angle(theta):
     """Wrap to (-pi, pi]; angles already in range pass through bit-exactly."""
     theta = np.asarray(theta, dtype=np.float64)
+    in_range = (theta > -np.pi) & (theta <= np.pi)
+    if in_range.all():
+        return theta
     w = np.mod(theta + np.pi, 2.0 * np.pi) - np.pi
     w = np.where(w == -np.pi, np.pi, w)
-    in_range = (theta > -np.pi) & (theta <= np.pi)
     return np.where(in_range, theta, w)
 
 
@@ -232,7 +250,7 @@ def _arm_state(angles, velocities, goal):
 
 def split_arm_state(env: EnvDef, state):
     k = env.params.n_joints
-    return state[:k], state[k : 2 * k], state[2 * k :]
+    return state[..., :k], state[..., k : 2 * k], state[..., 2 * k :]
 
 
 def end_effector(env: EnvDef, state) -> np.ndarray:
@@ -240,11 +258,12 @@ def end_effector(env: EnvDef, state) -> np.ndarray:
     return forward_kinematics(env.params.lengths, angles)
 
 
-def goal_distance(env: EnvDef, state) -> float:
+def goal_distance(env: EnvDef, state):
+    """Distance to the goal of each state in (..., d); a scalar for one state."""
     if env.kind == "pointmass":
-        return float(np.linalg.norm(state[:2]))
-    angles, _, goal = split_arm_state(env, state)
-    return float(np.linalg.norm(forward_kinematics(env.params.lengths, angles) - goal))
+        return np.linalg.norm(state[..., :2], axis=-1)
+    _, _, goal = split_arm_state(env, state)
+    return np.linalg.norm(end_effector(env, state) - goal, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -282,51 +301,56 @@ def env_reset(env_id: str, seed) -> np.ndarray:
     return _arm_state(angles, np.zeros(k), goal)
 
 
-def _clamp_action(env: EnvDef, action) -> np.ndarray:
-    a = np.asarray(action, dtype=np.float64)
-    if a.shape != (env.spec.action_dim,):
+def step_batch(env_id: str, states, actions):
+    """Step N independent simulators; returns (next_states, eval_rewards).
+
+    `states` is (N, state_dim) and `actions` is (N, action_dim). Actions
+    outside the bounds are clamped, and each clamped row counts once in
+    `clamp_counts`. Every row reduces on its own, so a row's result does not
+    depend on the other rows. Episodes terminate only at the horizon, which
+    the rollout layer tracks; the dynamics themselves never emit a terminal.
+    """
+    env = env_def(env_id)
+    spec, p = env.spec, env.params
+    S = np.asarray(states, dtype=np.float64)
+    A = np.asarray(actions, dtype=np.float64)
+    if S.ndim != 2 or S.shape[1] != spec.state_dim:
+        raise ConfigError(f"state shape {S.shape} invalid for {env_id}")
+    if A.shape != (S.shape[0], spec.action_dim):
         raise ConfigError(
-            f"action shape {a.shape} invalid for {env.spec.env_id} "
-            f"(want ({env.spec.action_dim},))"
+            f"action shape {A.shape} invalid for {env_id} "
+            f"(want ({S.shape[0]}, {spec.action_dim}))"
         )
-    lo, hi = env.spec.action_low, env.spec.action_high
-    if np.any(a < lo) or np.any(a > hi):
-        _clamp_counts[env.spec.env_id] = _clamp_counts.get(env.spec.env_id, 0) + 1
-        a = np.clip(a, lo, hi)
-    return a
+    if not (np.isfinite(S).all() and np.isfinite(A).all()):
+        raise EnvironmentFault(f"non-finite state or action in {env_id}")
+    outside = (A < spec.action_low) | (A > spec.action_high)
+    if outside.any():
+        clamped = int(np.count_nonzero(outside.any(axis=1)))
+        _clamp_counts[env_id] = _clamp_counts.get(env_id, 0) + clamped
+        A = np.clip(A, spec.action_low, spec.action_high)
+    ctrl = CONTROL_COST_WEIGHT * np.sum(A * A, axis=1)
+    if env.kind == "pointmass":
+        delta, vel = S[:, :2], S[:, 2:]
+        acc = (A - p.damping * vel) / p.mass
+        vel = np.clip(vel + spec.dt * acc, -p.v_max, p.v_max)
+        delta = delta + spec.dt * vel
+        return np.concatenate([delta, vel], axis=1), -np.linalg.norm(delta, axis=1) - ctrl
+    angles, vel, goal = split_arm_state(env, S)
+    acc = (A - p.damping * vel) / p.inertia
+    vel = np.clip(vel + spec.dt * acc, -p.v_max, p.v_max)
+    angles = wrap_angle(angles + spec.dt * vel)
+    dist = np.linalg.norm(forward_kinematics(p.lengths, angles) - goal, axis=1)
+    return np.concatenate([angles, vel, goal], axis=1), -dist - ctrl
 
 
 def env_step(env_id: str, state, action):
     """One simulator step; returns (next_state, eval_reward).
 
-    Episodes terminate only at the horizon, which the rollout layer tracks;
-    the dynamics themselves never emit a terminal.
+    The one-row view of `step_batch`, with the same checks.
     """
-    env = env_def(env_id)
-    state = np.asarray(state, dtype=np.float64)
-    if state.shape != (env.spec.state_dim,):
-        raise ConfigError(f"state shape {state.shape} invalid for {env_id}")
-    if not np.all(np.isfinite(state)) or not np.all(np.isfinite(np.asarray(action, dtype=np.float64))):
-        raise EnvironmentFault(f"non-finite state or action in {env_id}")
-    a = _clamp_action(env, action)
-    if env.kind == "pointmass":
-        p = env.params
-        delta, vel = state[:2], state[2:]
-        acc = (a - p.damping * vel) / p.mass
-        vel = np.clip(vel + env.spec.dt * acc, -p.v_max, p.v_max)
-        delta = delta + env.spec.dt * vel
-        nxt = np.concatenate([delta, vel])
-        reward = -float(np.linalg.norm(delta)) - CONTROL_COST_WEIGHT * float(a @ a)
-        return nxt, reward
-    p = env.params
-    angles, vel, goal = split_arm_state(env, state)
-    acc = (a - p.damping * vel) / p.inertia
-    vel = np.clip(vel + env.spec.dt * acc, -p.v_max, p.v_max)
-    angles = wrap_angle(angles + env.spec.dt * vel)
-    nxt = _arm_state(angles, vel, goal)
-    dist = np.linalg.norm(forward_kinematics(p.lengths, angles) - goal)
-    reward = -float(dist) - CONTROL_COST_WEIGHT * float(a @ a)
-    return nxt, reward
+    nxt, reward = step_batch(env_id, np.asarray(state, dtype=np.float64)[None],
+                             np.asarray(action, dtype=np.float64)[None])
+    return nxt[0], float(reward[0])
 
 
 def feature_dim(env_id: str) -> int:
@@ -351,47 +375,11 @@ def feature_map(env_id: str, states) -> np.ndarray:
     if env.kind == "pointmass":
         out = S
     else:
-        k = env.params.n_joints
-        angles, vel, goal = S[:, :k], S[:, k : 2 * k], S[:, 2 * k :]
-        cum = np.cumsum(angles, axis=1)
-        lengths = np.asarray(env.params.lengths)
-        ee = np.stack([np.sum(lengths * np.cos(cum), axis=1),
-                       np.sum(lengths * np.sin(cum), axis=1)], axis=1)
+        angles, vel, goal = split_arm_state(env, S)
+        ee = forward_kinematics(env.params.lengths, angles)
         out = np.concatenate(
             [np.cos(angles), np.sin(angles), vel / 4.0, goal, ee, goal - ee], axis=1)
     return out[0] if np.asarray(states).ndim == 1 else out
-
-
-def eval_reward_batch(env_id: str, states, actions) -> np.ndarray:
-    """Vectorized ground-truth reward of (state, action) batches.
-
-    Recomputes the deterministic transition reward exactly as env_step does;
-    used as the reward oracle for reinforcement-learning sanity runs (the
-    imitation learners never see it).
-    """
-    env = env_def(env_id)
-    S = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    A = np.clip(np.atleast_2d(np.asarray(actions, dtype=np.float64)),
-                env.spec.action_low, env.spec.action_high)
-    ctrl = CONTROL_COST_WEIGHT * np.sum(A * A, axis=1)
-    if env.kind == "pointmass":
-        p = env.params
-        delta, vel = S[:, :2], S[:, 2:]
-        acc = (A - p.damping * vel) / p.mass
-        vel2 = np.clip(vel + env.spec.dt * acc, -p.v_max, p.v_max)
-        delta2 = delta + env.spec.dt * vel2
-        return -np.linalg.norm(delta2, axis=1) - ctrl
-    p = env.params
-    k = p.n_joints
-    angles, vel, goal = S[:, :k], S[:, k : 2 * k], S[:, 2 * k :]
-    acc = (A - p.damping * vel) / p.inertia
-    vel2 = np.clip(vel + env.spec.dt * acc, -p.v_max, p.v_max)
-    angles2 = wrap_angle(angles + env.spec.dt * vel2)
-    cum = np.cumsum(angles2, axis=1)
-    lengths = np.asarray(p.lengths)
-    ee = np.stack([np.sum(lengths * np.cos(cum), axis=1),
-                   np.sum(lengths * np.sin(cum), axis=1)], axis=1)
-    return -np.linalg.norm(ee - goal, axis=1) - ctrl
 
 
 def kinetic_energy(env_id: str, state) -> float:
@@ -407,65 +395,80 @@ def kinetic_energy(env_id: str, state) -> float:
 # scripted experts
 
 
-def scripted_expert(env_id: str, state, kp_scale: float = 1.0,
+def scripted_expert(env_id: str, state, kp_scale=1.0,
                     task_bias=None) -> np.ndarray:
     """Operational-space PD controller toward the goal, clamped to bounds.
 
-    kp_scale and task_bias exist for demo collection: the bias is a 2-D
-    force added in task space (end-effector space for arms), so demo actions
-    vary along the task-relevant directions.
+    Takes one state (d,) or a batch (N, d). kp_scale (a scalar or one gain
+    per row) and task_bias exist for demo collection: the bias is a 2-D force
+    added in task space (end-effector space for arms), one per row or shared,
+    so demo actions vary along the task-relevant directions.
     """
     env = env_def(env_id)
+    spec, p = env.spec, env.params
     state = np.asarray(state, dtype=np.float64)
+    kp = np.asarray(kp_scale, dtype=np.float64)[..., None]
     if env.kind == "pointmass":
-        p = env.params
-        delta, vel = state[:2], state[2:]
-        f = -kp_scale * p.expert_kp * delta - p.expert_kd * vel
+        f = -kp * p.expert_kp * state[..., :2] - p.expert_kd * state[..., 2:]
         if task_bias is not None:
             f = f + task_bias
-        return np.clip(f, env.spec.action_low, env.spec.action_high)
-    p = env.params
+        return np.clip(f, spec.action_low, spec.action_high)
     angles, vel, goal = split_arm_state(env, state)
     jac = arm_jacobian(p.lengths, angles)
     ee = forward_kinematics(p.lengths, angles)
-    ee_vel = jac @ vel
-    f = kp_scale * p.expert_kp * (goal - ee) - p.expert_kd * ee_vel
+    ee_vel = np.sum(jac * vel[..., None, :], axis=-1)
+    f = kp * p.expert_kp * (goal - ee) - p.expert_kd * ee_vel
     if task_bias is not None:
         f = f + task_bias
-    tau = jac.T @ f - p.expert_joint_damping * vel
-    return np.clip(tau, env.spec.action_low, env.spec.action_high)
+    tau = np.sum(jac * f[..., None], axis=-2) - p.expert_joint_damping * vel
+    return np.clip(tau, spec.action_low, spec.action_high)
 
 
 # ---------------------------------------------------------------------------
 # rollouts
 
 
-def rollout_episode(env_id: str, act_fn, episode_seed) -> dict:
-    """Roll one full episode; act_fn(state, t) -> action."""
+def rollout_episodes(env_id: str, act_fn, episode_seeds) -> dict:
+    """Roll one full episode per seed in lockstep; act_fn(states, t) -> actions.
+
+    act_fn maps the (N, state_dim) states of all episodes at timestep t to
+    (N, action_dim) actions. Arrays are indexed [episode, t]; "return",
+    "final_dist" and "settle_dist" hold one value per episode.
+    """
     env = env_def(env_id)
-    state = env_reset(env_id, episode_seed)
-    horizon = env.spec.horizon
-    states = np.empty((horizon, env.spec.state_dim))
-    actions = np.empty((horizon, env.spec.action_dim))
+    spec = env.spec
+    state = np.stack([env_reset(env_id, s) for s in episode_seeds])
+    n, horizon = state.shape[0], spec.horizon
+    states = np.empty((n, horizon, spec.state_dim))
+    actions = np.empty((n, horizon, spec.action_dim))
     next_states = np.empty_like(states)
-    rewards = np.empty(horizon)
+    rewards = np.empty((n, horizon))
     for t in range(horizon):
         action = act_fn(state, t)
-        nxt, reward = env_step(env_id, state, action)
-        states[t] = state
-        actions[t] = np.clip(action, env.spec.action_low, env.spec.action_high)
-        next_states[t] = nxt
-        rewards[t] = reward
+        nxt, rewards[:, t] = step_batch(env_id, state, action)
+        states[:, t] = state
+        actions[:, t] = np.clip(action, spec.action_low, spec.action_high)
+        next_states[:, t] = nxt
         state = nxt
-    dones = np.zeros(horizon)
-    dones[-1] = 1.0
+    dones = np.zeros((n, horizon))
+    dones[:, -1] = 1.0
     return {
         "states": states, "actions": actions, "next_states": next_states,
         "rewards": rewards, "dones": dones,
-        "return": float(np.sum(rewards)),
+        "return": np.sum(rewards, axis=1),
         "final_dist": goal_distance(env, state),
-        "settle_dist": float(np.mean([goal_distance(env, s) for s in next_states[-10:]])),
+        "settle_dist": np.mean(goal_distance(env, next_states[:, -10:]), axis=1),
     }
+
+
+def rollout_episode(env_id: str, act_fn, episode_seed) -> dict:
+    """Roll one full episode; act_fn(state, t) -> action.
+
+    The one-episode case of `rollout_episodes`.
+    """
+    ep = rollout_episodes(env_id, lambda s, t: np.asarray(act_fn(s[0], t))[None],
+                          [episode_seed])
+    return {key: value[0] for key, value in ep.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -591,49 +594,51 @@ def _ou_steps(rng, n, dim, sigma, tau, dt):
 def collect_demos(env_id: str, n_episodes: int = 64, seed: int = 0,
                   jitter: JitterConfig | None = None,
                   min_success_rate: float = 0.9) -> DemoBuffer:
-    """Roll the scripted expert with task-space jitter; gate on goal reaching."""
+    """Roll the scripted expert with task-space jitter; gate on goal reaching.
+
+    All episodes run in lockstep. Each one draws its gain, task noise and
+    posture noise, then its reset, from its own child stream of `seed`.
+    """
     if n_episodes < 1:
         raise ConfigError("need at least one episode")
     env = env_def(env_id)
+    spec = env.spec
     if jitter is None:
         jitter = default_jitter(env_id)
-    seq = np.random.SeedSequence(seed)
-    children = seq.spawn(n_episodes)
-    episodes = []
-    successes = 0
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_episodes)]
     use_null = env.kind == "arm" and env.params.n_joints > 2 and jitter.null_sigma > 0
-    for child in children:
-        rng = np.random.default_rng(child)
-        kp_scale = rng.uniform(*jitter.gain_scale_range)
-        noise = _ou_steps(rng, env.spec.horizon, 2, jitter.ou_sigma, jitter.ou_tau,
-                          env.spec.dt)
-        null_amp = (_ou_steps(rng, env.spec.horizon, 1, jitter.null_sigma,
-                              jitter.ou_tau, env.spec.dt)[:, 0] if use_null else None)
+    kp_scale, noise, null_amp = [], [], []
+    for rng in rngs:
+        kp_scale.append(rng.uniform(*jitter.gain_scale_range))
+        noise.append(_ou_steps(rng, spec.horizon, 2, jitter.ou_sigma, jitter.ou_tau, spec.dt))
+        if use_null:
+            null_amp.append(_ou_steps(rng, spec.horizon, 1, jitter.null_sigma,
+                                      jitter.ou_tau, spec.dt)[:, 0])
+    kp_scale, noise = np.array(kp_scale), np.stack(noise)
+    null_amp = np.stack(null_amp) if use_null else None
 
-        def act(s, t, kp_scale=kp_scale, noise=noise, null_amp=null_amp):
-            fade = max(jitter.fade_floor,
-                       min(1.0, goal_distance(env, s) / jitter.fade_dist))
-            tau = scripted_expert(env_id, s, kp_scale=kp_scale,
-                                  task_bias=fade * noise[t])
-            if null_amp is not None:
-                angles, _, _ = split_arm_state(env, s)
-                tau = tau + null_amp[t] * nullspace_direction(env.params.lengths, angles)
-                tau = np.clip(tau, env.spec.action_low, env.spec.action_high)
-            return tau
+    def act(s, t):
+        fade = np.maximum(jitter.fade_floor,
+                          np.minimum(1.0, goal_distance(env, s) / jitter.fade_dist))
+        tau = scripted_expert(env_id, s, kp_scale=kp_scale,
+                              task_bias=fade[:, None] * noise[:, t])
+        if null_amp is not None:
+            angles, _, _ = split_arm_state(env, s)
+            tau = tau + null_amp[:, t, None] * nullspace_direction(env.params.lengths, angles)
+            tau = np.clip(tau, spec.action_low, spec.action_high)
+        return tau
 
-        ep = rollout_episode(env_id, act, rng)
-        successes += ep["settle_dist"] <= _success_tol(env)
-        episodes.append(ep)
-    rate = successes / n_episodes
+    eps = rollout_episodes(env_id, act, rngs)
+    rate = np.count_nonzero(eps["settle_dist"] <= _success_tol(env)) / n_episodes
     buffer = DemoBuffer(
         env_id=env_id,
-        env_digest=env.spec.digest(),
-        states=np.concatenate([e["states"] for e in episodes]),
-        actions=np.concatenate([e["actions"] for e in episodes]),
-        next_states=np.concatenate([e["next_states"] for e in episodes]),
-        dones=np.concatenate([e["dones"] for e in episodes]),
-        rewards=np.concatenate([e["rewards"] for e in episodes]),
-        episode_boundaries=np.arange(n_episodes, dtype=np.int64) * env.spec.horizon,
+        env_digest=spec.digest(),
+        states=eps["states"].reshape(-1, spec.state_dim),
+        actions=eps["actions"].reshape(-1, spec.action_dim),
+        next_states=eps["next_states"].reshape(-1, spec.state_dim),
+        dones=eps["dones"].reshape(-1),
+        rewards=eps["rewards"].reshape(-1),
+        episode_boundaries=np.arange(n_episodes, dtype=np.int64) * spec.horizon,
     )
     if rate < min_success_rate:
         raise QualityGateError(

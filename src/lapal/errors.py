@@ -1,4 +1,4 @@
-"""Shared exception types, mapped to CLI exit codes in lapal.cli."""
+"""Shared exception types raised across the lapal modules."""
 
 
 class ConfigError(ValueError):

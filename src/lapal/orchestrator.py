@@ -19,6 +19,15 @@ Rewards are recomputed from the current discriminator for every batch;
 nothing reward-like is ever stored. Normalized returns are gap-closed:
 (R - R_random) / (R_expert - R_random) against references recorded at run
 start with the same evaluation episodes.
+
+Evaluation rolls its episodes in lockstep through `envsim.rollout_episodes`:
+at each timestep the feature map, actor forward, decode and env step each run
+once on the rows of all episodes. Policies hand out a lockstep actor for a list of episode
+seeds; the random reference draws each episode's action stream from that
+episode's own sub-stream, in the order a one-episode-at-a-time loop would.
+Returns agree with such a loop to 1e-12 (batched matrix products may round
+differently in the last ulp). The single-env collection loop inside
+`run_training` steps one row at a time.
 """
 
 from __future__ import annotations
@@ -126,8 +135,8 @@ class ExpertPolicy:
     def __init__(self, env_id: str):
         self.env_id = env_id
 
-    def episode_actor(self, episode_seed):
-        return lambda s, t: envsim.scripted_expert(self.env_id, s)
+    def lockstep_actor(self, episode_seeds):
+        return lambda states, t: envsim.scripted_expert(self.env_id, states)
 
 
 class RandomPolicy:
@@ -136,11 +145,16 @@ class RandomPolicy:
     def __init__(self, env_id: str):
         self.spec = envsim.env_spec(env_id)
 
-    def episode_actor(self, episode_seed):
-        # draw from a sub-stream so action noise is independent of the
-        # episode's goal sampling
-        rng = np.random.default_rng(_child_seq(episode_seed, 1))
-        return lambda s, t: rng.uniform(self.spec.action_low, self.spec.action_high)
+    def lockstep_actor(self, episode_seeds):
+        # each episode draws from a sub-stream so action noise is independent
+        # of its goal sampling; a whole episode's draws, taken up front, are
+        # the numbers a per-step draw would give
+        spec = self.spec
+        draws = np.stack([
+            np.random.default_rng(_child_seq(seed, 1)).uniform(
+                spec.action_low, spec.action_high, (spec.horizon, spec.action_dim))
+            for seed in episode_seeds])
+        return lambda states, t: draws[:, t]
 
 
 def _child_seq(seq, i: int) -> np.random.SeedSequence:
@@ -167,16 +181,16 @@ class PolicyBundle:
         if self.kind == "latent" and self.codec is None:
             raise ConfigError("latent policy bundle needs a codec")
 
-    def action(self, state):
-        feats = envsim.feature_map(self.env_id, state)
-        raw = self.actor.forward(feats[None, :])
-        u = sacgen.squash(raw[0, : self.u_dim])
+    def action(self, states):
+        """Deterministic env actions for (N, state_dim) states."""
+        raw = self.actor.forward(envsim.feature_map(self.env_id, states))
+        u = sacgen.squash(raw[:, : self.u_dim])
         if self.kind == "latent":
-            return latentact.decode(self.codec, state, u)
+            return latentact.decode(self.codec, states, u)
         return u * envsim.env_spec(self.env_id).action_high
 
-    def episode_actor(self, episode_seed):
-        return lambda s, t: self.action(s)
+    def lockstep_actor(self, episode_seeds):
+        return lambda states, t: self.action(states)
 
     def digest(self) -> str:
         import hashlib
@@ -191,14 +205,13 @@ def evaluate_policy(policy, env_id: str, n_episodes: int = 16, seed=0):
     """Mean and std of episode returns over fresh deterministic episodes.
 
     Episode seeds derive statelessly from `seed`, so evaluating twice with
-    the same seed replays exactly the same episodes.
+    the same seed replays exactly the same episodes. The episodes run in
+    lockstep.
     """
-    returns = []
-    for ep in range(n_episodes):
-        child = _child_seq(seed, ep)
-        returns.append(
-            envsim.rollout_episode(env_id, policy.episode_actor(child), child)["return"]
-        )
+    if n_episodes < 1:
+        raise ConfigError("evaluation needs at least one episode")
+    seeds = [_child_seq(seed, ep) for ep in range(n_episodes)]
+    returns = envsim.rollout_episodes(env_id, policy.lockstep_actor(seeds), seeds)["return"]
     return float(np.mean(returns)), float(np.std(returns))
 
 
@@ -400,7 +413,7 @@ def _disc_step(cfg, disc, run_codec, demos, ei, b, rows, agent_u, spec):
         abar = np.tanh(post.mean)
         loss, g_e, g_a = adversary.disc_loss_and_grad(
             disc, (se, abar[:n_e]), (sa, abar[n_e:]), want_input_grads=True)
-        d_abar = np.concatenate([g_e, g_a])[:, run_codec.state_dim:]
+        d_abar = np.concatenate([g_e, g_a])[:, se.shape[1]:]
         d_mean = d_abar * (1.0 - abar * abar)
         run_codec.encoder.backward(
             np.concatenate([d_mean, np.zeros_like(d_mean)], axis=1))
@@ -419,7 +432,7 @@ def _disc_step(cfg, disc, run_codec, demos, ei, b, rows, agent_u, spec):
         loss = adversary.disc_loss_and_grad(disc, (se, expert_lat), (sa, agent_lat))
     else:
         loss = adversary.disc_loss_and_grad(
-            disc, (se, demos.actions[ei]), (sa, b.actions))
+            disc, (se, agent_u(se_raw, demos.actions[ei])), (sa, agent_u(sa_raw, b.actions)))
     disc.tree.adam_step(cfg.disc_lr)
     return loss
 
@@ -492,21 +505,6 @@ def aggregate_curves(curves) -> list:
             "std_norm_return": float(np.std([r.norm_eval_return for r in rows])),
         })
     return out
-
-
-AGGREGATE_COLUMNS = ("env_steps", "mean_return", "std_return",
-                     "mean_norm_return", "std_norm_return")
-
-
-def aggregate_to_csv(rows) -> str:
-    from .configio import format_float
-
-    lines = [",".join(AGGREGATE_COLUMNS)]
-    for r in rows:
-        lines.append(",".join([str(r["env_steps"])] + [
-            format_float(r[c]) for c in AGGREGATE_COLUMNS[1:]
-        ]))
-    return "\n".join(lines) + "\n"
 
 
 def save_policy(path, bundle: PolicyBundle) -> None:

@@ -41,9 +41,6 @@ def squash(z):
     return np.clip(np.tanh(z), -TANH_CAP, TANH_CAP)
 
 
-_squash = squash
-
-
 BufferBatch = namedtuple("BufferBatch", ["states", "actions", "next_states", "dones"])
 
 
@@ -105,10 +102,10 @@ def actor_dist(agent: SacAgent, states):
 def act(agent: SacAgent, state, deterministic: bool, rng=None) -> np.ndarray:
     dist = actor_dist(agent, state)
     if deterministic:
-        return _squash(dist.mean)[0]
+        return squash(dist.mean)[0]
     if rng is None:
         raise ConfigError("stochastic action needs an rng")
-    return _squash(dist.sample(rng.standard_normal(dist.mean.shape)))[0]
+    return squash(dist.sample(rng.standard_normal(dist.mean.shape)))[0]
 
 
 def sample_with_log_prob(agent: SacAgent, states, rng, record: bool = False):
@@ -121,7 +118,7 @@ def sample_with_log_prob(agent: SacAgent, states, rng, record: bool = False):
     dist, clamp_mask = gaussian_head(raw)
     eps = rng.standard_normal(dist.mean.shape)
     z = dist.mean + dist.std * eps
-    u = _squash(z)
+    u = squash(z)
     gauss = (-0.5 * eps * eps - dist.log_std - 0.5 * np.log(2 * np.pi)).sum(axis=1)
     log_prob = gauss - tanh_log_jacobian(z).sum(axis=1)
     return u, log_prob, (dist, clamp_mask, eps, z, u)
@@ -188,8 +185,6 @@ def critic_update(agent: SacAgent, states, u, next_states, reward_fn, rng) -> di
     Targets bootstrap unconditionally: episodes end only at the time limit,
     so there is no environment-terminal state to zero out.
     """
-    batch = BufferBatch(states, u, next_states, None)
-    assert not hasattr(batch, "reward") and not hasattr(batch, "rewards")
     rewards = np.asarray(reward_fn(states, u), dtype=np.float64)
     u2, logp2, _ = sample_with_log_prob(agent, next_states, rng)
     q1t = _q(agent.target1, next_states, u2)
@@ -230,7 +225,7 @@ def actor_loss(agent: SacAgent, states, eps) -> float:
     raw = agent.actor.forward(states)
     dist, _ = gaussian_head(raw)
     z = dist.mean + dist.std * eps
-    u = _squash(z)
+    u = squash(z)
     gauss = (-0.5 * eps * eps - dist.log_std - 0.5 * np.log(2 * np.pi)).sum(axis=1)
     log_prob = gauss - tanh_log_jacobian(z).sum(axis=1)
     qmin = np.minimum(_q(agent.critic1, states, u), _q(agent.critic2, states, u))
@@ -247,7 +242,7 @@ def actor_loss_and_grad(agent: SacAgent, states, eps):
     raw = agent.actor.forward(states, record=True)
     dist, clamp_mask = gaussian_head(raw)
     z = dist.mean + dist.std * eps
-    u = _squash(z)
+    u = squash(z)
     gauss = (-0.5 * eps * eps - dist.log_std - 0.5 * np.log(2 * np.pi)).sum(axis=1)
     log_prob = gauss - tanh_log_jacobian(z).sum(axis=1)
     q1 = _q(agent.critic1, states, u, record=True)

@@ -1,0 +1,187 @@
+"""Per-row reference rollouts: one episode at a time, one row per step.
+
+This is the rollout code the lockstep paths replaced, kept as the oracle the
+tests compare them with: per-row kinematics, physics, scripted expert, demo
+collection and evaluation. Batched matrix products and row reductions may
+round differently in the last ulp, so the comparison tolerance is 1e-12.
+"""
+
+import math
+
+import numpy as np
+
+from lapal import envsim, latentact, sacgen
+from lapal.envsim import CONTROL_COST_WEIGHT, env_def, env_reset, wrap_angle
+from lapal.orchestrator import ExpertPolicy, PolicyBundle, RandomPolicy, _child_seq
+
+
+def forward_kinematics(lengths, angles):
+    lengths = np.asarray(lengths, dtype=np.float64)
+    cum = np.cumsum(np.asarray(angles, dtype=np.float64))
+    return np.array([np.sum(lengths * np.cos(cum)), np.sum(lengths * np.sin(cum))])
+
+
+def arm_jacobian(lengths, angles):
+    lengths = np.asarray(lengths, dtype=np.float64)
+    cum = np.cumsum(np.asarray(angles, dtype=np.float64))
+    sx = np.cumsum((lengths * np.cos(cum))[::-1])[::-1]
+    sy = np.cumsum((lengths * np.sin(cum))[::-1])[::-1]
+    return np.stack([-sy, sx])
+
+
+def nullspace_direction(lengths, angles):
+    k = len(angles)
+    if k <= 2:
+        return np.zeros(k)
+    jac = arm_jacobian(lengths, angles)
+    pattern = np.array([1.0 if i % 2 == 0 else -1.0 for i in range(k)])
+    try:
+        proj = pattern - jac.T @ np.linalg.solve(jac @ jac.T, jac @ pattern)
+    except np.linalg.LinAlgError:
+        return np.zeros(k)
+    norm = np.linalg.norm(proj)
+    return proj / norm if norm > 1e-9 else np.zeros(k)
+
+
+def split(env, state):
+    k = env.params.n_joints
+    return state[:k], state[k : 2 * k], state[2 * k :]
+
+
+def goal_distance(env, state):
+    if env.kind == "pointmass":
+        return float(np.linalg.norm(state[:2]))
+    angles, _, goal = split(env, state)
+    return float(np.linalg.norm(forward_kinematics(env.params.lengths, angles) - goal))
+
+
+def env_step(env_id, state, action):
+    """Returns (next_state, reward, clamped)."""
+    env = env_def(env_id)
+    lo, hi = env.spec.action_low, env.spec.action_high
+    a = np.asarray(action, dtype=np.float64)
+    clamped = bool(np.any(a < lo) or np.any(a > hi))
+    a = np.clip(a, lo, hi)
+    p, dt = env.params, env.spec.dt
+    if env.kind == "pointmass":
+        delta, vel = state[:2], state[2:]
+        vel = np.clip(vel + dt * ((a - p.damping * vel) / p.mass), -p.v_max, p.v_max)
+        delta = delta + dt * vel
+        reward = -float(np.linalg.norm(delta)) - CONTROL_COST_WEIGHT * float(a @ a)
+        return np.concatenate([delta, vel]), reward, clamped
+    angles, vel, goal = split(env, state)
+    vel = np.clip(vel + dt * ((a - p.damping * vel) / p.inertia), -p.v_max, p.v_max)
+    angles = wrap_angle(angles + dt * vel)
+    dist = np.linalg.norm(forward_kinematics(p.lengths, angles) - goal)
+    reward = -float(dist) - CONTROL_COST_WEIGHT * float(a @ a)
+    return np.concatenate([angles, vel, goal]), reward, clamped
+
+
+def scripted_expert(env_id, state, kp_scale=1.0, task_bias=None):
+    env = env_def(env_id)
+    p, lo, hi = env.params, env.spec.action_low, env.spec.action_high
+    if env.kind == "pointmass":
+        delta, vel = state[:2], state[2:]
+        f = -kp_scale * p.expert_kp * delta - p.expert_kd * vel
+        if task_bias is not None:
+            f = f + task_bias
+        return np.clip(f, lo, hi)
+    angles, vel, goal = split(env, state)
+    jac = arm_jacobian(p.lengths, angles)
+    ee = forward_kinematics(p.lengths, angles)
+    f = kp_scale * p.expert_kp * (goal - ee) - p.expert_kd * (jac @ vel)
+    if task_bias is not None:
+        f = f + task_bias
+    return np.clip(jac.T @ f - p.expert_joint_damping * vel, lo, hi)
+
+
+def rollout_episode(env_id, act_fn, episode_seed):
+    env = env_def(env_id)
+    spec = env.spec
+    state = env_reset(env_id, episode_seed)
+    states = np.empty((spec.horizon, spec.state_dim))
+    actions = np.empty((spec.horizon, spec.action_dim))
+    next_states = np.empty_like(states)
+    rewards = np.empty(spec.horizon)
+    clamps = 0
+    for t in range(spec.horizon):
+        action = act_fn(state, t)
+        nxt, rewards[t], clamped = env_step(env_id, state, action)
+        clamps += clamped
+        states[t] = state
+        actions[t] = np.clip(action, spec.action_low, spec.action_high)
+        next_states[t] = nxt
+        state = nxt
+    return {
+        "states": states, "actions": actions, "next_states": next_states,
+        "rewards": rewards, "return": float(np.sum(rewards)), "clamps": clamps,
+        "final_dist": goal_distance(env, state),
+        "settle_dist": float(np.mean([goal_distance(env, s) for s in next_states[-10:]])),
+    }
+
+
+def episode_actor(policy, env_id, episode_seed):
+    """Per-row actor for one episode of a lockstep-capable policy."""
+    if isinstance(policy, ExpertPolicy):
+        return lambda s, t: scripted_expert(env_id, s)
+    if isinstance(policy, RandomPolicy):
+        rng = np.random.default_rng(_child_seq(episode_seed, 1))
+        return lambda s, t: rng.uniform(policy.spec.action_low, policy.spec.action_high)
+    assert isinstance(policy, PolicyBundle)
+
+    def act(state, t):
+        feats = envsim.feature_map(policy.env_id, state)
+        u = sacgen.squash(policy.actor.forward(feats[None, :])[0, : policy.u_dim])
+        if policy.kind == "latent":
+            return latentact.decode(policy.codec, state, u)
+        return u * envsim.env_spec(policy.env_id).action_high
+
+    return act
+
+
+def episode_returns(policy, env_id, n_episodes, seed):
+    returns = []
+    for ep in range(n_episodes):
+        child = _child_seq(seed, ep)
+        returns.append(rollout_episode(env_id, episode_actor(policy, env_id, child), child)["return"])
+    return np.array(returns)
+
+
+def _ou_steps(rng, n, dim, sigma, tau, dt):
+    decay = math.exp(-dt / tau)
+    diff = sigma * math.sqrt(1.0 - decay * decay)
+    noise = np.empty((n, dim))
+    x = sigma * rng.standard_normal(dim)
+    for t in range(n):
+        noise[t] = x
+        x = decay * x + diff * rng.standard_normal(dim)
+    return noise
+
+
+def collect_demos(env_id, n_episodes, seed, jitter=None):
+    """Returns (episodes, success rate) of the jittered scripted expert."""
+    env = env_def(env_id)
+    spec = env.spec
+    jitter = jitter or envsim.default_jitter(env_id)
+    use_null = env.kind == "arm" and env.params.n_joints > 2 and jitter.null_sigma > 0
+    episodes, successes = [], 0
+    for child in np.random.SeedSequence(seed).spawn(n_episodes):
+        rng = np.random.default_rng(child)
+        kp_scale = rng.uniform(*jitter.gain_scale_range)
+        noise = _ou_steps(rng, spec.horizon, 2, jitter.ou_sigma, jitter.ou_tau, spec.dt)
+        null_amp = (_ou_steps(rng, spec.horizon, 1, jitter.null_sigma, jitter.ou_tau,
+                              spec.dt)[:, 0] if use_null else None)
+
+        def act(s, t, kp_scale=kp_scale, noise=noise, null_amp=null_amp):
+            fade = max(jitter.fade_floor, min(1.0, goal_distance(env, s) / jitter.fade_dist))
+            tau = scripted_expert(env_id, s, kp_scale=kp_scale, task_bias=fade * noise[t])
+            if null_amp is not None:
+                angles, _, _ = split(env, s)
+                tau = tau + null_amp[t] * nullspace_direction(env.params.lengths, angles)
+                tau = np.clip(tau, spec.action_low, spec.action_high)
+            return tau
+
+        ep = rollout_episode(env_id, act, rng)
+        successes += ep["settle_dist"] <= env.params.success_tol
+        episodes.append(ep)
+    return episodes, successes / n_episodes

@@ -1,0 +1,188 @@
+"""The batched kernel and lockstep rollouts against per-row references."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+import rowwise
+from lapal import envsim, latentact
+from lapal.envsim import JitterConfig, env_def, env_reset, env_spec, env_step, step_batch
+from lapal.errors import ConfigError, QualityGateError
+from lapal.nncore import MLPSpec, ParamTree
+from lapal.orchestrator import (
+    ExpertPolicy,
+    PolicyBundle,
+    RandomPolicy,
+    _child_seq,
+    evaluate_policy,
+)
+
+ENVS = ["pointmass", "arm2", "arm3", "arm3-perturbed"]
+TOL = 1e-12
+
+
+def random_batch(env_id, n, seed, action_scale=1.5):
+    """Reset states pushed off rest, and actions of which some leave the box."""
+    rng = np.random.default_rng(seed)
+    spec = env_spec(env_id)
+    S = np.stack([env_reset(env_id, rng) for _ in range(n)])
+    for _ in range(5):
+        S, _ = step_batch(env_id, S, rng.uniform(-1, 1, (n, spec.action_dim)))
+    return S, action_scale * rng.uniform(-1, 1, (n, spec.action_dim))
+
+
+@pytest.mark.parametrize("env_id", ENVS + ["arm6"])
+def test_step_batch_rows_match_one_row_calls(env_id):
+    S, A = random_batch(env_id, 16, seed=0)
+    nxt, rewards = step_batch(env_id, S, A)
+    for i in range(len(S)):
+        row_next, row_reward = env_step(env_id, S[i], A[i])
+        np.testing.assert_array_equal(nxt[i], row_next)
+        assert rewards[i] == row_reward
+        ref_next, ref_reward, _ = rowwise.env_step(env_id, S[i], A[i])
+        np.testing.assert_allclose(nxt[i], ref_next, rtol=0, atol=TOL)
+        assert abs(rewards[i] - ref_reward) <= TOL
+
+
+def test_step_batch_counts_each_clamped_row():
+    S, A = random_batch("arm3", 32, seed=1)
+    per_row = sum(rowwise.env_step("arm3", s, a)[2] for s, a in zip(S, A))
+    assert 0 < per_row < len(S)
+    envsim.reset_clamp_counts()
+    step_batch("arm3", S, A)
+    assert envsim.clamp_counts() == {"arm3": per_row}
+    envsim.reset_clamp_counts()
+    for s, a in zip(S, A):
+        env_step("arm3", s, a)
+    assert envsim.clamp_counts() == {"arm3": per_row}
+
+
+def test_step_batch_checks_shapes_and_finiteness():
+    S, A = random_batch("arm2", 4, seed=2)
+    for bad_s, bad_a in ((S[0], A[0]), (S, A[:3]), (S[:, :5], A), (S, A[:, :1]), (S[None], A)):
+        with pytest.raises(ConfigError):
+            step_batch("arm2", bad_s, bad_a)
+    A[2, 1] = np.inf
+    with pytest.raises(envsim.EnvironmentFault):
+        step_batch("arm2", S, A)
+
+
+def test_env_def_cached_with_read_only_arrays():
+    env = env_def("arm3")
+    assert env_def("arm3") is env
+    for arr in (env.spec.action_low, env.spec.action_high):
+        with pytest.raises(ValueError):
+            arr[0] = 5.0
+
+
+@pytest.mark.parametrize("env_id", ENVS + ["arm6"])
+def test_kinematics_and_expert_rows_match_per_row(env_id):
+    env = env_def(env_id)
+    S, _ = random_batch(env_id, 8, seed=3)
+    kp = np.linspace(0.8, 1.2, len(S))
+    bias = np.random.default_rng(4).normal(size=(len(S), 2))
+    batch = envsim.scripted_expert(env_id, S, kp_scale=kp, task_bias=bias)
+    for i, s in enumerate(S):
+        np.testing.assert_array_equal(
+            batch[i], envsim.scripted_expert(env_id, s, kp_scale=kp[i], task_bias=bias[i]))
+        np.testing.assert_allclose(
+            batch[i], rowwise.scripted_expert(env_id, s, kp[i], bias[i]), rtol=0, atol=TOL)
+    if env.kind != "arm":
+        return
+    angles = S[:, : env.params.n_joints]
+    lengths = env.params.lengths
+    fk, jac = envsim.forward_kinematics(lengths, angles), envsim.arm_jacobian(lengths, angles)
+    null = envsim.nullspace_direction(lengths, angles)
+    for i, a in enumerate(angles):
+        np.testing.assert_array_equal(fk[i], envsim.forward_kinematics(lengths, a))
+        np.testing.assert_array_equal(jac[i], envsim.arm_jacobian(lengths, a))
+        np.testing.assert_allclose(fk[i], rowwise.forward_kinematics(lengths, a), rtol=0, atol=TOL)
+        np.testing.assert_allclose(jac[i], rowwise.arm_jacobian(lengths, a), rtol=0, atol=TOL)
+        np.testing.assert_allclose(null[i], rowwise.nullspace_direction(lengths, a),
+                                   rtol=0, atol=TOL)
+
+
+def make_policy(kind, env_id):
+    if kind == "expert":
+        return ExpertPolicy(env_id)
+    if kind == "random":
+        return RandomPolicy(env_id)
+    rng = np.random.default_rng(5)
+    spec = env_spec(env_id)
+    if kind == "raw":
+        u_dim, codec = spec.action_dim, None
+    else:
+        u_dim = 1 if env_id == "pointmass" else 2
+        codec = latentact.make_codec(env_id, latentact.CVAEConfig(latent_dim=u_dim), rng)
+    actor = ParamTree.init(MLPSpec(envsim.feature_dim(env_id), (32, 32), 2 * u_dim,
+                                   activation="relu"), rng)
+    return PolicyBundle(env_id, kind, actor, u_dim, codec)
+
+
+@pytest.mark.parametrize("kind", ["expert", "random", "raw", "latent"])
+@pytest.mark.parametrize("env_id", ENVS)
+def test_lockstep_evaluation_matches_per_row_oracle(env_id, kind):
+    policy = make_policy(kind, env_id)
+    seed = np.random.SeedSequence(11)
+    n = 5
+    reference = rowwise.episode_returns(policy, env_id, n, seed)
+    seeds = [_child_seq(seed, i) for i in range(n)]
+    returns = envsim.rollout_episodes(env_id, policy.lockstep_actor(seeds), seeds)["return"]
+    np.testing.assert_allclose(returns, reference, rtol=0, atol=TOL)
+    mean, std = evaluate_policy(policy, env_id, n, seed)
+    assert abs(mean - np.mean(reference)) <= TOL and abs(std - np.std(reference)) <= TOL
+
+
+def test_evaluation_needs_an_episode():
+    with pytest.raises(ConfigError):
+        evaluate_policy(ExpertPolicy("arm2"), "arm2", 0)
+
+
+def test_lockstep_clamp_count_matches_per_row():
+    seeds = list(range(4))
+    draws = {s: np.random.default_rng(100 + s).uniform(-1.6, 1.6, (140, 3)) for s in seeds}
+    envsim.reset_clamp_counts()
+    out = envsim.rollout_episodes(
+        "arm3", lambda S, t: np.stack([draws[s][t] for s in seeds]), seeds)
+    per_row = [rowwise.rollout_episode("arm3", lambda s, t, d=draws[k]: d[t], k)
+               for k in seeds]
+    assert envsim.clamp_counts()["arm3"] == sum(ep["clamps"] for ep in per_row) > 0
+    for i, ep in enumerate(per_row):
+        np.testing.assert_array_equal(out["actions"][i], ep["actions"])
+        np.testing.assert_allclose(out["states"][i], ep["states"], rtol=0, atol=TOL)
+
+
+def test_rollout_episode_is_the_one_episode_case():
+    act = lambda s, t: envsim.scripted_expert("arm3", s)
+    one = envsim.rollout_episode("arm3", act, 7)
+    many = envsim.rollout_episodes("arm3", lambda S, t: envsim.scripted_expert("arm3", S),
+                                   [3, 7])
+    for key, value in one.items():
+        np.testing.assert_array_equal(value, many[key][1])
+
+
+@pytest.mark.parametrize("env_id", ENVS)
+def test_lockstep_demos_match_per_row_oracle(env_id):
+    demos = envsim.collect_demos(env_id, n_episodes=4, seed=6, min_success_rate=0.0)
+    episodes, rate = rowwise.collect_demos(env_id, 4, seed=6)
+    for key in ("states", "actions", "next_states", "rewards"):
+        reference = np.concatenate([ep[key] for ep in episodes])
+        np.testing.assert_allclose(getattr(demos, key), reference, rtol=0, atol=TOL)
+    assert rate >= 0.9
+    envsim.collect_demos(env_id, n_episodes=4, seed=6)  # passes the default gate too
+
+
+def test_quality_gate_verdict_matches_per_row_oracle():
+    wild = JitterConfig(ou_sigma=30.0, fade_floor=1.0, fade_dist=1e9, null_sigma=0.25)
+    _, rate = rowwise.collect_demos("arm3", 6, seed=0, jitter=wild)
+    assert rate < 0.9
+    with pytest.raises(QualityGateError, match=f"only {rate:.0%} of 6"):
+        envsim.collect_demos("arm3", n_episodes=6, seed=0, jitter=wild)
+
+
+@pytest.fixture(autouse=True)
+def _quiet_vacuous_codec_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        yield

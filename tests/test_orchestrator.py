@@ -8,6 +8,7 @@ from lapal import adversary, envsim, latentact, orchestrator, sacgen
 from lapal.errors import ConfigError, DivergenceError
 from lapal.latentact import CVAEConfig, train_codec
 from lapal.orchestrator import (
+    ALGOS,
     ExpertPolicy,
     PolicyBundle,
     RandomPolicy,
@@ -24,6 +25,7 @@ from lapal.orchestrator import (
 from lapal.sacgen import SacConfig
 
 SMALL_SAC = SacConfig(batch_size=64, actor_hidden=(24, 24), critic_hidden=(24, 24))
+ENVS = ("pointmass", "arm2", "arm3")
 
 
 def small_run_cfg(algo, **kw):
@@ -37,6 +39,15 @@ def small_run_cfg(algo, **kw):
     return RunConfig(**base)
 
 
+def env_run_cfg(algo, env_id, **kw):
+    """small_run_cfg on pointmass; three tiny iterations on the arms."""
+    if env_id != "pointmass":
+        kw = dict(env_id=env_id, total_env_steps=300, steps_per_iteration=100,
+                  eval_every=100, disc_updates_per_iteration=5,
+                  gen_updates_per_iteration=10, eval_episodes=2, **kw)
+    return small_run_cfg(algo, **kw)
+
+
 @pytest.fixture(scope="module")
 def pm_demos():
     return envsim.collect_demos("pointmass", n_episodes=16, seed=0)
@@ -48,6 +59,21 @@ def pm_codec(pm_demos):
         warnings.simplefilter("ignore")
         codec, _ = train_codec(pm_demos, CVAEConfig(latent_dim=2, epochs=20), seed=0)
     return codec
+
+
+@pytest.fixture(scope="module")
+def env_inputs(pm_demos, pm_codec):
+    """env_id -> (demos, codec); arm inputs are built on first use."""
+    cache = {"pointmass": (pm_demos, pm_codec)}
+
+    def get(env_id):
+        if env_id not in cache:
+            demos = envsim.collect_demos(env_id, n_episodes=8, seed=0)
+            codec, _ = train_codec(demos, CVAEConfig(latent_dim=2, epochs=5), seed=0)
+            cache[env_id] = demos, codec
+        return cache[env_id]
+
+    return get
 
 
 def demos_digest(demos):
@@ -86,17 +112,18 @@ def test_emitted_latents_flag_scoped():
     small_run_cfg("lapal-agnostic", store_emitted_latents=True)
 
 
-def test_smoke_runs_and_buffer_hygiene(pm_demos, pm_codec):
-    before = demos_digest(pm_demos)
-    for algo, codec in (("gail", None), ("lapal-agnostic", pm_codec),
-                        ("lapal-aware", pm_codec)):
-        res = run_training(small_run_cfg(algo), SMALL_SAC, pm_demos,
-                           codec=codec, seed=1)
-        steps = [r.env_steps for r in res.curve]
-        assert steps == sorted(steps) and len(set(steps)) == len(steps)
-        assert all(np.isfinite(r.mean_eval_return) for r in res.curve)
-        assert res.expert_return > res.random_return
-    assert demos_digest(pm_demos) == before
+@pytest.mark.parametrize("env_id", ENVS)
+@pytest.mark.parametrize("algo", ALGOS)
+def test_smoke_runs_and_buffer_hygiene(algo, env_id, env_inputs):
+    demos, codec = env_inputs(env_id)
+    before = demos_digest(demos)
+    res = run_training(env_run_cfg(algo, env_id), SMALL_SAC, demos,
+                       codec=codec if algo != "gail" else None, seed=1)
+    steps = [r.env_steps for r in res.curve]
+    assert steps == sorted(steps) and len(set(steps)) == len(steps)
+    assert all(np.isfinite(r.mean_eval_return) for r in res.curve)
+    assert res.expert_return > res.random_return
+    assert demos_digest(demos) == before
 
 
 def test_frozen_codec_untouched_by_agnostic_run(pm_demos, pm_codec):
@@ -114,15 +141,17 @@ def test_aware_run_moves_codec(pm_demos, pm_codec):
     assert res.codec.digest() != pm_codec.digest()
 
 
-def test_mode_boundary_differential(pm_demos, pm_codec):
+@pytest.mark.parametrize("env_id", ENVS)
+def test_mode_boundary_differential(env_id, env_inputs):
     """lapal-aware with codec learning rates forced to zero must walk the
     task-agnostic update sequence bit-identically."""
+    demos, codec = env_inputs(env_id)
     traces = {}
     for algo, lrs in (("lapal-agnostic", None), ("lapal-aware", 0.0)):
         kw = {} if lrs is None else {"codec_disc_lr": 0.0, "codec_gen_lr": 0.0}
         trace = []
-        run_training(small_run_cfg(algo, **kw), SMALL_SAC, pm_demos,
-                     codec=pm_codec, seed=3, on_iteration=trace.append)
+        run_training(env_run_cfg(algo, env_id, **kw), SMALL_SAC, demos,
+                     codec=codec, seed=3, on_iteration=trace.append)
         traces[algo] = trace
     a, b = traces["lapal-agnostic"], traces["lapal-aware"]
     assert len(a) == len(b) == 3
@@ -201,10 +230,14 @@ def test_curve_csv_round_trip(pm_demos):
         curve_from_csv("bogus\n1,2\n")
 
 
-def test_run_training_deterministic(pm_demos, pm_codec):
+@pytest.mark.parametrize("env_id", ENVS)
+@pytest.mark.parametrize("algo", ALGOS)
+def test_run_training_deterministic(algo, env_id, env_inputs):
+    demos, codec = env_inputs(env_id)
+
     def run():
-        res = run_training(small_run_cfg("lapal-agnostic"), SMALL_SAC, pm_demos,
-                           codec=pm_codec, seed=8)
+        res = run_training(env_run_cfg(algo, env_id), SMALL_SAC, demos,
+                           codec=codec if algo != "gail" else None, seed=8)
         return curve_to_csv(res.curve), res.bundle.digest()
 
     assert run() == run()
