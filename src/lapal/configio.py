@@ -1,4 +1,4 @@
-"""File plumbing shared by the CLI and checkpoint writers.
+"""File plumbing shared by the checkpoint and curve writers.
 
 All output files are written atomically (temp file + rename) so reruns and
 crashes never leave partial artifacts, and every writer here is
@@ -7,7 +7,6 @@ byte-deterministic given identical inputs.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 
@@ -25,19 +24,6 @@ def atomic_write_bytes(path, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode())
-
-
-def write_json(path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def read_json(path):
-    with open(path, "r") as fh:
-        return json.load(fh)
 
 
 def format_float(x: float) -> str:

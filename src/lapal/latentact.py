@@ -2,8 +2,12 @@
 
 The encoder maps a state-action pair to a diagonal Gaussian over a
 low-dimensional latent; the decoder maps (state, latent) back to a bounded
-action. Latent actions live in the open box (-1, 1)^d: the deterministic
-encoding is tanh of the posterior mean and sampled encodings squash the
+action. Both networks see states only as features (`envsim.feature_map`):
+`encode` and `decode` take features, which callers compute once per state,
+and `train_codec` featurizes the demo states once before its epochs.
+
+Latent actions live in the open box (-1, 1)^d: the deterministic encoding
+is tanh of the posterior mean and sampled encodings squash the
 reparameterized draw, so the latent box matches what a squashed-Gaussian
 policy emits. The KL regularizer is computed on the pre-squash Gaussian
 against a standard-normal prior, which equals the KL between the squashed
@@ -140,10 +144,9 @@ def make_codec(env_id: str, cfg: CVAEConfig, seed) -> ActionCodec:
 # encode / decode
 
 
-def encode(codec: ActionCodec, states, actions, record: bool = False) -> GaussianDist:
+def encode(codec: ActionCodec, feats, actions, record: bool = False) -> GaussianDist:
     """Posterior over the pre-squash latent; tanh of its samples/mean is the
-    latent action. States are raw env states, featurized internally."""
-    feats = envsim.feature_map(codec.env_id, states)
+    latent action. `feats` are state features, not raw env states."""
     x = np.concatenate([np.atleast_2d(feats), np.atleast_2d(actions)], axis=1)
     if not np.all(np.isfinite(x)):
         raise ConfigError("non-finite inputs to encode")
@@ -152,49 +155,52 @@ def encode(codec: ActionCodec, states, actions, record: bool = False) -> Gaussia
     return dist
 
 
-def encode_mean(codec: ActionCodec, states, actions) -> np.ndarray:
+def encode_mean(codec: ActionCodec, feats, actions) -> np.ndarray:
     """Deterministic latent encoding: tanh of the posterior mean."""
-    return np.tanh(encode(codec, states, actions).mean)
+    return np.tanh(encode(codec, feats, actions).mean)
 
 
-def encode_sample(codec: ActionCodec, states, actions, rng) -> np.ndarray:
-    dist = encode(codec, states, actions)
+def encode_sample(codec: ActionCodec, feats, actions, rng) -> np.ndarray:
+    dist = encode(codec, feats, actions)
     return np.tanh(dist.sample(rng.standard_normal(dist.mean.shape)))
 
 
-def encode_for_training(codec: ActionCodec, states, actions, rng=None) -> np.ndarray:
+def encode_for_training(codec: ActionCodec, feats, actions, rng=None) -> np.ndarray:
     """Latent actions fed to discriminators/critics; mean unless the
     sampled-encoding ablation is enabled."""
     if codec.config.sample_encoding:
         if rng is None:
             raise ConfigError("sampled encoding needs an rng")
-        return encode_sample(codec, states, actions, rng)
-    return encode_mean(codec, states, actions)
+        return encode_sample(codec, feats, actions, rng)
+    return encode_mean(codec, feats, actions)
 
 
-def decode(codec: ActionCodec, states, latents, record: bool = False) -> np.ndarray:
-    """Map latent actions back to env actions, strictly inside the bounds."""
-    s2 = np.atleast_2d(envsim.feature_map(codec.env_id, states))
+def decode(codec: ActionCodec, feats, latents, record: bool = False) -> np.ndarray:
+    """Map latent actions back to env actions, strictly inside the bounds.
+
+    `feats` are state features, one row or (N, feat_dim).
+    """
+    s2 = np.atleast_2d(feats)
     z2 = np.atleast_2d(latents)
     if z2.shape[1] != codec.latent_dim:
         raise ConfigError(f"latent width {z2.shape[1]} != latent_dim {codec.latent_dim}")
     out = codec.decoder.forward(np.concatenate([s2, z2], axis=1), record=record)
     out = out * codec.action_high
-    return out[0] if np.asarray(states).ndim == 1 else out
+    return out[0] if np.asarray(feats).ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------
 # loss
 
 
-def cvae_loss(codec: ActionCodec, states, actions, noise) -> tuple:
+def cvae_loss(codec: ActionCodec, feats, actions, noise) -> tuple:
     """Reconstruction + beta * KL, averaged over the batch; loss = recon + beta*kl."""
-    loss, parts, _ = _cvae_forward(codec, states, actions, noise, record=False)
+    loss, parts, _ = _cvae_forward(codec, feats, actions, noise, record=False)
     return loss, parts
 
 
-def _cvae_forward(codec, states, actions, noise, record):
-    S = np.atleast_2d(states)
+def _cvae_forward(codec, feats, actions, noise, record):
+    S = np.atleast_2d(feats)
     A = np.atleast_2d(actions)
     dist = encode(codec, S, A, record=record)
     z = dist.sample(noise)
@@ -208,9 +214,9 @@ def _cvae_forward(codec, states, actions, noise, record):
     return loss, {"recon": recon_term, "kl": kl_term}, cache
 
 
-def cvae_loss_and_grad(codec: ActionCodec, states, actions, noise) -> tuple:
+def cvae_loss_and_grad(codec: ActionCodec, feats, actions, noise) -> tuple:
     """As cvae_loss, but also accumulates encoder/decoder gradients."""
-    loss, parts, cache = _cvae_forward(codec, states, actions, noise, record=True)
+    loss, parts, cache = _cvae_forward(codec, feats, actions, noise, record=True)
     S, A, dist, z, abar, recon, err = cache
     B = S.shape[0]
     beta = codec.config.beta
@@ -252,8 +258,9 @@ def train_codec(demos: envsim.DemoBuffer, cfg: CVAEConfig, seed) -> tuple:
     tr_idx = np.concatenate([np.arange(s.start, s.stop) for s in train_slices])
     ho_idx = (np.concatenate([np.arange(s.start, s.stop) for s in hold_slices])
               if hold_slices else tr_idx)
-    S_tr, A_tr = demos.states[tr_idx], demos.actions[tr_idx]
-    S_ho, A_ho = demos.states[ho_idx], demos.actions[ho_idx]
+    feats = envsim.feature_map(demos.env_id, demos.states)
+    S_tr, A_tr = feats[tr_idx], demos.actions[tr_idx]
+    S_ho, A_ho = feats[ho_idx], demos.actions[ho_idx]
 
     history = {"loss": [], "recon": [], "kl": [], "holdout_recon": []}
     n = len(tr_idx)
@@ -291,10 +298,10 @@ def train_codec(demos: envsim.DemoBuffer, cfg: CVAEConfig, seed) -> tuple:
     return codec, history
 
 
-def holdout_reconstruction_mse(codec: ActionCodec, states, actions) -> float:
+def holdout_reconstruction_mse(codec: ActionCodec, feats, actions) -> float:
     """Mean squared reconstruction error of the deterministic round trip."""
-    abar = encode_mean(codec, states, actions)
-    recon = decode(codec, states, abar)
+    abar = encode_mean(codec, feats, actions)
+    recon = decode(codec, feats, abar)
     return float(np.mean(np.sum((recon - actions) ** 2, axis=1)))
 
 

@@ -7,6 +7,14 @@ forward passes optionally record a tape that the matching backward pass
 consumes. Gradients accumulate across backward calls until an optimizer step
 zeroes them, which is what lets a loss with several expectation terms sum
 its pieces before updating.
+
+A ParamTree keeps four contiguous float64 vectors, `params`, `grads`, `m`
+and `v`, each laid out layer by layer (weights row-major, then biases: the
+`get_flat` order). Every DenseLayer array (`w`, `b`, `gw`, `gb`, `mw`, `vw`,
+`mb`, `vb`) is a view into one of them, so the forward and backward passes
+work per layer while Adam, Polyak averaging and the flat accessors are a few
+whole-vector ops. Those ops are elementwise, so they give the same bits as a
+loop over the layer arrays.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import io
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,97 +125,80 @@ def _act_grad_from_output(name, a):
     return np.ones_like(a)
 
 
-@dataclass
 class DenseLayer:
-    w: np.ndarray
-    b: np.ndarray
-    gw: np.ndarray = field(default=None, repr=False)
-    gb: np.ndarray = field(default=None, repr=False)
-    mw: np.ndarray = field(default=None, repr=False)
-    vw: np.ndarray = field(default=None, repr=False)
-    mb: np.ndarray = field(default=None, repr=False)
-    vb: np.ndarray = field(default=None, repr=False)
+    """One layer's slices of its tree's flat buffers, as (in, out) and (out,) views."""
 
-    def __post_init__(self):
-        for name in ("gw", "mw", "vw"):
-            if getattr(self, name) is None:
-                setattr(self, name, np.zeros_like(self.w))
-        for name in ("gb", "mb", "vb"):
-            if getattr(self, name) is None:
-                setattr(self, name, np.zeros_like(self.b))
+    def __init__(self, buffers, start: int, fan_in: int, fan_out: int):
+        mid = start + fan_in * fan_out
+        self.w, self.gw, self.mw, self.vw = (
+            x[start:mid].reshape(fan_in, fan_out) for x in buffers)
+        self.b, self.gb, self.mb, self.vb = (x[mid : mid + fan_out] for x in buffers)
 
 
 class ParamTree:
-    """Weights + grads + Adam state for one MLP, with a single forward tape."""
+    """Weights + grads + Adam state for one MLP, with a single forward tape.
 
-    def __init__(self, spec: MLPSpec, layers, step: int = 0):
+    The layer arrays are views of the flat `params`, `grads`, `m` and `v`
+    vectors, so writing through `layer.w` writes `params`.
+    """
+
+    def __init__(self, spec: MLPSpec, step: int = 0):
+        dims = spec.dims()
+        n = sum(i * o + o for i, o in zip(dims[:-1], dims[1:]))
         self.spec = spec
-        self.layers = layers
+        self.params, self.grads, self.m, self.v = (np.zeros(n) for _ in range(4))
+        bufs = (self.params, self.grads, self.m, self.v)
+        self.layers, start = [], 0
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            self.layers.append(DenseLayer(bufs, start, fan_in, fan_out))
+            start += fan_in * fan_out + fan_out
         self.step = step
         self._tape = None
 
     @classmethod
     def init(cls, spec: MLPSpec, rng: np.random.Generator) -> "ParamTree":
-        dims = spec.dims()
-        layers = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        tree = cls(spec)
+        for l in tree.layers:
+            fan_in, fan_out = l.w.shape
             bound = np.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-            b = np.zeros(fan_out)
-            layers.append(DenseLayer(w=w, b=b))
-        return cls(spec, layers)
+            # rng.uniform(-bound, bound) drawn in place: it is -bound + 2 * bound * U
+            rng.random(out=l.w)
+            l.w *= 2.0 * bound
+            l.w -= bound
+        return tree
 
     @classmethod
     def zeros(cls, spec: MLPSpec) -> "ParamTree":
-        dims = spec.dims()
-        layers = [
-            DenseLayer(w=np.zeros((i, o)), b=np.zeros(o))
-            for i, o in zip(dims[:-1], dims[1:])
-        ]
-        return cls(spec, layers)
+        return cls(spec)
 
     # -- parameter plumbing -------------------------------------------------
 
     def n_params(self) -> int:
-        return sum(l.w.size + l.b.size for l in self.layers)
+        return self.params.size
 
     def get_flat(self) -> np.ndarray:
-        return np.concatenate([np.concatenate([l.w.ravel(), l.b]) for l in self.layers])
+        return self.params.copy()
 
     def set_flat(self, vec: np.ndarray) -> None:
-        i = 0
-        for l in self.layers:
-            n = l.w.size
-            l.w[...] = vec[i : i + n].reshape(l.w.shape)
-            i += n
-            l.b[...] = vec[i : i + l.b.size]
-            i += l.b.size
-        if i != vec.size:
+        if vec.size != self.params.size:
             raise ConfigError(f"flat vector length {vec.size} != {self.n_params()}")
+        self.params[...] = vec
 
     def grad_flat(self) -> np.ndarray:
-        return np.concatenate([np.concatenate([l.gw.ravel(), l.gb]) for l in self.layers])
+        return self.grads.copy()
 
     def zero_grads(self) -> None:
-        for l in self.layers:
-            l.gw[...] = 0.0
-            l.gb[...] = 0.0
+        self.grads[...] = 0.0
 
     def copy(self) -> "ParamTree":
-        layers = [
-            DenseLayer(
-                w=l.w.copy(), b=l.b.copy(), gw=l.gw.copy(), gb=l.gb.copy(),
-                mw=l.mw.copy(), vw=l.vw.copy(), mb=l.mb.copy(), vb=l.vb.copy(),
-            )
-            for l in self.layers
-        ]
-        return ParamTree(self.spec, layers, step=self.step)
+        clone = ParamTree(self.spec, step=self.step)
+        for name in ("params", "grads", "m", "v"):
+            getattr(clone, name)[...] = getattr(self, name)
+        return clone
 
     def digest(self) -> str:
         h = hashlib.sha256(self.spec.canonical().encode())
-        for l in self.layers:
-            h.update(np.ascontiguousarray(l.w).tobytes())
-            h.update(np.ascontiguousarray(l.b).tobytes())
+        h.update(self.params.tobytes())
         return h.hexdigest()
 
     # -- forward / backward --------------------------------------------------
@@ -256,25 +247,24 @@ class ParamTree:
 
     def adam_step(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                   eps: float = 1e-8) -> None:
-        for k, l in enumerate(self.layers):
-            if not (np.all(np.isfinite(l.gw)) and np.all(np.isfinite(l.gb))):
-                bad_w = int(np.sum(~np.isfinite(l.gw)))
-                bad_b = int(np.sum(~np.isfinite(l.gb)))
-                raise OptimizerError(
-                    f"non-finite gradient in layer {k} of {self.spec.canonical()}: "
-                    f"{bad_w} weight entries, {bad_b} bias entries; step aborted"
-                )
+        g, m, v = self.grads, self.m, self.v
+        if not np.isfinite(g).all():
+            k, l = next((k, l) for k, l in enumerate(self.layers)
+                        if not (np.isfinite(l.gw).all() and np.isfinite(l.gb).all()))
+            raise OptimizerError(
+                f"non-finite gradient in layer {k} of {self.spec.canonical()}: "
+                f"{int(np.sum(~np.isfinite(l.gw)))} weight entries, "
+                f"{int(np.sum(~np.isfinite(l.gb)))} bias entries; step aborted"
+            )
         self.step += 1
         c1 = 1.0 - beta1 ** self.step
         c2 = 1.0 - beta2 ** self.step
-        for l in self.layers:
-            for p, g, m, v in ((l.w, l.gw, l.mw, l.vw), (l.b, l.gb, l.mb, l.vb)):
-                m *= beta1
-                m += (1.0 - beta1) * g
-                v *= beta2
-                v += (1.0 - beta2) * g * g
-                p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-        self.zero_grads()
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        self.params -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        g[...] = 0.0
 
 
 class AdamScalar:
@@ -384,8 +374,7 @@ def read_segment(fh: io.BufferedIOBase, spec: MLPSpec) -> ParamTree:
             f"segment was written for a different network spec than {spec.canonical()}"
         )
     (step,) = struct.unpack("<Q", fh.read(8))
-    tree = ParamTree.zeros(spec)
-    tree.step = step
+    tree = ParamTree(spec, step=step)
     for l in tree.layers:
         for arr in (l.w, l.b, l.mw, l.vw, l.mb, l.vb):
             raw = fh.read(arr.size * 8)

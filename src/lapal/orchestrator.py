@@ -10,10 +10,16 @@ on a fixed set of fresh episodes. Three algorithms share the loop:
   lapal-aware      as agnostic, but the encoder joins the discriminator
                    ascent and the decoder joins the generator descent
 
-Latent actions attached to stored transitions are always re-encoded from
-the raw buffer action with the current encoder (never cached), so the
-task-aware mode with codec learning rates forced to zero walks exactly the
-task-agnostic update sequence - a differential test the suite pins down.
+Raw env states stop at the env boundary: every network consumes state
+features, and each state is featurized once. The collection loop featurizes
+each new state once, the replay buffer stores the features of s and s', and
+the demos are featurized once per run.
+
+Latent actions attached to stored transitions are re-encoded from the raw
+buffer action with the current encoder (never cached, unless
+`store_emitted_latents` keeps the emitted ones), so the task-aware mode with
+codec learning rates forced to zero walks exactly the task-agnostic update
+sequence - a differential test the suite pins down.
 
 Rewards are recomputed from the current discriminator for every batch;
 nothing reward-like is ever stored. Normalized returns are gap-closed:
@@ -183,10 +189,10 @@ class PolicyBundle:
 
     def action(self, states):
         """Deterministic env actions for (N, state_dim) states."""
-        raw = self.actor.forward(envsim.feature_map(self.env_id, states))
-        u = sacgen.squash(raw[:, : self.u_dim])
+        feats = envsim.feature_map(self.env_id, states)
+        u = sacgen.squash(self.actor.forward(feats)[:, : self.u_dim])
         if self.kind == "latent":
-            return latentact.decode(self.codec, states, u)
+            return latentact.decode(self.codec, feats, u)
         return u * envsim.env_spec(self.env_id).action_high
 
     def lockstep_actor(self, episode_seeds):
@@ -261,11 +267,8 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
     agent = SacAgent(feat_dim, u_dim, sac_cfg, np.random.default_rng(s_init))
     disc = adversary.make_discriminator(comp, cfg.disc_hidden,
                                         np.random.default_rng(s_disc_init))
-    buf = sacgen.ReplayBuffer(sac_cfg.buffer_capacity, spec.state_dim, spec.action_dim)
-    emitted = (
-        sacgen.ReplayBuffer(sac_cfg.buffer_capacity, 1, u_dim)
-        if cfg.store_emitted_latents else None
-    )
+    buf = sacgen.ReplayBuffer(sac_cfg.buffer_capacity, feat_dim, spec.action_dim,
+                              u_dim if cfg.store_emitted_latents else 0)
 
     eval_seed = _eval_seed(seed)
     expert_ret, _ = evaluate_policy(ExpertPolicy(cfg.env_id), cfg.env_id,
@@ -274,15 +277,9 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
                                     cfg.eval_episodes, eval_seed)
     bundle = PolicyBundle(cfg.env_id, "latent" if cfg.latent else "raw",
                           agent.actor, u_dim, run_codec)
-    recon_probe = _recon_probe(demos, batch_rng) if cfg.latent else None
-
-    def agent_u(states, raw_actions, rows=None):
-        """Action-box coordinates the critics and discriminator consume."""
-        if cfg.latent:
-            if emitted is not None and rows is not None:
-                return emitted.actions[rows]
-            return latentact.encode_for_training(run_codec, states, raw_actions)
-        return raw_actions / spec.action_high
+    featurize = lambda S: envsim.feature_map(cfg.env_id, S)
+    demo_feats = featurize(demos.states)
+    recon_probe = _recon_probe(demo_feats, demos.actions, batch_rng) if cfg.latent else None
 
     def reward_fn(states, u):
         return adversary.disc_reward(disc, states, u)
@@ -291,12 +288,12 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
     decoder_path = (
         sacgen.DecoderPathContext(run_codec, disc, cfg.codec_gen_lr) if aware else None
     )
-    featurize = lambda S: envsim.feature_map(cfg.env_id, S)
     demo_n = len(demos)
     half = max(1, sac_cfg.batch_size // 2)
 
     curve: list = []
     state = envsim.env_reset(cfg.env_id, act_rng)
+    feats = featurize(state)
     ep_t = 0
     steps = 0
     last = {"disc": float("nan"), "actor": float("nan"), "critic": float("nan"),
@@ -304,18 +301,17 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
     iteration = 0
     while steps < cfg.total_env_steps:
         for _ in range(min(cfg.steps_per_iteration, cfg.total_env_steps - steps)):
-            u = sacgen.act(agent, featurize(state), deterministic=False, rng=act_rng)
-            action = (latentact.decode(run_codec, state, u) if cfg.latent
+            u = sacgen.act(agent, feats, deterministic=False, rng=act_rng)
+            action = (latentact.decode(run_codec, feats, u) if cfg.latent
                       else u * spec.action_high)
-            nxt, _ = envsim.env_step(cfg.env_id, state, action)
+            state, _ = envsim.env_step(cfg.env_id, state, action)
+            next_feats = featurize(state)
+            buf.push(feats, action, next_feats, u)
+            feats = next_feats
             ep_t += 1
-            done = ep_t >= spec.horizon
-            buf.push(state, action, nxt, done)
-            if emitted is not None:
-                emitted.push(np.zeros(1), u, np.zeros(1), done)
-            state = nxt
-            if done:
+            if ep_t >= spec.horizon:
                 state = envsim.env_reset(cfg.env_id, act_rng)
+                feats = featurize(state)
                 ep_t = 0
             steps += 1
 
@@ -326,23 +322,16 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
             try:
                 for _ in range(cfg.disc_updates_per_iteration):
                     ei = batch_rng.integers(0, demo_n, half)
-                    rows = batch_rng.integers(0, len(buf), half)
-                    b = sacgen.BufferBatch(buf.states[rows], buf.actions[rows],
-                                           buf.next_states[rows], buf.dones[rows])
-                    dl = _disc_step(cfg, disc, run_codec, demos, ei, b, rows,
-                                    agent_u, spec)
+                    dl = _disc_step(cfg, disc, run_codec, spec.action_high,
+                                    demo_feats[ei], demos.actions[ei],
+                                    buf.sample(batch_rng, half))
                 for _ in range(cfg.gen_updates_per_iteration):
-                    rows = batch_rng.integers(0, len(buf), sac_cfg.batch_size)
-                    b = sacgen.BufferBatch(buf.states[rows], buf.actions[rows],
-                                           buf.next_states[rows], buf.dones[rows])
-                    u_batch = agent_u(b.states, b.actions, rows)
-                    feats = featurize(b.states)
-                    closses = sacgen.critic_update(agent, feats, u_batch,
-                                                   featurize(b.next_states),
-                                                   reward_fn, batch_rng)
-                    if decoder_path is not None:
-                        decoder_path.raw_states = b.states
-                    alosses = sacgen.actor_update(agent, feats, batch_rng,
+                    b = buf.sample(batch_rng, sac_cfg.batch_size)
+                    u_batch = _box_u(cfg, run_codec, spec.action_high,
+                                     b.states, b.actions, b.latents)
+                    closses = sacgen.critic_update(agent, b.states, u_batch,
+                                                   b.next_states, reward_fn, batch_rng)
+                    alosses = sacgen.actor_update(agent, b.states, batch_rng,
                                                   decoder_path=decoder_path)
                     cl, al, en = (closses["critic1"], alosses["actor"],
                                   alosses["entropy"])
@@ -392,24 +381,30 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
                      random_return=random_ret, env_steps=steps)
 
 
-def _recon_probe(demos, rng, n=512):
-    idx = rng.integers(0, len(demos), min(n, len(demos)))
-    return demos.states[idx], demos.actions[idx]
+def _recon_probe(feats, actions, rng, n=512):
+    idx = rng.integers(0, len(feats), min(n, len(feats)))
+    return feats[idx], actions[idx]
 
 
-def _disc_step(cfg, disc, run_codec, demos, ei, b, rows, agent_u, spec):
-    """One discriminator minibatch; chains into the encoder in aware mode."""
-    se_raw, sa_raw = demos.states[ei], b.states
-    se = envsim.feature_map(cfg.env_id, se_raw)
-    sa = envsim.feature_map(cfg.env_id, sa_raw)
+def _box_u(cfg, codec, action_high, feats, actions, latents=None):
+    """Action-box coordinates the critics and discriminator consume."""
+    if latents is not None:
+        return latents
+    if cfg.latent:
+        return latentact.encode_for_training(codec, feats, actions)
+    return actions / action_high
+
+
+def _disc_step(cfg, disc, run_codec, action_high, se, ea, b):
+    """One discriminator minibatch of expert (features, actions) against
+    agent batch `b`; chains into the encoder in aware mode."""
+    sa, n_e = b.states, len(se)
     if cfg.algo == "lapal-aware":
         # both expectation terms flow through the encoder, so encode the two
         # halves in one recorded pass and step the encoder with the combined
         # input gradient
-        n_e = len(ei)
-        states = np.concatenate([se_raw, sa_raw])
-        raws = np.concatenate([demos.actions[ei], b.actions])
-        post = latentact.encode(run_codec, states, raws, record=True)
+        post = latentact.encode(run_codec, np.concatenate([se, sa]),
+                                np.concatenate([ea, b.actions]), record=True)
         abar = np.tanh(post.mean)
         loss, g_e, g_a = adversary.disc_loss_and_grad(
             disc, (se, abar[:n_e]), (sa, abar[n_e:]), want_input_grads=True)
@@ -418,21 +413,14 @@ def _disc_step(cfg, disc, run_codec, demos, ei, b, rows, agent_u, spec):
         run_codec.encoder.backward(
             np.concatenate([d_mean, np.zeros_like(d_mean)], axis=1))
         run_codec.encoder.adam_step(cfg.codec_disc_lr)
-    elif cfg.latent:
-        n_e = len(ei)
-        states = np.concatenate([se_raw, sa_raw])
-        raws = np.concatenate([demos.actions[ei], b.actions])
-        if cfg.store_emitted_latents:
-            expert_lat = latentact.encode_for_training(run_codec, se_raw,
-                                                       demos.actions[ei])
-            agent_lat = agent_u(sa_raw, b.actions, rows)
-        else:
-            abar = latentact.encode_for_training(run_codec, states, raws)
-            expert_lat, agent_lat = abar[:n_e], abar[n_e:]
-        loss = adversary.disc_loss_and_grad(disc, (se, expert_lat), (sa, agent_lat))
+    elif cfg.latent and b.latents is None:
+        abar = latentact.encode_for_training(run_codec, np.concatenate([se, sa]),
+                                             np.concatenate([ea, b.actions]))
+        loss = adversary.disc_loss_and_grad(disc, (se, abar[:n_e]), (sa, abar[n_e:]))
     else:
         loss = adversary.disc_loss_and_grad(
-            disc, (se, agent_u(se_raw, demos.actions[ei])), (sa, agent_u(sa_raw, b.actions)))
+            disc, (se, _box_u(cfg, run_codec, action_high, se, ea)),
+            (sa, _box_u(cfg, run_codec, action_high, sa, b.actions, b.latents)))
     disc.tree.adam_step(cfg.disc_lr)
     return loss
 

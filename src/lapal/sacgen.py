@@ -7,9 +7,12 @@ dimension and a decoder turns emissions into env actions. Twin critics with
 Polyak-averaged targets score (state, action-box) pairs; episodes terminate
 only at the time limit, so TD targets always bootstrap.
 
-Rewards are never stored: the replay buffer holds (s, a, s') only and
-critic updates recompute rewards through a callable, which keeps the
-discriminator-induced reward current as the adversary trains.
+Every network here consumes state features (`envsim.feature_map`), never
+raw env states. The replay buffer holds the features of s and s', computed
+once when the transition is collected, with the raw env action (and, if
+asked, the emitted latent). Rewards are never stored: critic updates
+recompute them through a callable, which keeps the discriminator-induced
+reward current as the adversary trains.
 
 Log-probabilities of squashed samples use the exact identity
 log(1 - tanh(z)^2) = 2(log 2 - z - softplus(-2z)); its z-derivative is
@@ -41,7 +44,8 @@ def squash(z):
     return np.clip(np.tanh(z), -TANH_CAP, TANH_CAP)
 
 
-BufferBatch = namedtuple("BufferBatch", ["states", "actions", "next_states", "dones"])
+# `latents` is None unless the buffer keeps emitted latents
+BufferBatch = namedtuple("BufferBatch", ["states", "actions", "next_states", "latents"])
 
 
 @dataclass(frozen=True)
@@ -129,28 +133,32 @@ def sample_with_log_prob(agent: SacAgent, states, rng, record: bool = False):
 
 
 class ReplayBuffer:
-    """FIFO ring over (state, raw action, next state, done); no rewards."""
+    """FIFO ring over (features, raw action, next features); no rewards.
 
-    def __init__(self, capacity: int, state_dim: int, action_dim: int):
+    With `latent_dim` > 0 it also keeps the latent the policy emitted.
+    """
+
+    def __init__(self, capacity: int, feat_dim: int, action_dim: int, latent_dim: int = 0):
         if capacity < 1:
             raise ConfigError("capacity must be positive")
         self.capacity = capacity
-        self.states = np.empty((capacity, state_dim))
+        self.states = np.empty((capacity, feat_dim))
         self.actions = np.empty((capacity, action_dim))
-        self.next_states = np.empty((capacity, state_dim))
-        self.dones = np.empty(capacity)
+        self.next_states = np.empty((capacity, feat_dim))
+        self.latents = np.empty((capacity, latent_dim)) if latent_dim else None
         self.size = 0
         self.cursor = 0
 
     def __len__(self):
         return self.size
 
-    def push(self, state, action, next_state, done) -> None:
+    def push(self, feats, action, next_feats, latent=None) -> None:
         i = self.cursor
-        self.states[i] = state
+        self.states[i] = feats
         self.actions[i] = action
-        self.next_states[i] = next_state
-        self.dones[i] = float(done)
+        self.next_states[i] = next_feats
+        if self.latents is not None:
+            self.latents[i] = latent
         self.cursor = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
@@ -160,7 +168,8 @@ class ReplayBuffer:
         idx = rng.integers(0, self.size, size=n)
         return BufferBatch(
             states=self.states[idx], actions=self.actions[idx],
-            next_states=self.next_states[idx], dones=self.dones[idx],
+            next_states=self.next_states[idx],
+            latents=None if self.latents is None else self.latents[idx],
         )
 
 
@@ -170,9 +179,7 @@ class ReplayBuffer:
 
 def polyak_update(agent: SacAgent, tau: float) -> None:
     for critic, target in ((agent.critic1, agent.target1), (agent.critic2, agent.target2)):
-        for lc, lt in zip(critic.layers, target.layers):
-            lt.w += tau * (lc.w - lt.w)
-            lt.b += tau * (lc.b - lt.b)
+        target.params += tau * (critic.params - target.params)
 
 
 def _q(tree: ParamTree, states, u, record=False):
@@ -208,16 +215,16 @@ def critic_update(agent: SacAgent, states, u, next_states, reward_fn, rng) -> di
 class DecoderPathContext:
     """Hook for training a decoder through the adversarial reward.
 
-    Minimizes mean log(1 - D(s, encode_mean(s, decode(s, u)))) w.r.t. the
-    decoder parameters only: emissions are treated as constants, so the
-    actor's own update stays bit-identical to the plain path; the encoder
-    and discriminator serve purely as the differentiable reward surface.
+    Minimizes mean log(1 - D(f, encode_mean(f, decode(f, u)))) over state
+    features f, w.r.t. the decoder parameters only: emissions are treated as
+    constants, so the actor's own update stays bit-identical to the plain
+    path; the encoder and discriminator serve purely as the differentiable
+    reward surface.
     """
 
     codec: object
     discriminator: object
     decoder_lr: float
-    raw_states: object = None          # set per batch before actor_update
 
 
 def actor_loss(agent: SacAgent, states, eps) -> float:
@@ -270,8 +277,7 @@ def actor_loss_and_grad(agent: SacAgent, states, eps):
 def actor_update(agent: SacAgent, states, rng, decoder_path: DecoderPathContext | None = None) -> dict:
     """Reparameterized policy step: minimize E[alpha log pi(u|s) - min Q(s,u)].
 
-    `states` are whatever the networks consume (features); a decoder path
-    additionally needs the raw env states set on the context beforehand.
+    `states` are the state features every network consumes.
     """
     eps = rng.standard_normal((states.shape[0], agent.u_dim))
     loss, u, log_prob = actor_loss_and_grad(agent, states, eps)
@@ -282,19 +288,18 @@ def actor_update(agent: SacAgent, states, rng, decoder_path: DecoderPathContext 
         grad = -float(np.mean(log_prob + agent.target_entropy))
         agent.log_alpha.update(grad, agent.cfg.alpha_lr)
     if decoder_path is not None:
-        out["decoder_adv"] = decoder_adversarial_step(
-            decoder_path, decoder_path.raw_states, states, u)
+        out["decoder_adv"] = decoder_adversarial_step(decoder_path, states, u)
     return out
 
 
-def decoder_adversarial_step(ctx: DecoderPathContext, raw_states, features, u) -> float:
+def decoder_adversarial_step(ctx: DecoderPathContext, features, u) -> float:
     from . import adversary, latentact
 
     codec = ctx.codec
     codec.require_mutable()
-    b = np.atleast_2d(raw_states).shape[0]
-    actions = latentact.decode(codec, raw_states, u, record=True)
-    post = latentact.encode(codec, raw_states, actions, record=True)
+    b = np.atleast_2d(features).shape[0]
+    actions = latentact.decode(codec, features, u, record=True)
+    post = latentact.encode(codec, features, actions, record=True)
     abar = np.tanh(post.mean)
     logits = adversary.disc_logit(ctx.discriminator, features, abar, record=True)
     loss = float(np.mean(-softplus(logits)))

@@ -50,7 +50,8 @@ def test_decode_strictly_inside_bounds():
     codec = make_codec("arm6", CVAEConfig(latent_dim=4, encoder_hidden=(8,),
                                           decoder_hidden=(8,)), 3)
     codec.decoder.layers[-1].w *= 100.0  # saturate
-    s = np.stack([envsim.env_reset("arm6", i) for i in range(32)])
+    s = envsim.feature_map("arm6",
+                           np.stack([envsim.env_reset("arm6", i) for i in range(32)]))
     z = rng.uniform(-1, 1, (32, 4))
     a = decode(codec, s, z)
     assert np.all(a > -1.0) and np.all(a < 1.0)
@@ -61,7 +62,7 @@ def test_zero_decoder_maps_to_bound_midpoint():
     for layer in codec.decoder.layers:
         layer.w[...] = 0.0
         layer.b[...] = 0.0
-    s = envsim.env_reset("arm6", 0)
+    s = envsim.feature_map("arm6", envsim.env_reset("arm6", 0))
     np.testing.assert_array_equal(decode(codec, s, np.zeros(4)), np.zeros(6))
 
 

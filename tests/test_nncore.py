@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+import perarray
 from conftest import assert_grads_close, fd_loss_gradient
 from lapal import nncore
 from lapal.errors import CheckpointError, ConfigError, OptimizerError, StateError
@@ -148,10 +149,21 @@ def test_adam_converges_on_quadratic():
 
 
 def test_adam_rejects_nonfinite_grads():
-    tree = ParamTree.zeros(MLPSpec(1, (1,), 1))
-    tree.layers[0].gw[...] = np.nan
-    with pytest.raises(OptimizerError):
-        tree.adam_step(lr=0.1)
+    tree = ParamTree.init(MLPSpec(3, (6, 5), 2), np.random.default_rng(4))
+    rng = np.random.default_rng(5)
+    for _ in range(3):  # non-zero moments
+        tree.forward(rng.standard_normal((4, 3)), record=True)
+        tree.backward(rng.standard_normal((4, 2)))
+        tree.adam_step(lr=1e-2)
+    tree.forward(rng.standard_normal((4, 3)), record=True)
+    tree.backward(rng.standard_normal((4, 2)))
+    tree.layers[1].gw[0, 0] = np.nan
+    tree.layers[1].gb[2] = np.inf
+    before = [x.tobytes() for x in (tree.params, tree.m, tree.v)]
+    with pytest.raises(OptimizerError, match=r"layer 1 of .*: 1 weight entries, 1 bias"):
+        tree.adam_step(lr=1e-2)
+    assert [x.tobytes() for x in (tree.params, tree.m, tree.v)] == before
+    assert tree.step == 3
 
 
 def test_adam_moments_stay_finite():
@@ -188,6 +200,78 @@ def test_tanh_output_strictly_bounded():
     x = np.random.default_rng(1).standard_normal((1000, 4)) * 10
     y = tree.forward(x)
     assert np.all(y > -1.0) and np.all(y < 1.0)
+
+
+# -- flat buffers ------------------------------------------------------------
+
+
+def _trees_in_use():
+    """One tree of every kind the package builds, at arm3 sizes."""
+    from lapal import adversary, latentact, sacgen
+
+    agent = sacgen.SacAgent(15, 2, sacgen.SacConfig(), 0)
+    codec = latentact.make_codec("arm3", latentact.CVAEConfig(latent_dim=2), 1)
+    disc = adversary.make_discriminator(
+        adversary.DiscComposition("arm3", "latent", 15, 2), (64, 64), 2)
+    return {"critic": agent.critic1, "actor": agent.actor, "encoder": codec.encoder,
+            "decoder": codec.decoder, "discriminator": disc.tree}
+
+
+def _same_bits(tree, ref):
+    return tree.step == ref.step and all(
+        getattr(l, name).tobytes() == getattr(r, name).tobytes()
+        for l, r in zip(tree.layers, ref.layers) for name in perarray.NAMES)
+
+
+@pytest.mark.parametrize("kind", ["critic", "actor", "encoder", "decoder", "discriminator"])
+def test_flat_adam_matches_per_array_oracle(kind):
+    tree = _trees_in_use()[kind]
+    ref = perarray.Tree(tree)
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        tree.forward(rng.standard_normal((16, tree.spec.input_dim)), record=True)
+        tree.backward(rng.standard_normal((16, tree.spec.output_dim)))
+        ref.take_grads(tree)
+        perarray.adam_step(ref, lr=1e-2)
+        tree.adam_step(lr=1e-2)
+    assert _same_bits(tree, ref)
+
+
+def test_flat_polyak_matches_per_array_oracle():
+    from lapal import sacgen
+
+    agent = sacgen.SacAgent(15, 2, sacgen.SacConfig(), 3)
+    rng = np.random.default_rng(32)
+    for critic in (agent.critic1, agent.critic2):
+        critic.params += rng.standard_normal(critic.params.size)
+    pairs = [(perarray.Tree(c), perarray.Tree(t))
+             for c, t in ((agent.critic1, agent.target1), (agent.critic2, agent.target2))]
+    for _ in range(20):
+        sacgen.polyak_update(agent, 0.05)
+        perarray.polyak_update(pairs, 0.05)
+    assert _same_bits(agent.target1, pairs[0][1]) and _same_bits(agent.target2, pairs[1][1])
+
+
+def test_layer_arrays_are_views_of_flat_buffers():
+    tree = ParamTree.init(MLPSpec(3, (4,), 2), np.random.default_rng(0))
+    tree.layers[1].w[2, 1] = 7.5
+    assert tree.params[3 * 4 + 4 + 2 * 2 + 1] == 7.5
+    tree.layers[0].gb[...] = 1.0
+    assert np.array_equal(tree.grad_flat()[12:16], np.ones(4))
+    for l in tree.layers:
+        for bufname, names in (("params", "w b"), ("grads", "gw gb"),
+                               ("m", "mw mb"), ("v", "vw vb")):
+            for name in names.split():
+                assert np.shares_memory(getattr(l, name), getattr(tree, bufname))
+    flat = tree.get_flat()
+    flat[0] += 1.0
+    assert tree.params[0] != flat[0]  # get_flat hands out a copy
+    clone = tree.copy()
+    for a in (tree.params, tree.grads, tree.m, tree.v):
+        for b in (clone.params, clone.grads, clone.m, clone.v):
+            assert not np.shares_memory(a, b)
+    clone.layers[0].w[...] = 0.0
+    assert np.any(tree.layers[0].w != 0.0)
 
 
 # -- Gaussians ---------------------------------------------------------------
@@ -280,6 +364,10 @@ def test_segment_round_trip():
     for la, lb in zip(tree.layers, back.layers):
         np.testing.assert_array_equal(la.mw, lb.mw)
         np.testing.assert_array_equal(la.vb, lb.vb)
+    for name in ("params", "m", "v"):
+        assert getattr(back, name).tobytes() == getattr(tree, name).tobytes()
+    back.layers[0].w[0, 0] = 123.0  # the loaded layers are views of its buffers
+    assert back.params[0] == 123.0
     # byte determinism
     buf2 = io.BytesIO()
     nncore.write_segment(buf2, tree)

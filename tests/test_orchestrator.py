@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import assert_grads_close, fd_loss_gradient
 from lapal import adversary, envsim, latentact, orchestrator, sacgen
 from lapal.errors import ConfigError, DivergenceError
 from lapal.latentact import CVAEConfig, train_codec
@@ -261,3 +262,93 @@ def test_transfer_identity_and_validation(pm_demos, pm_codec):
                        pm_demos, seed=10)
     with pytest.raises(ConfigError):
         transfer_policy(raw.bundle, pm_demos, cfg2, seed=0)
+
+
+def test_aware_disc_step_encoder_gradient_on_arm_features():
+    """Encoder gradient that the aware discriminator step chains through the
+    discriminator's input gradient, on arm3's 15 feature columns."""
+    codec = latentact.make_codec("arm3", CVAEConfig(latent_dim=2, encoder_hidden=(12, 12),
+                                                    decoder_hidden=(12, 12)), 50)
+    disc = adversary.make_discriminator(
+        adversary.DiscComposition("arm3", "latent", 15, 2, codec.digest()), (12, 12), 51)
+    rng = np.random.default_rng(52)
+    feats = envsim.feature_map("arm3", np.stack([envsim.env_reset("arm3", i)
+                                                 for i in range(8)]))
+    actions = rng.uniform(-1.0, 1.0, (8, 3))
+    se, ea = feats[:4], actions[:4]
+    agent = sacgen.BufferBatch(feats[4:], actions[4:], feats[4:], None)
+    codec.encoder.adam_step = lambda lr: None  # keep the accumulated gradient
+    disc.tree.adam_step = lambda lr: None
+    cfg = small_run_cfg("lapal-aware", env_id="arm3")
+    orchestrator._disc_step(cfg, disc, codec, envsim.env_spec("arm3").action_high,
+                            se, ea, agent)
+
+    def loss_fn():
+        return adversary.disc_loss(
+            disc, (se, latentact.encode_mean(codec, se, ea)),
+            (agent.states, latentact.encode_mean(codec, agent.states, agent.actions)))
+
+    _, fd, analytic = fd_loss_gradient(loss_fn, codec.encoder, n_probes=100, seed=53)
+    assert np.any(analytic != 0.0)
+    assert_grads_close(fd, analytic, rtol=1e-4)
+
+
+def test_buffer_holds_features_of_stepped_states(monkeypatch, env_inputs):
+    """Features computed once per state, one row at a time, equal the
+    features of the same states computed as one batch, bit for bit."""
+    demos, codec = env_inputs("arm3")
+    stepped, pushed = [], []
+    env_step, push = envsim.env_step, sacgen.ReplayBuffer.push
+
+    def recording_step(env_id, state, action):
+        nxt, reward = env_step(env_id, state, action)
+        stepped.append((state, nxt))
+        return nxt, reward
+
+    def recording_push(buf, feats, action, next_feats, latent=None):
+        pushed.append((np.copy(feats), np.copy(next_feats)))
+        push(buf, feats, action, next_feats, latent)
+
+    monkeypatch.setattr(envsim, "env_step", recording_step)
+    monkeypatch.setattr(sacgen.ReplayBuffer, "push", recording_push)
+    run_training(env_run_cfg("lapal-agnostic", "arm3"), SMALL_SAC, demos, codec=codec,
+                 seed=13)
+    assert len(stepped) == len(pushed) == 300
+    for col in (0, 1):
+        batch = envsim.feature_map("arm3", np.array([p[col] for p in stepped]))
+        assert np.array([p[col] for p in pushed]).tobytes() == batch.tobytes()
+    idx = np.random.default_rng(14).integers(0, len(demos), 64)
+    assert (envsim.feature_map("arm3", demos.states)[idx].tobytes()
+            == envsim.feature_map("arm3", demos.states[idx]).tobytes())
+
+
+def test_emitted_latents_train_on_arm3(env_inputs):
+    demos, codec = env_inputs("arm3")
+
+    def run(emitted):
+        res = run_training(env_run_cfg("lapal-agnostic", "arm3",
+                                       store_emitted_latents=emitted),
+                           SMALL_SAC, demos, codec=codec, seed=15)
+        assert all(np.isfinite(r.mean_eval_return) for r in res.curve)
+        return curve_to_csv(res.curve), res.bundle.digest()
+
+    first = run(True)
+    assert run(True) == first
+    assert run(False)[1] != first[1]  # the stored latents are what trained
+
+
+def test_transfer_arm3_to_perturbed_end_to_end(tmp_path, env_inputs):
+    demos, codec = env_inputs("arm3")
+    res = run_training(env_run_cfg("lapal-agnostic", "arm3"), SMALL_SAC, demos,
+                       codec=codec, seed=16)
+    target = envsim.collect_demos("arm3-perturbed", n_episodes=8, seed=17)
+    bundle, history = transfer_policy(res.bundle, target,
+                                      CVAEConfig(latent_dim=2, epochs=20), seed=18)
+    assert bundle.env_id == "arm3-perturbed" and bundle.codec.env_id == "arm3-perturbed"
+    assert history["holdout_final"] < history["holdout_baseline"]
+    returns = evaluate_policy(bundle, "arm3-perturbed", 4, seed=19)
+    assert all(np.isfinite(returns))
+    save_policy(tmp_path / "moved.ckpt", bundle)
+    back = load_policy(tmp_path / "moved.ckpt")
+    assert back.digest() == bundle.digest()
+    assert evaluate_policy(back, "arm3-perturbed", 4, seed=19) == returns

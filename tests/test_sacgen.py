@@ -80,7 +80,7 @@ def test_log_prob_integrates_to_one():
 def test_buffer_fifo_eviction():
     buf = ReplayBuffer(2, 1, 1)
     for v in (1.0, 2.0, 3.0):
-        buf.push([v], [v], [v], False)
+        buf.push([v], [v], [v])
     assert len(buf) == 2
     assert set(buf.states[:2, 0]) == {3.0, 2.0}
 
@@ -88,7 +88,7 @@ def test_buffer_fifo_eviction():
 def test_buffer_sample_membership():
     buf = ReplayBuffer(16, 1, 1)
     for v in range(10):
-        buf.push([v], [v], [v], False)
+        buf.push([v], [v], [v])
     batch = buf.sample(np.random.default_rng(0), 64)
     assert set(batch.states[:, 0]).issubset(set(range(10)))
     assert not hasattr(batch, "reward") and not hasattr(batch, "rewards")
@@ -103,7 +103,7 @@ def test_buffer_empty_sample_raises():
 def test_buffer_sampling_uniformity_chi_square():
     buf = ReplayBuffer(16, 1, 1)
     for v in range(10):
-        buf.push([v], [v], [v], False)
+        buf.push([v], [v], [v])
     batch = buf.sample(np.random.default_rng(1), 100_000)
     counts = np.bincount(batch.states[:, 0].astype(int), minlength=10)
     _, p = scipy.stats.chisquare(counts)
@@ -264,8 +264,6 @@ def test_decoder_path_leaves_actor_update_bit_identical():
         rng = np.random.default_rng(25)
         ctx = sacgen.DecoderPathContext(c, disc, decoder_lr=1e-3) if with_path else None
         states = rng.standard_normal((8, 4))
-        if ctx is not None:
-            ctx.raw_states = states  # pointmass features equal raw states
         for _ in range(3):
             actor_update(agent, states, rng, decoder_path=ctx)
         return agent.actor.digest(), c.decoder.digest()
@@ -293,6 +291,32 @@ def test_decoder_path_respects_frozen_codec():
     rng = np.random.default_rng(27)
     ctx = sacgen.DecoderPathContext(codec, disc, decoder_lr=1e-3)
     states = rng.standard_normal((4, 4))
-    ctx.raw_states = states
     with pytest.raises(StateError):
         actor_update(agent, states, rng, decoder_path=ctx)
+
+
+def test_decoder_path_gradient_on_arm_features():
+    """Decoder gradient of the adversarial decoder step on arm3, where the
+    15 feature columns differ from the 8 state columns."""
+    from lapal import adversary
+    from lapal.latentact import CVAEConfig, make_codec
+
+    codec = make_codec("arm3", CVAEConfig(latent_dim=2, encoder_hidden=(12, 12),
+                                          decoder_hidden=(12, 12)), 40)
+    disc = adversary.make_discriminator(
+        adversary.DiscComposition("arm3", "latent", 15, 2, codec.digest()), (12, 12), 41)
+    rng = np.random.default_rng(42)
+    states = np.stack([envsim.env_reset("arm3", i) for i in range(6)])
+    feats = envsim.feature_map("arm3", states)
+    assert states.shape[1] == 8 and feats.shape[1] == codec.feat_dim == 15
+    u = np.tanh(rng.standard_normal((6, 2)))
+    codec.decoder.adam_step = lambda lr: None  # keep the accumulated gradient
+    sacgen.decoder_adversarial_step(sacgen.DecoderPathContext(codec, disc, 1e-3), feats, u)
+
+    def loss_fn():
+        abar = latentact.encode_mean(codec, feats, latentact.decode(codec, feats, u))
+        return float(np.mean(-sacgen.softplus(adversary.disc_logit(disc, feats, abar))))
+
+    _, fd, analytic = fd_loss_gradient(loss_fn, codec.decoder, n_probes=100, seed=43)
+    assert np.any(analytic != 0.0)
+    assert_grads_close(fd, analytic, rtol=1e-4)
