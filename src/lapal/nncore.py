@@ -15,6 +15,11 @@ and `v`, each laid out layer by layer (weights row-major, then biases: the
 work per layer while Adam, Polyak averaging and the flat accessors are a few
 whole-vector ops. Those ops are elementwise, so they give the same bits as a
 loop over the layer arrays.
+
+A layer's forward pass writes its bias and activation into its own matmul
+output, and the backward pass multiplies activation derivatives into its
+running gradient in place. Arrays on the tape (the input and every layer
+output) are never written after they are recorded.
 """
 
 from __future__ import annotations
@@ -103,28 +108,6 @@ class MLPSpec:
         return hashlib.sha256(self.canonical().encode()).digest()
 
 
-def _act(name, x):
-    if name == "relu":
-        return np.maximum(x, 0.0)
-    if name == "leaky_relu":
-        return np.where(x >= 0.0, x, LEAKY_SLOPE * x)
-    if name == "tanh":
-        return np.tanh(x)
-    return x
-
-
-def _act_grad_from_output(name, a):
-    # derivative of the activation expressed through its own output; valid
-    # because every supported activation is sign-preserving or smooth
-    if name == "relu":
-        return (a > 0.0).astype(np.float64)
-    if name == "leaky_relu":
-        return np.where(a > 0.0, 1.0, LEAKY_SLOPE)
-    if name == "tanh":
-        return 1.0 - a * a
-    return np.ones_like(a)
-
-
 class DenseLayer:
     """One layer's slices of its tree's flat buffers, as (in, out) and (out,) views."""
 
@@ -204,7 +187,7 @@ class ParamTree:
     # -- forward / backward --------------------------------------------------
 
     def forward(self, x: np.ndarray, record: bool = False) -> np.ndarray:
-        squeeze = x.ndim == 1
+        squeeze = np.ndim(x) == 1
         a = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if a.shape[1] != self.spec.input_dim:
             raise ConfigError(
@@ -213,11 +196,17 @@ class ParamTree:
         inputs = [a] if record else None
         last = len(self.layers) - 1
         for i, l in enumerate(self.layers):
-            z = a @ l.w + l.b
+            a = a @ l.w
+            a += l.b
             act = self.spec.output_activation if i == last else self.spec.activation
-            a = _act(act, z)
-            if i == last and act == "tanh":
-                a = np.clip(a, -TANH_CAP, TANH_CAP)
+            if act == "relu":
+                np.maximum(a, 0.0, out=a)
+            elif act == "leaky_relu":  # same bits as np.where(a >= 0, a, LEAKY_SLOPE * a)
+                np.maximum(a, LEAKY_SLOPE * a, out=a)
+            elif act == "tanh":
+                np.tanh(a, out=a)
+                if i == last:
+                    np.clip(a, -TANH_CAP, TANH_CAP, out=a)
             if record and i < last:
                 inputs.append(a)
         if record:
@@ -232,16 +221,27 @@ class ParamTree:
         d = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
         if d.shape != out.shape:
             raise ConfigError(f"upstream shape {d.shape} != output shape {out.shape}")
-        d = d * _act_grad_from_output(self.spec.output_activation, out)
+        # activation derivatives come from the layer outputs: every supported
+        # activation is sign-preserving or smooth. `d` may still be `upstream`
+        # here, so only the fresh arrays after the first matmul are scaled in place
+        if self.spec.output_activation == "tanh":
+            g = out * out
+            d = np.multiply(d, np.subtract(1.0, g, out=g), out=g)
+        act = self.spec.activation
         for i in range(len(self.layers) - 1, -1, -1):
             l = self.layers[i]
             if accumulate:
                 l.gw += inputs[i].T @ d
                 l.gb += d.sum(axis=0)
             d = d @ l.w.T
-            if i > 0:
-                d *= _act_grad_from_output(self.spec.activation, inputs[i])
-        return d if upstream.ndim > 1 else d[0]
+            if i > 0 and act == "relu":
+                d *= inputs[i] > 0.0
+            elif i > 0 and act == "leaky_relu":
+                d *= np.maximum(inputs[i] > 0.0, LEAKY_SLOPE)
+            elif i > 0 and act == "tanh":
+                g = inputs[i] * inputs[i]
+                d *= np.subtract(1.0, g, out=g)
+        return d if np.ndim(upstream) > 1 else d[0]
 
     # -- Adam -----------------------------------------------------------------
 
@@ -326,21 +326,19 @@ class GaussianDist:
         return per_dim.sum(axis=-1)
 
 
-def gaussian_head(raw: np.ndarray, log_std_min: float = LOG_STD_MIN,
-                  log_std_max: float = LOG_STD_MAX):
+def gaussian_head(raw: np.ndarray):
     """Split a (..., 2d) network output into a GaussianDist plus clamp mask.
 
     The mask is 1 where the raw log-std fell inside the clamp bounds, which is
     the subgradient callers multiply into the log-std upstream when chaining
-    through the head.
+    through the head. GaussianDist does the clamping.
     """
     if raw.shape[-1] % 2 != 0:
         raise ConfigError(f"gaussian head needs an even output width, got {raw.shape[-1]}")
     d = raw.shape[-1] // 2
-    mean = raw[..., :d]
     raw_ls = raw[..., d:]
-    mask = ((raw_ls > log_std_min) & (raw_ls < log_std_max)).astype(np.float64)
-    return GaussianDist(mean, np.clip(raw_ls, log_std_min, log_std_max)), mask
+    mask = ((raw_ls > LOG_STD_MIN) & (raw_ls < LOG_STD_MAX)).astype(np.float64)
+    return GaussianDist(raw[..., :d], raw_ls), mask
 
 
 def gaussian_kl_to_standard(d: GaussianDist) -> float:

@@ -324,10 +324,10 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
                     ei = batch_rng.integers(0, demo_n, half)
                     dl = _disc_step(cfg, disc, run_codec, spec.action_high,
                                     demo_feats[ei], demos.actions[ei],
-                                    buf.sample(batch_rng, half))
+                                    buf.sample(batch_rng, half), batch_rng)
                 for _ in range(cfg.gen_updates_per_iteration):
                     b = buf.sample(batch_rng, sac_cfg.batch_size)
-                    u_batch = _box_u(cfg, run_codec, spec.action_high,
+                    u_batch = _box_u(cfg, run_codec, spec.action_high, batch_rng,
                                      b.states, b.actions, b.latents)
                     closses = sacgen.critic_update(agent, b.states, u_batch,
                                                    b.next_states, reward_fn, batch_rng)
@@ -386,16 +386,17 @@ def _recon_probe(feats, actions, rng, n=512):
     return feats[idx], actions[idx]
 
 
-def _box_u(cfg, codec, action_high, feats, actions, latents=None):
-    """Action-box coordinates the critics and discriminator consume."""
+def _box_u(cfg, codec, action_high, rng, feats, actions, latents=None):
+    """Action-box coordinates the critics and discriminator consume; `rng`
+    draws the noise of the sampled-encoding ablation."""
     if latents is not None:
         return latents
     if cfg.latent:
-        return latentact.encode_for_training(codec, feats, actions)
+        return latentact.encode_for_training(codec, feats, actions, rng)
     return actions / action_high
 
 
-def _disc_step(cfg, disc, run_codec, action_high, se, ea, b):
+def _disc_step(cfg, disc, run_codec, action_high, se, ea, b, rng=None):
     """One discriminator minibatch of expert (features, actions) against
     agent batch `b`; chains into the encoder in aware mode."""
     sa, n_e = b.states, len(se)
@@ -415,12 +416,12 @@ def _disc_step(cfg, disc, run_codec, action_high, se, ea, b):
         run_codec.encoder.adam_step(cfg.codec_disc_lr)
     elif cfg.latent and b.latents is None:
         abar = latentact.encode_for_training(run_codec, np.concatenate([se, sa]),
-                                             np.concatenate([ea, b.actions]))
+                                             np.concatenate([ea, b.actions]), rng)
         loss = adversary.disc_loss_and_grad(disc, (se, abar[:n_e]), (sa, abar[n_e:]))
     else:
         loss = adversary.disc_loss_and_grad(
-            disc, (se, _box_u(cfg, run_codec, action_high, se, ea)),
-            (sa, _box_u(cfg, run_codec, action_high, sa, b.actions, b.latents)))
+            disc, (se, _box_u(cfg, run_codec, action_high, rng, se, ea)),
+            (sa, _box_u(cfg, run_codec, action_high, rng, sa, b.actions, b.latents)))
     disc.tree.adam_step(cfg.disc_lr)
     return loss
 

@@ -52,6 +52,6 @@ def scalar_probe_loss(tree, x, proj_seed=0):
 
     def loss(record=False):
         y = tree.forward(x, record=record)
-        return float(np.atleast_2d(y) @ w).real if False else float((np.atleast_2d(y) * w).sum())
+        return float((np.atleast_2d(y) * w).sum())
 
     return loss, w

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+import outofplace
 import perarray
 from conftest import assert_grads_close, fd_loss_gradient
 from lapal import nncore
@@ -272,6 +273,114 @@ def test_layer_arrays_are_views_of_flat_buffers():
             assert not np.shares_memory(a, b)
     clone.layers[0].w[...] = 0.0
     assert np.any(tree.layers[0].w != 0.0)
+
+
+# -- in-place layer kernels --------------------------------------------------
+
+# REPO_SPECS plus the activation branches they leave out
+KERNEL_SPECS = REPO_SPECS + [
+    MLPSpec(5, (7,), 2, activation="identity"),
+    MLPSpec(5, (7, 6), 2, activation="tanh", output_activation="tanh"),
+    MLPSpec(5, (7,), 4, activation="relu", output_activation="tanh"),
+]
+
+
+def _kernel_case(spec, batch, seed):
+    """A tree with random weights and biases (some exactly +-0.0) and inputs
+    with +-0.0 entries, all-zero rows (so first-layer units with a zero bias
+    see exactly 0.0) and rows large enough to saturate tanh."""
+    rng = np.random.default_rng(seed)
+    tree = ParamTree.init(spec, rng)
+    for l in tree.layers:
+        l.b[...] = rng.standard_normal(l.b.size)
+        l.b[::3] = 0.0
+        l.b[1::3] = -0.0
+    x = rng.standard_normal((batch, spec.input_dim))
+    x[:, 0] = 0.0
+    x[:, -1] = -0.0
+    x[1::4] *= 1e3
+    x[2::7] = 0.0
+    x[3::7] = -0.0
+    up = rng.standard_normal((batch, spec.output_dim))
+    up[::5] = -0.0
+    return tree, x, up
+
+
+def _same(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("accumulate", [True, False])
+@pytest.mark.parametrize("batch", [1, 128])
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: s.canonical())
+def test_kernels_match_out_of_place_oracle(spec, batch, accumulate):
+    tree, x, up = _kernel_case(spec, batch, seed=batch)
+    tree.grads[...] = np.random.default_rng(5).standard_normal(tree.grads.size)
+    ref = outofplace.Net(tree)
+    for xs, ups in ((x, up), (x[0], up[0])):
+        assert _same(tree.forward(xs, record=True), ref.forward(xs, record=True))
+        assert _same(tree.backward(ups, accumulate), ref.backward(ups, accumulate))
+    for l, r in zip(tree.layers, ref.layers):
+        assert _same(l.gw, r.gw) and _same(l.gb, r.gb)
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: s.canonical())
+def test_forward_matches_oracle_on_nonfinite_rows(spec):
+    tree, x, _ = _kernel_case(spec, 8, seed=3)
+    x[2, 1] = np.inf
+    x[3, 0] = -np.inf
+    x[4, -1] = np.nan
+    x[5] = [np.inf, -np.inf, np.nan] * (spec.input_dim // 3) + [np.nan] * (spec.input_dim % 3)
+    ref = outofplace.Net(tree)
+    with np.errstate(invalid="ignore"):
+        y = tree.forward(x)
+        assert _same(y, ref.forward(x))
+    assert not np.isfinite(y[2:6]).all() and np.isfinite(y[6:]).all()
+
+
+@pytest.mark.parametrize("out_act", nncore.OUTPUT_ACTIVATIONS)
+@pytest.mark.parametrize("act", nncore.ACTIVATIONS)
+def test_activations_match_oracle_on_special_values(act, out_act):
+    # 1-1-1 network with unit weights and -0.0 biases, so the special values
+    # reach the hidden activation (the matmul turns a -0.0 input into +0.0)
+    tree = ParamTree.zeros(MLPSpec(1, (1,), 1, activation=act, output_activation=out_act))
+    for l in tree.layers:
+        l.w[...] = 1.0
+        l.b[...] = -0.0
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308,
+                1.5, -1.5, 40.0, -40.0]
+    x = np.array(specials)[:, None]
+    ref = outofplace.Net(tree)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert _same(tree.forward(x, record=True), ref.forward(x, record=True))
+        up = np.ones_like(x)
+        assert _same(tree.backward(up), ref.backward(up))
+    assert _same(tree.grads, np.concatenate([r for l in ref.layers for r in (l.gw.ravel(), l.gb)]))
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: s.canonical())
+def test_kernels_leave_inputs_and_tape_alone(spec):
+    tree, x, up = _kernel_case(spec, 16, seed=4)
+    x_before, up_before = x.copy(), up.copy()
+    twin = tree.copy()
+    tree.forward(x, record=True)
+    tree.forward(np.ones_like(x))  # unrecorded, on other data
+    dx = tree.backward(up)
+    assert _same(x, x_before) and _same(up, up_before)
+    twin.forward(x, record=True)
+    assert _same(dx, twin.backward(up)) and _same(tree.grads, twin.grads)
+
+
+def test_forward_backward_accept_array_likes():
+    tree = ParamTree.init(MLPSpec(2, (4,), 1), np.random.default_rng(0))
+    twin = tree.copy()
+    y = tree.forward([0.1, 0.2], record=True)
+    assert y.shape == (1,) and _same(y, twin.forward(np.array([0.1, 0.2]), record=True))
+    assert _same(tree.backward([1.0]), twin.backward(np.array([1.0])))
+    tree.forward([[0.1, 0.2]], record=True)
+    twin.forward(np.array([[0.1, 0.2]]), record=True)
+    assert _same(tree.backward([[1.0]]), twin.backward(np.array([[1.0]])))
+    assert _same(tree.grads, twin.grads)
 
 
 # -- Gaussians ---------------------------------------------------------------

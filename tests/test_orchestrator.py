@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import warnings
 
@@ -335,6 +336,22 @@ def test_emitted_latents_train_on_arm3(env_inputs):
     first = run(True)
     assert run(True) == first
     assert run(False)[1] != first[1]  # the stored latents are what trained
+
+
+@pytest.mark.parametrize("algo", ["lapal-agnostic", "lapal-aware"])
+def test_sampled_encoding_trains_on_arm3(algo, env_inputs):
+    demos, codec = env_inputs("arm3")
+    sampled = dataclasses.replace(
+        codec, config=dataclasses.replace(codec.config, sample_encoding=True))
+
+    def run(c):
+        res = run_training(env_run_cfg(algo, "arm3"), SMALL_SAC, demos, codec=c, seed=20)
+        assert all(np.isfinite(r.mean_eval_return) for r in res.curve)
+        return curve_to_csv(res.curve), res.bundle.digest()
+
+    first = run(sampled)
+    assert run(sampled) == first
+    assert run(codec)[0] != first[0]  # the sampled latents are what trained
 
 
 def test_transfer_arm3_to_perturbed_end_to_end(tmp_path, env_inputs):
