@@ -15,18 +15,14 @@ to the weights so mismatched pairings are rejected at load time.
 
 from __future__ import annotations
 
-import io
-import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import envsim
+from .configio import read_checkpoint, write_checkpoint
 from .errors import CheckpointError, ConfigError
-from .nncore import MLPSpec, ParamTree, read_segment, sigmoid, softplus, write_segment
-
-DISC_MAGIC = b"LPDISC\x00"
-DISC_VERSION = 1
+from .nncore import MLPSpec, ParamTree, sigmoid, softplus, tree_from_state, tree_state
 
 
 @dataclass(frozen=True)
@@ -135,56 +131,26 @@ def disc_loss_and_grad(d: Discriminator, expert_batch, agent_batch,
 
 
 def save_discriminator(path, d: Discriminator) -> None:
-    buf = io.BytesIO()
-    buf.write(DISC_MAGIC)
-    buf.write(struct.pack("<I", DISC_VERSION))
-    comp = d.composition.canonical().encode()
-    buf.write(struct.pack("<H", len(comp)))
-    buf.write(comp)
-    buf.write(bytes.fromhex(envsim.env_spec(d.composition.env_id).digest()))
-    hidden = d.spec.hidden
-    buf.write(struct.pack("<H", len(hidden)))
-    for h in hidden:
-        buf.write(struct.pack("<I", h))
-    write_segment(buf, d.tree)
-    from .configio import atomic_write_bytes
-
-    atomic_write_bytes(path, buf.getvalue())
+    comp = d.composition
+    header, arrays = tree_state(d.tree, "tree")
+    header.update(kind="disc", env_id=comp.env_id,
+                  env_digest=envsim.env_spec(comp.env_id).digest(),
+                  composition=asdict(comp), hidden=d.spec.hidden)
+    write_checkpoint(path, header, arrays)
 
 
 def load_discriminator(path, expected: DiscComposition | None = None) -> Discriminator:
-    with open(path, "rb") as fh:
-        if fh.read(len(DISC_MAGIC)) != DISC_MAGIC:
-            raise CheckpointError(f"{path}: not a discriminator checkpoint")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != DISC_VERSION:
-            raise CheckpointError(f"{path}: unsupported version {version}")
-        (clen,) = struct.unpack("<H", fh.read(2))
-        canonical = fh.read(clen).decode()
-        comp = _composition_from_canonical(canonical)
-        digest = fh.read(32).hex()
-        if envsim.env_spec(comp.env_id).digest() != digest:
+    def build(header, arrays):
+        comp = DiscComposition(**header["composition"])
+        if comp.env_id != header["env_id"]:
+            raise CheckpointError(f"composition env {comp.env_id} != {header['env_id']}")
+        if expected is not None and expected != comp:
             raise CheckpointError(
-                f"{path}: discriminator trained against a different "
-                f"{comp.env_id} definition"
-            )
-        if expected is not None and expected.canonical() != canonical:
-            raise CheckpointError(
-                f"{path}: composition {canonical!r} does not match the "
+                f"composition {comp.canonical()!r} does not match the "
                 f"expected {expected.canonical()!r}; refusing the pairing"
             )
-        (nh,) = struct.unpack("<H", fh.read(2))
-        hidden = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(nh))
-        spec = MLPSpec(comp.state_dim + comp.u_dim, hidden, 1, activation="tanh")
-        tree = read_segment(fh, spec)
-    return Discriminator(tree=tree, composition=comp)
+        spec = MLPSpec(comp.state_dim + comp.u_dim, tuple(header["hidden"]), 1,
+                       activation="tanh")
+        return Discriminator(tree_from_state(spec, header, arrays, "tree"), comp)
 
-
-def _composition_from_canonical(canonical: str) -> DiscComposition:
-    body = canonical.removeprefix("disc:")
-    env_id, kind, s, u, codec = body.split(";")
-    return DiscComposition(
-        env_id=env_id, input_kind=kind,
-        state_dim=int(s.removeprefix("s=")), u_dim=int(u.removeprefix("u=")),
-        codec_digest=codec.removeprefix("codec="),
-    )
+    return read_checkpoint(path, "disc", build)

@@ -34,18 +34,14 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import io
 import math
 import re
-import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .configio import read_checkpoint, write_checkpoint
 from .errors import CheckpointError, ConfigError, QualityGateError
-
-DEMO_MAGIC = b"LPDEMO\x00"
-DEMO_VERSION = 1
 
 CONTROL_COST_WEIGHT = 1e-3
 
@@ -506,6 +502,9 @@ def default_jitter(env_id: str) -> JitterConfig:
     return DEFAULT_JITTER[env_def(env_id).kind]
 
 
+_DEMO_ARRAYS = ("states", "actions", "next_states", "dones", "rewards")
+
+
 @dataclass
 class DemoBuffer:
     env_id: str
@@ -532,52 +531,25 @@ class DemoBuffer:
         return np.array([float(self.rewards[s].sum()) for s in self.episode_slices()])
 
     def save(self, path) -> None:
-        buf = io.BytesIO()
-        buf.write(DEMO_MAGIC)
-        buf.write(struct.pack("<I", DEMO_VERSION))
-        eid = self.env_id.encode()
-        buf.write(struct.pack("<H", len(eid)))
-        buf.write(eid)
-        buf.write(bytes.fromhex(self.env_digest))
-        n, sd = self.states.shape
-        ad = self.actions.shape[1]
-        buf.write(struct.pack("<IIQQ", sd, ad, n, self.n_episodes))
-        buf.write(np.ascontiguousarray(self.episode_boundaries, dtype="<u8").tobytes())
-        for arr in (self.states, self.actions, self.next_states, self.dones, self.rewards):
-            buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        from .configio import atomic_write_bytes
-
-        atomic_write_bytes(path, buf.getvalue())
+        write_checkpoint(
+            path, {"kind": "demo", "env_id": self.env_id, "env_digest": self.env_digest},
+            {name: getattr(self, name) for name in _DEMO_ARRAYS}
+            | {"episode_boundaries": self.episode_boundaries.astype(np.uint64)})
 
     @classmethod
     def load(cls, path) -> "DemoBuffer":
-        with open(path, "rb") as fh:
-            if fh.read(len(DEMO_MAGIC)) != DEMO_MAGIC:
-                raise CheckpointError(f"{path}: not a demo file")
-            (version,) = struct.unpack("<I", fh.read(4))
-            if version != DEMO_VERSION:
-                raise CheckpointError(f"{path}: unsupported demo version {version}")
-            (elen,) = struct.unpack("<H", fh.read(2))
-            env_id = fh.read(elen).decode()
-            digest = fh.read(32).hex()
-            sd, ad, n, neps = struct.unpack("<IIQQ", fh.read(24))
-            bounds = np.frombuffer(fh.read(8 * neps), dtype="<u8").astype(np.int64)
-            arrays = []
-            for cols in (sd, ad, sd, 1, 1):
-                raw = fh.read(8 * n * cols)
-                if len(raw) != 8 * n * cols:
-                    raise CheckpointError(f"{path}: truncated demo file")
-                arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-                arrays.append(arr.reshape(n, cols) if cols > 1 else arr)
-        spec = env_spec(env_id)
-        if spec.digest() != digest:
-            raise CheckpointError(
-                f"{path}: demos were generated by a different {env_id} definition"
-            )
-        if (sd, ad) != (spec.state_dim, spec.action_dim):
-            raise CheckpointError(f"{path}: dimension header mismatch")
-        return cls(env_id, digest, arrays[0], arrays[1], arrays[2], arrays[3],
-                   arrays[4], bounds)
+        return read_checkpoint(path, "demo", cls._from_checkpoint)
+
+    @classmethod
+    def _from_checkpoint(cls, header, arrays):
+        spec = env_spec(header["env_id"])
+        n, sd, ad = len(arrays["rewards"]), spec.state_dim, spec.action_dim
+        shapes = ((n, sd), (n, ad), (n, sd), (n,), (n,))
+        if any(arrays[k].shape != shape for k, shape in zip(_DEMO_ARRAYS, shapes)):
+            raise CheckpointError(f"demo arrays do not fit {header['env_id']}")
+        return cls(header["env_id"], header["env_digest"],
+                   *(arrays[name].copy() for name in _DEMO_ARRAYS),
+                   arrays["episode_boundaries"].astype(np.int64))
 
 
 def _ou_steps(rng, n, dim, sigma, tau, dt):

@@ -20,26 +20,22 @@ single reparameterized sample, on expert demonstrations only.
 from __future__ import annotations
 
 import hashlib
-import io
-import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import envsim
+from .configio import read_checkpoint, write_checkpoint
 from .errors import CheckpointError, ConfigError, QualityGateError, StateError
 from .nncore import (
     GaussianDist,
     MLPSpec,
     ParamTree,
     gaussian_head,
-    read_segment,
-    write_segment,
+    tree_from_state,
+    tree_state,
 )
-
-CODEC_MAGIC = b"LPCODEC\x00"
-CODEC_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -60,6 +56,8 @@ class CVAEConfig:
             raise ConfigError("latent_dim must be positive")
         if self.beta < 0:
             raise ConfigError("beta must be non-negative")
+        for name in ("encoder_hidden", "decoder_hidden"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     def canonical(self) -> str:
         return (
@@ -314,79 +312,48 @@ def freeze(codec: ActionCodec) -> ActionCodec:
 # checkpoints
 
 
-def save_codec(path, codec: ActionCodec) -> None:
-    buf = io.BytesIO()
-    buf.write(CODEC_MAGIC)
-    buf.write(struct.pack("<I", CODEC_VERSION))
-    eid = codec.env_id.encode()
-    buf.write(struct.pack("<H", len(eid)))
-    buf.write(eid)
-    buf.write(bytes.fromhex(envsim.env_spec(codec.env_id).digest()))
-    cfg = codec.config.canonical().encode()
-    buf.write(struct.pack("<H", len(cfg)))
-    buf.write(cfg)
-    buf.write(struct.pack("<IIIB", codec.state_dim, codec.action_dim,
-                          codec.latent_dim, int(codec.frozen)))
-    buf.write(struct.pack("<d", codec.config.beta))
-    buf.write(np.ascontiguousarray(codec.action_high, dtype="<f8").tobytes())
-    write_segment(buf, codec.encoder)
-    write_segment(buf, codec.decoder)
-    from .configio import atomic_write_bytes
+def codec_state(codec: ActionCodec, prefix: str = "") -> tuple:
+    """Checkpoint header fields and arrays of `codec`, every name under
+    `prefix`; the env comes from the checkpoint's own `env_id`."""
+    header = {prefix + "config": asdict(codec.config),
+              prefix + "frozen": codec.frozen}
+    arrays = {}
+    for name, tree in (("encoder", codec.encoder), ("decoder", codec.decoder)):
+        h, a = tree_state(tree, prefix + name)
+        header.update(h)
+        arrays.update(a)
+    return header, arrays
 
-    atomic_write_bytes(path, buf.getvalue())
+
+def codec_from_state(header: dict, arrays: dict, prefix: str = "",
+                     cfg: CVAEConfig | None = None) -> ActionCodec:
+    """Inverse of `codec_state`; a given `cfg` must match the saved one."""
+    saved = CVAEConfig(**header[prefix + "config"])
+    if cfg is None:
+        cfg = saved
+    elif cfg.canonical() != saved.canonical():
+        raise CheckpointError(
+            f"codec config {saved.canonical()!r} != expected {cfg.canonical()!r}")
+    env_id = header["env_id"]
+    spec = envsim.env_spec(env_id)
+    feat = envsim.feature_dim(env_id)
+    enc = tree_from_state(encoder_spec(feat, spec.action_dim, cfg), header, arrays,
+                          prefix + "encoder")
+    dec = tree_from_state(decoder_spec(feat, spec.action_dim, cfg), header, arrays,
+                          prefix + "decoder")
+    return ActionCodec(
+        encoder=enc, decoder=dec, config=cfg, env_id=env_id, state_dim=spec.state_dim,
+        action_dim=spec.action_dim, action_high=np.array(spec.action_high),
+        frozen=bool(header[prefix + "frozen"]),
+    )
+
+
+def save_codec(path, codec: ActionCodec) -> None:
+    header, arrays = codec_state(codec)
+    header.update(kind="codec", env_id=codec.env_id,
+                  env_digest=envsim.env_spec(codec.env_id).digest())
+    write_checkpoint(path, header, arrays)
 
 
 def load_codec(path, cfg: CVAEConfig | None = None) -> ActionCodec:
-    with open(path, "rb") as fh:
-        if fh.read(len(CODEC_MAGIC)) != CODEC_MAGIC:
-            raise CheckpointError(f"{path}: not a codec checkpoint")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != CODEC_VERSION:
-            raise CheckpointError(f"{path}: unsupported codec version {version}")
-        (elen,) = struct.unpack("<H", fh.read(2))
-        env_id = fh.read(elen).decode()
-        digest = fh.read(32).hex()
-        spec = envsim.env_spec(env_id)
-        if spec.digest() != digest:
-            raise CheckpointError(
-                f"{path}: codec was trained against a different {env_id} definition"
-            )
-        (clen,) = struct.unpack("<H", fh.read(2))
-        canonical = fh.read(clen).decode()
-        state_dim, action_dim, latent_dim, frozen = struct.unpack("<IIIB", fh.read(13))
-        if (state_dim, action_dim) != (spec.state_dim, spec.action_dim):
-            raise CheckpointError(
-                f"{path}: codec dims ({state_dim}, {action_dim}) do not match "
-                f"{env_id} ({spec.state_dim}, {spec.action_dim})"
-            )
-        (beta,) = struct.unpack("<d", fh.read(8))
-        high = np.frombuffer(fh.read(8 * action_dim), dtype="<f8").astype(np.float64)
-        if cfg is None:
-            cfg = _config_from_canonical(canonical, latent_dim, beta)
-        if cfg.canonical() != canonical:
-            raise CheckpointError(
-                f"{path}: codec config {canonical!r} != expected {cfg.canonical()!r}"
-            )
-        feat = envsim.feature_dim(env_id)
-        enc = read_segment(fh, encoder_spec(feat, action_dim, cfg))
-        dec = read_segment(fh, decoder_spec(feat, action_dim, cfg))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        codec = ActionCodec(
-            encoder=enc, decoder=dec, config=cfg, env_id=env_id,
-            state_dim=state_dim, action_dim=action_dim, action_high=high,
-            frozen=bool(frozen),
-        )
-    return codec
-
-
-def _config_from_canonical(canonical: str, latent_dim: int, beta: float) -> CVAEConfig:
-    fields_ = dict(kv.split("=", 1) for kv in canonical.removeprefix("cvae:").split(";"))
-    return CVAEConfig(
-        latent_dim=latent_dim,
-        beta=beta,
-        encoder_hidden=tuple(int(x) for x in fields_["enc"].split(",")),
-        decoder_hidden=tuple(int(x) for x in fields_["dec"].split(",")),
-        activation=fields_["act"],
-        sample_encoding=bool(int(fields_["sample"])),
-    )
+    return read_checkpoint(path, "codec", lambda h, a: codec_from_state(h, a, cfg=cfg))

@@ -25,8 +25,6 @@ output) are never written after they are recorded.
 from __future__ import annotations
 
 import hashlib
-import io
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +41,6 @@ LOG_STD_MAX = 2.0
 # float64 tanh rounds to exactly +-1.0 when saturated; outputs that must stay
 # strictly inside the open interval are capped just inside it
 TANH_CAP = 1.0 - 1e-12
-
-SEGMENT_MAGIC = b"LPSEG\x00"
-SEGMENT_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -346,37 +341,29 @@ def gaussian_kl_to_standard(d: GaussianDist) -> float:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint segments
+# checkpoint form of a tree
+
+_SAVED_BUFFERS = ("params", "m", "v")
 
 
-def write_segment(fh: io.BufferedIOBase, tree: ParamTree) -> None:
-    fh.write(SEGMENT_MAGIC)
-    fh.write(struct.pack("<I", SEGMENT_VERSION))
-    fh.write(tree.spec.digest())
-    fh.write(struct.pack("<Q", tree.step))
-    for l in tree.layers:
-        for arr in (l.w, l.b, l.mw, l.vw, l.mb, l.vb):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+def tree_state(tree: ParamTree, name: str) -> tuple:
+    """Checkpoint entries of `tree` under `name`: the header field `name`
+    (spec canonical string and Adam step) and the arrays `name.params`,
+    `name.m` and `name.v`. Gradients are not saved."""
+    header = {name: {"spec": tree.spec.canonical(), "step": tree.step}}
+    return header, {f"{name}.{b}": getattr(tree, b) for b in _SAVED_BUFFERS}
 
 
-def read_segment(fh: io.BufferedIOBase, spec: MLPSpec) -> ParamTree:
-    magic = fh.read(len(SEGMENT_MAGIC))
-    if magic != SEGMENT_MAGIC:
-        raise CheckpointError(f"bad segment magic {magic!r}")
-    (version,) = struct.unpack("<I", fh.read(4))
-    if version != SEGMENT_VERSION:
-        raise CheckpointError(f"unsupported segment version {version}")
-    digest = fh.read(32)
-    if digest != spec.digest():
-        raise CheckpointError(
-            f"segment was written for a different network spec than {spec.canonical()}"
-        )
-    (step,) = struct.unpack("<Q", fh.read(8))
-    tree = ParamTree(spec, step=step)
-    for l in tree.layers:
-        for arr in (l.w, l.b, l.mw, l.vw, l.mb, l.vb):
-            raw = fh.read(arr.size * 8)
-            if len(raw) != arr.size * 8:
-                raise CheckpointError("truncated segment")
-            arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)
+def tree_from_state(spec: MLPSpec, header: dict, arrays: dict, name: str) -> ParamTree:
+    """The tree `tree_state` saved under `name`; it must have been written
+    for `spec`. Its layers view its own copies of the loaded buffers."""
+    entry = header[name]
+    if entry["spec"] != spec.canonical():
+        raise CheckpointError(f"{name} was written for {entry['spec']}, not {spec.canonical()}")
+    tree = ParamTree(spec, step=int(entry["step"]))
+    for b in _SAVED_BUFFERS:
+        buf, saved = getattr(tree, b), arrays[f"{name}.{b}"]
+        if saved.shape != buf.shape:
+            raise CheckpointError(f"{name}.{b} has shape {saved.shape}, not {buf.shape}")
+        buf[...] = saved
     return tree

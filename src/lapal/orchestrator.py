@@ -38,23 +38,19 @@ differently in the last ulp). The single-env collection loop inside
 
 from __future__ import annotations
 
-import io
-import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import adversary, envsim, latentact, sacgen
 from .adversary import DiscComposition
+from .configio import format_float, read_checkpoint, write_checkpoint
 from .errors import CheckpointError, ConfigError, DivergenceError
 from .latentact import ActionCodec, CVAEConfig
-from .nncore import MLPSpec, read_segment, write_segment
+from .nncore import LOG_STD_MAX, LOG_STD_MIN, MLPSpec, tree_from_state, tree_state
 from .sacgen import SacAgent, SacConfig
 
 ALGOS = ("gail", "lapal-agnostic", "lapal-aware")
-
-POLICY_MAGIC = b"LPPOL\x00"
-POLICY_VERSION = 1
 
 CURVE_COLUMNS = (
     "env_steps", "mean_eval_return", "std_eval_return", "norm_eval_return",
@@ -186,6 +182,8 @@ class PolicyBundle:
             raise ConfigError(f"unknown policy kind {self.kind!r}")
         if self.kind == "latent" and self.codec is None:
             raise ConfigError("latent policy bundle needs a codec")
+        if self.codec is not None and self.codec.env_id != self.env_id:
+            raise ConfigError(f"a {self.codec.env_id} codec cannot act in {self.env_id}")
 
     def action(self, states):
         """Deterministic env actions for (N, state_dim) states."""
@@ -403,16 +401,27 @@ def _disc_step(cfg, disc, run_codec, action_high, se, ea, b, rng=None):
     if cfg.algo == "lapal-aware":
         # both expectation terms flow through the encoder, so encode the two
         # halves in one recorded pass and step the encoder with the combined
-        # input gradient
+        # input gradient. The sampled-encoding ablation draws the noise that
+        # `encode_for_training` would and chains into the log-std head too
         post = latentact.encode(run_codec, np.concatenate([se, sa]),
                                 np.concatenate([ea, b.actions]), record=True)
-        abar = np.tanh(post.mean)
+        sampled = run_codec.config.sample_encoding
+        if sampled:
+            noise = rng.standard_normal(post.mean.shape)
+            abar = np.tanh(post.sample(noise))
+        else:
+            abar = np.tanh(post.mean)
         loss, g_e, g_a = adversary.disc_loss_and_grad(
             disc, (se, abar[:n_e]), (sa, abar[n_e:]), want_input_grads=True)
         d_abar = np.concatenate([g_e, g_a])[:, se.shape[1]:]
         d_mean = d_abar * (1.0 - abar * abar)
-        run_codec.encoder.backward(
-            np.concatenate([d_mean, np.zeros_like(d_mean)], axis=1))
+        if sampled:
+            # log-std clamp subgradient: zero where the head output was clipped
+            ls_ok = (post.log_std > LOG_STD_MIN) & (post.log_std < LOG_STD_MAX)
+            d_log_std = d_mean * post.std * noise * ls_ok
+        else:
+            d_log_std = np.zeros_like(d_mean)
+        run_codec.encoder.backward(np.concatenate([d_mean, d_log_std], axis=1))
         run_codec.encoder.adam_step(cfg.codec_disc_lr)
     elif cfg.latent and b.latents is None:
         abar = latentact.encode_for_training(run_codec, np.concatenate([se, sa]),
@@ -457,8 +466,6 @@ def transfer_policy(source: PolicyBundle, target_demos: envsim.DemoBuffer,
 
 
 def curve_to_csv(curve) -> str:
-    from .configio import format_float
-
     lines = [",".join(CURVE_COLUMNS)]
     for row in curve:
         lines.append(",".join([str(row.env_steps)] + [
@@ -474,7 +481,12 @@ def curve_from_csv(text: str) -> list:
     rows = []
     for line in lines[1:]:
         vals = line.split(",")
-        rows.append(CurveRow(int(vals[0]), *[float(v) for v in vals[1:]]))
+        if len(vals) != len(CURVE_COLUMNS):
+            raise CheckpointError(f"curve CSV row {line!r} has {len(vals)} fields")
+        try:
+            rows.append(CurveRow(int(vals[0]), *[float(v) for v in vals[1:]]))
+        except ValueError as exc:
+            raise CheckpointError(f"bad curve CSV row {line!r}: {exc}") from exc
     return rows
 
 
@@ -497,63 +509,27 @@ def aggregate_curves(curves) -> list:
 
 
 def save_policy(path, bundle: PolicyBundle) -> None:
-    buf = io.BytesIO()
-    buf.write(POLICY_MAGIC)
-    buf.write(struct.pack("<I", POLICY_VERSION))
-    eid = bundle.env_id.encode()
-    buf.write(struct.pack("<H", len(eid)))
-    buf.write(eid)
-    kind = bundle.kind.encode()
-    buf.write(struct.pack("<H", len(kind)))
-    buf.write(kind)
-    buf.write(struct.pack("<I", bundle.u_dim))
-    spec = bundle.actor.spec
-    buf.write(struct.pack("<I", spec.input_dim))
-    buf.write(struct.pack("<H", len(spec.hidden)))
-    for h in spec.hidden:
-        buf.write(struct.pack("<I", h))
-    write_segment(buf, bundle.actor)
+    """The actor's arrays under `actor.`; a latent policy's codec under `codec.`."""
+    header, arrays = tree_state(bundle.actor, "actor")
     if bundle.kind == "latent":
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as td:
-            p = f"{td}/codec"
-            latentact.save_codec(p, bundle.codec)
-            blob = open(p, "rb").read()
-        buf.write(struct.pack("<Q", len(blob)))
-        buf.write(blob)
-    from .configio import atomic_write_bytes
-
-    atomic_write_bytes(path, buf.getvalue())
+        h, a = latentact.codec_state(bundle.codec, "codec.")
+        header.update(h)
+        arrays.update(a)
+    header.update(kind="policy", env_id=bundle.env_id,
+                  env_digest=envsim.env_spec(bundle.env_id).digest(),
+                  policy_kind=bundle.kind, u_dim=bundle.u_dim,
+                  hidden=bundle.actor.spec.hidden)
+    write_checkpoint(path, header, arrays)
 
 
 def load_policy(path) -> PolicyBundle:
-    with open(path, "rb") as fh:
-        if fh.read(len(POLICY_MAGIC)) != POLICY_MAGIC:
-            raise CheckpointError(f"{path}: not a policy checkpoint")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != POLICY_VERSION:
-            raise CheckpointError(f"{path}: unsupported policy version {version}")
-        (elen,) = struct.unpack("<H", fh.read(2))
-        env_id = fh.read(elen).decode()
-        (klen,) = struct.unpack("<H", fh.read(2))
-        kind = fh.read(klen).decode()
-        (u_dim,) = struct.unpack("<I", fh.read(4))
-        (in_dim,) = struct.unpack("<I", fh.read(4))
-        (nh,) = struct.unpack("<H", fh.read(2))
-        hidden = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(nh))
-        spec = MLPSpec(in_dim, hidden, 2 * u_dim, activation="relu")
-        actor = read_segment(fh, spec)
-        codec = None
-        if kind == "latent":
-            (blen,) = struct.unpack("<Q", fh.read(8))
-            blob = fh.read(blen)
-            import tempfile
+    def build(header, arrays):
+        env_id, kind, u_dim = header["env_id"], header["policy_kind"], header["u_dim"]
+        spec = MLPSpec(envsim.feature_dim(env_id), tuple(header["hidden"]), 2 * u_dim,
+                       activation="relu")
+        codec = (latentact.codec_from_state(header, arrays, "codec.")
+                 if kind == "latent" else None)
+        return PolicyBundle(env_id=env_id, kind=kind, u_dim=u_dim, codec=codec,
+                            actor=tree_from_state(spec, header, arrays, "actor"))
 
-            with tempfile.TemporaryDirectory() as td:
-                p = f"{td}/codec"
-                with open(p, "wb") as out:
-                    out.write(blob)
-                codec = latentact.load_codec(p)
-    return PolicyBundle(env_id=env_id, kind=kind, actor=actor, u_dim=u_dim,
-                        codec=codec)
+    return read_checkpoint(path, "policy", build)

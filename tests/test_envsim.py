@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lapal import envsim
+from lapal import configio, envsim
 from lapal.envsim import (
     DemoBuffer,
     JitterConfig,
@@ -258,10 +258,10 @@ def test_demo_file_rejects_wrong_env(tmp_path):
     demos = collect_demos("arm6", n_episodes=2, seed=0)
     path = tmp_path / "demo.bin"
     demos.save(path)
-    raw = bytearray(path.read_bytes())
-    # corrupt the env digest field
-    raw[20] ^= 0xFF
-    (tmp_path / "bad.bin").write_bytes(bytes(raw))
+    # a well-formed file (valid checksum) whose env digest is not arm6's
+    header, arrays = configio.read_checkpoint(path, "demo", lambda h, a: (h, a))
+    configio.write_checkpoint(tmp_path / "bad.bin", {**header, "env_digest": "0" * 64},
+                              arrays)
     with pytest.raises(CheckpointError):
         DemoBuffer.load(tmp_path / "bad.bin")
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_grads_close, fd_loss_gradient
-from lapal import envsim, latentact
+from lapal import configio, envsim, latentact
 from lapal.errors import CheckpointError, QualityGateError
 from lapal.latentact import (
     ActionCodec,
@@ -221,11 +221,11 @@ def test_codec_checkpoint_rejects_env_mismatch(tmp_path, pm_demos):
     latentact.save_codec(path, codec)
     with pytest.raises(CheckpointError):
         latentact.load_codec(path)
-    # and a corrupted env digest is caught too
+    # and a well-formed file (valid checksum) with a wrong env digest is caught too
     codec.env_id = "pointmass"
     latentact.save_codec(path, codec)
-    raw = bytearray(path.read_bytes())
-    raw[25] ^= 0xFF
-    (tmp_path / "bad.ckpt").write_bytes(bytes(raw))
+    header, arrays = configio.read_checkpoint(path, "codec", lambda h, a: (h, a))
+    configio.write_checkpoint(tmp_path / "bad.ckpt", {**header, "env_digest": "0" * 64},
+                              arrays)
     with pytest.raises(CheckpointError):
         latentact.load_codec(tmp_path / "bad.ckpt")

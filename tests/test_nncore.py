@@ -1,12 +1,10 @@
-import io
-
 import numpy as np
 import pytest
 
 import outofplace
 import perarray
 from conftest import assert_grads_close, fd_loss_gradient
-from lapal import nncore
+from lapal import configio, envsim, nncore
 from lapal.errors import CheckpointError, ConfigError, OptimizerError, StateError
 from lapal.nncore import GaussianDist, MLPSpec, ParamTree
 
@@ -453,10 +451,22 @@ def test_gaussian_head_split_and_mask():
     np.testing.assert_array_equal(mask, [[1.0, 0.0]])
 
 
-# -- checkpoint segments ------------------------------------------------------
+# -- checkpoint form of a tree ----------------------------------------------
 
 
-def test_segment_round_trip():
+def save_tree(path, tree):
+    header, arrays = nncore.tree_state(tree, "net")
+    header.update(kind="tree", env_id="pointmass",
+                  env_digest=envsim.env_spec("pointmass").digest())
+    configio.write_checkpoint(path, header, arrays)
+
+
+def load_tree(path, spec):
+    return configio.read_checkpoint(
+        path, "tree", lambda h, a: nncore.tree_from_state(spec, h, a, "net"))
+
+
+def test_tree_state_round_trip(tmp_path):
     spec = MLPSpec(3, (8, 8), 2, activation="leaky_relu")
     tree = ParamTree.init(spec, np.random.default_rng(9))
     rng = np.random.default_rng(10)
@@ -464,10 +474,8 @@ def test_segment_round_trip():
         tree.forward(rng.standard_normal((4, 3)), record=True)
         tree.backward(rng.standard_normal((4, 2)))
         tree.adam_step(lr=1e-3)
-    buf = io.BytesIO()
-    nncore.write_segment(buf, tree)
-    buf.seek(0)
-    back = nncore.read_segment(buf, spec)
+    save_tree(tmp_path / "a", tree)
+    back = load_tree(tmp_path / "a", spec)
     assert back.step == tree.step
     np.testing.assert_array_equal(back.get_flat(), tree.get_flat())
     for la, lb in zip(tree.layers, back.layers):
@@ -478,19 +486,15 @@ def test_segment_round_trip():
     back.layers[0].w[0, 0] = 123.0  # the loaded layers are views of its buffers
     assert back.params[0] == 123.0
     # byte determinism
-    buf2 = io.BytesIO()
-    nncore.write_segment(buf2, tree)
-    assert buf.getvalue() == buf2.getvalue()
+    save_tree(tmp_path / "b", tree)
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
 
-def test_segment_rejects_wrong_spec():
+def test_tree_state_rejects_wrong_spec(tmp_path):
     spec = MLPSpec(3, (8,), 2)
-    tree = ParamTree.init(spec, np.random.default_rng(0))
-    buf = io.BytesIO()
-    nncore.write_segment(buf, tree)
-    buf.seek(0)
+    save_tree(tmp_path / "a", ParamTree.init(spec, np.random.default_rng(0)))
     with pytest.raises(CheckpointError):
-        nncore.read_segment(buf, MLPSpec(3, (9,), 2))
+        load_tree(tmp_path / "a", MLPSpec(3, (9,), 2))
 
 
 def test_spec_validation():

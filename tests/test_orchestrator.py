@@ -7,7 +7,7 @@ import pytest
 
 from conftest import assert_grads_close, fd_loss_gradient
 from lapal import adversary, envsim, latentact, orchestrator, sacgen
-from lapal.errors import ConfigError, DivergenceError
+from lapal.errors import CheckpointError, ConfigError, DivergenceError
 from lapal.latentact import CVAEConfig, train_codec
 from lapal.orchestrator import (
     ALGOS,
@@ -143,11 +143,21 @@ def test_aware_run_moves_codec(pm_demos, pm_codec):
     assert res.codec.digest() != pm_codec.digest()
 
 
-@pytest.mark.parametrize("env_id", ENVS)
-def test_mode_boundary_differential(env_id, env_inputs):
+def sampled(codec):
+    """The codec with the sampled-encoding ablation switched on."""
+    return dataclasses.replace(
+        codec, config=dataclasses.replace(codec.config, sample_encoding=True))
+
+
+@pytest.mark.parametrize("env_id,sample_encoding", [
+    pytest.param(e, s, id=e + ("-sampled" if s else "")) for s in (False, True) for e in ENVS])
+def test_mode_boundary_differential(env_id, sample_encoding, env_inputs):
     """lapal-aware with codec learning rates forced to zero must walk the
-    task-agnostic update sequence bit-identically."""
+    task-agnostic update sequence bit-identically, with mean encodings and
+    with the sampled-encoding ablation."""
     demos, codec = env_inputs(env_id)
+    if sample_encoding:
+        codec = sampled(codec)
     traces = {}
     for algo, lrs in (("lapal-agnostic", None), ("lapal-aware", 0.0)):
         kw = {} if lrs is None else {"codec_disc_lr": 0.0, "codec_gen_lr": 0.0}
@@ -228,8 +238,14 @@ def test_curve_csv_round_trip(pm_demos):
     assert text == curve_to_csv(curve_from_csv(text))
     agg = aggregate_curves([res.curve, res.curve])
     assert agg[0]["std_norm_return"] == 0.0
-    with pytest.raises(Exception):
+    with pytest.raises(CheckpointError):
         curve_from_csv("bogus\n1,2\n")
+    header, row = text.splitlines()[:2]
+    short, long_, fractional_step = (
+        row.rsplit(",", 1)[0], row + ",0.5", "1.5" + row[row.index(","):])
+    for bad in (short, long_, fractional_step):
+        with pytest.raises(CheckpointError):
+            curve_from_csv(f"{header}\n{bad}\n")
 
 
 @pytest.mark.parametrize("env_id", ENVS)
@@ -265,11 +281,12 @@ def test_transfer_identity_and_validation(pm_demos, pm_codec):
         transfer_policy(raw.bundle, pm_demos, cfg2, seed=0)
 
 
-def test_aware_disc_step_encoder_gradient_on_arm_features():
+def check_aware_encoder_gradient_on_arm_features(sample_encoding):
     """Encoder gradient that the aware discriminator step chains through the
     discriminator's input gradient, on arm3's 15 feature columns."""
-    codec = latentact.make_codec("arm3", CVAEConfig(latent_dim=2, encoder_hidden=(12, 12),
-                                                    decoder_hidden=(12, 12)), 50)
+    cvae_cfg = CVAEConfig(latent_dim=2, encoder_hidden=(12, 12), decoder_hidden=(12, 12),
+                          sample_encoding=sample_encoding)
+    codec = latentact.make_codec("arm3", cvae_cfg, 50)
     disc = adversary.make_discriminator(
         adversary.DiscComposition("arm3", "latent", 15, 2, codec.digest()), (12, 12), 51)
     rng = np.random.default_rng(52)
@@ -282,16 +299,26 @@ def test_aware_disc_step_encoder_gradient_on_arm_features():
     disc.tree.adam_step = lambda lr: None
     cfg = small_run_cfg("lapal-aware", env_id="arm3")
     orchestrator._disc_step(cfg, disc, codec, envsim.env_spec("arm3").action_high,
-                            se, ea, agent)
+                            se, ea, agent, np.random.default_rng(53))
+    # the log-std half of the encoder head gets a gradient only when sampling
+    assert np.all(codec.encoder.layers[-1].gb[2:] != 0.0) == sample_encoding
 
     def loss_fn():
-        return adversary.disc_loss(
-            disc, (se, latentact.encode_mean(codec, se, ea)),
-            (agent.states, latentact.encode_mean(codec, agent.states, agent.actions)))
+        # the same noise as the step drew, for the encodings of both halves
+        u = latentact.encode_for_training(codec, feats, actions, np.random.default_rng(53))
+        return adversary.disc_loss(disc, (se, u[:4]), (agent.states, u[4:]))
 
     _, fd, analytic = fd_loss_gradient(loss_fn, codec.encoder, n_probes=100, seed=53)
     assert np.any(analytic != 0.0)
     assert_grads_close(fd, analytic, rtol=1e-4)
+
+
+def test_aware_disc_step_encoder_gradient_on_arm_features():
+    check_aware_encoder_gradient_on_arm_features(sample_encoding=False)
+
+
+def test_sampled_aware_disc_step_encoder_gradient_on_arm_features():
+    check_aware_encoder_gradient_on_arm_features(sample_encoding=True)
 
 
 def test_buffer_holds_features_of_stepped_states(monkeypatch, env_inputs):
@@ -341,16 +368,14 @@ def test_emitted_latents_train_on_arm3(env_inputs):
 @pytest.mark.parametrize("algo", ["lapal-agnostic", "lapal-aware"])
 def test_sampled_encoding_trains_on_arm3(algo, env_inputs):
     demos, codec = env_inputs("arm3")
-    sampled = dataclasses.replace(
-        codec, config=dataclasses.replace(codec.config, sample_encoding=True))
 
     def run(c):
         res = run_training(env_run_cfg(algo, "arm3"), SMALL_SAC, demos, codec=c, seed=20)
         assert all(np.isfinite(r.mean_eval_return) for r in res.curve)
         return curve_to_csv(res.curve), res.bundle.digest()
 
-    first = run(sampled)
-    assert run(sampled) == first
+    first = run(sampled(codec))
+    assert run(sampled(codec)) == first
     assert run(codec)[0] != first[0]  # the sampled latents are what trained
 
 
