@@ -120,7 +120,7 @@ def disc_loss_and_grad(d: Discriminator, expert_batch, agent_batch,
     upstream = np.empty((ne + na, 1))
     upstream[:ne, 0] = (sigmoid(le) - 1.0) / ne
     upstream[ne:, 0] = sigmoid(la) / na
-    d_in = d.tree.backward(upstream)
+    d_in = d.tree.backward(upstream, input_grad=want_input_grads)
     if want_input_grads:
         return loss, d_in[:ne], d_in[ne:]
     return loss

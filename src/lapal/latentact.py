@@ -230,7 +230,7 @@ def cvae_loss_and_grad(codec: ActionCodec, feats, actions, noise) -> tuple:
     from .nncore import LOG_STD_MAX, LOG_STD_MIN
 
     ls_ok = ((dist.log_std > LOG_STD_MIN) & (dist.log_std < LOG_STD_MAX)).astype(float)
-    codec.encoder.backward(np.concatenate([d_mean, d_log_std * ls_ok], axis=1))
+    codec.encoder.backward(np.concatenate([d_mean, d_log_std * ls_ok], axis=1), input_grad=False)
     return loss, parts
 
 

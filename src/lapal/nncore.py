@@ -1,12 +1,10 @@
 """Dense networks with hand-rolled reverse-mode gradients, plus Adam.
 
-Everything is float64 and single-threaded so that analytic gradients can be
-checked against central finite differences to tight tolerances. A ParamTree
-owns the weights of one MLP together with gradient buffers and Adam moments;
-forward passes optionally record a tape that the matching backward pass
-consumes. Gradients accumulate across backward calls until an optimizer step
-zeroes them, which is what lets a loss with several expectation terms sum
-its pieces before updating.
+A ParamTree owns the weights of one MLP together with gradient buffers and
+Adam moments; forward passes optionally record a tape that the matching
+backward pass consumes. Gradients accumulate across backward calls until an
+optimizer step zeroes them, which is what lets a loss with several
+expectation terms sum its pieces before updating.
 
 A ParamTree keeps four contiguous float64 vectors, `params`, `grads`, `m`
 and `v`, each laid out layer by layer (weights row-major, then biases: the
@@ -16,10 +14,18 @@ work per layer while Adam, Polyak averaging and the flat accessors are a few
 whole-vector ops. Those ops are elementwise, so they give the same bits as a
 loop over the layer arrays.
 
+Precision is split: these buffers and checkpoints are float64, while the
+passes run matmuls and hidden activations in the tree's `dtype` (float32 by
+default) on a copy of `params` cast at every forward, into a fresh copy if a
+tape is pending, so backward uses exactly its forward's weights. The output
+layer's bias and activation run in float64, since TANH_CAP = 1 - 1e-12
+rounds to 1.0 in float32, and both passes take and return float64. Float64
+trees run the same code: the reference that finite-difference tests check.
+
 A layer's forward pass writes its bias and activation into its own matmul
 output, and the backward pass multiplies activation derivatives into its
-running gradient in place. Arrays on the tape (the input and every layer
-output) are never written after they are recorded.
+running gradient in place. Arrays on the tape (the input, every layer output
+and the weights) are never written after they are recorded.
 """
 
 from __future__ import annotations
@@ -107,10 +113,14 @@ class DenseLayer:
     """One layer's slices of its tree's flat buffers, as (in, out) and (out,) views."""
 
     def __init__(self, buffers, start: int, fan_in: int, fan_out: int):
-        mid = start + fan_in * fan_out
-        self.w, self.gw, self.mw, self.vw = (
-            x[start:mid].reshape(fan_in, fan_out) for x in buffers)
-        self.b, self.gb, self.mb, self.vb = (x[mid : mid + fan_out] for x in buffers)
+        self.start, self.shape = start, (fan_in, fan_out)
+        (self.w, self.b), (self.gw, self.gb), (self.mw, self.mb), (self.vw, self.vb) = (
+            self.views(x) for x in buffers)
+
+    def views(self, flat):
+        """This layer's (weights, bias) in a flat vector laid out like `params`."""
+        mid = self.start + self.shape[0] * self.shape[1]
+        return flat[self.start:mid].reshape(self.shape), flat[mid : mid + self.shape[1]]
 
 
 class ParamTree:
@@ -120,7 +130,7 @@ class ParamTree:
     vectors, so writing through `layer.w` writes `params`.
     """
 
-    def __init__(self, spec: MLPSpec, step: int = 0):
+    def __init__(self, spec: MLPSpec, step: int = 0, dtype=np.float32):
         dims = spec.dims()
         n = sum(i * o + o for i, o in zip(dims[:-1], dims[1:]))
         self.spec = spec
@@ -131,7 +141,8 @@ class ParamTree:
             self.layers.append(DenseLayer(bufs, start, fan_in, fan_out))
             start += fan_in * fan_out + fan_out
         self.step = step
-        self._tape = None
+        self.dtype = np.dtype(dtype)
+        self._tape = self._cast = None
 
     @classmethod
     def init(cls, spec: MLPSpec, rng: np.random.Generator) -> "ParamTree":
@@ -151,25 +162,19 @@ class ParamTree:
 
     # -- parameter plumbing -------------------------------------------------
 
-    def n_params(self) -> int:
-        return self.params.size
-
     def get_flat(self) -> np.ndarray:
         return self.params.copy()
 
     def set_flat(self, vec: np.ndarray) -> None:
         if vec.size != self.params.size:
-            raise ConfigError(f"flat vector length {vec.size} != {self.n_params()}")
+            raise ConfigError(f"flat vector length {vec.size} != {self.params.size}")
         self.params[...] = vec
 
     def grad_flat(self) -> np.ndarray:
         return self.grads.copy()
 
-    def zero_grads(self) -> None:
-        self.grads[...] = 0.0
-
     def copy(self) -> "ParamTree":
-        clone = ParamTree(self.spec, step=self.step)
+        clone = ParamTree(self.spec, step=self.step, dtype=self.dtype)
         for name in ("params", "grads", "m", "v"):
             getattr(clone, name)[...] = getattr(self, name)
         return clone
@@ -181,18 +186,31 @@ class ParamTree:
 
     # -- forward / backward --------------------------------------------------
 
+    def _weights(self):
+        """(w, b) of every layer in `dtype`, cast from `params` now."""
+        if self.dtype == np.float64:
+            return [(l.w, l.b) for l in self.layers]
+        if self._tape is not None or self._cast is None:
+            flat = np.empty(self.params.size, self.dtype)
+            self._cast = flat, [l.views(flat) for l in self.layers]
+        np.copyto(self._cast[0], self.params, casting="same_kind")
+        return self._cast[1]
+
     def forward(self, x: np.ndarray, record: bool = False) -> np.ndarray:
         squeeze = np.ndim(x) == 1
-        a = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        a = np.atleast_2d(np.asarray(x, dtype=self.dtype))
         if a.shape[1] != self.spec.input_dim:
             raise ConfigError(
                 f"input width {a.shape[1]} does not match spec input_dim {self.spec.input_dim}"
             )
+        weights = self._weights()
         inputs = [a] if record else None
         last = len(self.layers) - 1
-        for i, l in enumerate(self.layers):
-            a = a @ l.w
-            a += l.b
+        for i, (w, b) in enumerate(weights):
+            a = a @ w
+            if i == last:  # output bias and activation in float64, see TANH_CAP
+                a, b = a.astype(np.float64, copy=False), self.layers[i].b
+            a += b
             act = self.spec.output_activation if i == last else self.spec.activation
             if act == "relu":
                 np.maximum(a, 0.0, out=a)
@@ -205,13 +223,16 @@ class ParamTree:
             if record and i < last:
                 inputs.append(a)
         if record:
-            self._tape = (inputs, a)
+            self._tape = (inputs, a, [w for w, _ in weights])
         return a[0] if squeeze else a
 
-    def backward(self, upstream: np.ndarray, accumulate: bool = True) -> np.ndarray:
+    def backward(self, upstream: np.ndarray, accumulate: bool = True,
+                 input_grad: bool = True) -> np.ndarray | None:
+        """d loss / d input from `upstream` = d loss / d output; with
+        `input_grad` False the first layer skips it and None is returned."""
         if self._tape is None:
             raise StateError("backward called without a recorded forward pass")
-        inputs, out = self._tape
+        inputs, out, weights = self._tape
         self._tape = None
         d = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
         if d.shape != out.shape:
@@ -222,20 +243,24 @@ class ParamTree:
         if self.spec.output_activation == "tanh":
             g = out * out
             d = np.multiply(d, np.subtract(1.0, g, out=g), out=g)
+        d = d.astype(self.dtype, copy=False)
         act = self.spec.activation
         for i in range(len(self.layers) - 1, -1, -1):
             l = self.layers[i]
             if accumulate:
                 l.gw += inputs[i].T @ d
                 l.gb += d.sum(axis=0)
-            d = d @ l.w.T
+            if i == 0 and not input_grad:
+                return None
+            d = d @ weights[i].T
             if i > 0 and act == "relu":
                 d *= inputs[i] > 0.0
             elif i > 0 and act == "leaky_relu":
-                d *= np.maximum(inputs[i] > 0.0, LEAKY_SLOPE)
+                d *= np.maximum(inputs[i] > 0.0, self.dtype.type(LEAKY_SLOPE))
             elif i > 0 and act == "tanh":
                 g = inputs[i] * inputs[i]
                 d *= np.subtract(1.0, g, out=g)
+        d = d.astype(np.float64, copy=False)
         return d if np.ndim(upstream) > 1 else d[0]
 
     # -- Adam -----------------------------------------------------------------

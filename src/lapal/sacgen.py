@@ -21,6 +21,7 @@ log(1 - tanh(z)^2) = 2(log 2 - z - softplus(-2z)); its z-derivative is
 
 from __future__ import annotations
 
+import hashlib
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -88,8 +89,6 @@ class SacAgent:
         return float(np.exp(self.log_alpha.value))
 
     def digest(self) -> str:
-        import hashlib
-
         h = hashlib.sha256()
         for tree in (self.actor, self.critic1, self.critic2, self.target1, self.target2):
             h.update(tree.digest().encode())
@@ -204,7 +203,7 @@ def critic_update(agent: SacAgent, states, u, next_states, reward_fn, rng) -> di
         q = _q(critic, states, u, record=True)
         err = q - y
         losses[name] = float(np.mean(err * err))
-        critic.backward(((2.0 / b) * err)[:, None])
+        critic.backward(((2.0 / b) * err)[:, None], input_grad=False)
         critic.adam_step(agent.cfg.critic_lr)
     polyak_update(agent, agent.cfg.tau)
     losses["q_mean"] = float(np.mean(y))
@@ -270,7 +269,8 @@ def actor_loss_and_grad(agent: SacAgent, states, eps):
     dz = d_u * (1.0 - u * u)
     d_mean = (alpha / b) * (2.0 * u) + dz
     d_log_std = (alpha / b) * (-1.0 + 2.0 * u * sigma_eps) + dz * sigma_eps
-    agent.actor.backward(np.concatenate([d_mean, d_log_std * clamp_mask], axis=1))
+    agent.actor.backward(np.concatenate([d_mean, d_log_std * clamp_mask], axis=1),
+                         input_grad=False)
     return loss, u, log_prob
 
 
@@ -310,6 +310,6 @@ def decoder_adversarial_step(ctx: DecoderPathContext, features, u) -> float:
     enc_upstream = np.concatenate([d_mean, np.zeros_like(d_mean)], axis=1)
     din_enc = codec.encoder.backward(enc_upstream, accumulate=False)
     d_actions = din_enc[:, codec.feat_dim:]
-    codec.decoder.backward(d_actions * codec.action_high)
+    codec.decoder.backward(d_actions * codec.action_high, input_grad=False)
     codec.decoder.adam_step(ctx.decoder_lr)
     return loss

@@ -1,8 +1,24 @@
-"""Shared test helpers: finite-difference gradient probes and tiny specs."""
+"""Shared test helpers: finite-difference gradient probes, tiny specs and
+the float64 reference path."""
 
 import numpy as np
 
 from lapal import nncore
+
+
+def float64(obj):
+    """Run every ParamTree in `obj` in float64, the reference precision that
+    finite differences and float64 oracles check to tight tolerances.
+
+    `obj` is a tree or a lab object holding trees (an agent, codec,
+    discriminator, policy bundle or decoder-path context). Returns `obj`.
+    """
+    if isinstance(obj, nncore.ParamTree):
+        obj.dtype = np.dtype(np.float64)
+    elif type(obj).__module__.startswith("lapal."):
+        for value in vars(obj).values():
+            float64(value)
+    return obj
 
 
 def fd_loss_gradient(loss_fn, trees, h=1e-5, n_probes=100, seed=0):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_grads_close, fd_loss_gradient
+from conftest import assert_grads_close, fd_loss_gradient, float64
 from lapal import adversary, oracle
 from lapal.adversary import (
     DiscComposition,
@@ -43,7 +43,7 @@ def test_logit_pure_function():
 
 
 def test_logit_matches_straight_line_oracle():
-    d = tiny_disc(3, hidden=(8,))
+    d = float64(tiny_disc(3, hidden=(8,)))
     rng = np.random.default_rng(4)
     s, u = rng.standard_normal((1, 3)), rng.standard_normal((1, 2))
     x = np.concatenate([s, u], axis=1)
@@ -96,7 +96,7 @@ def test_reward_nonnegative_and_finite_fuzz():
 
 
 def test_gradients_match_finite_differences():
-    d = tiny_disc(9, hidden=(12, 12))
+    d = float64(tiny_disc(9, hidden=(12, 12)))
     rng = np.random.default_rng(10)
     expert = (rng.standard_normal((4, 3)), rng.standard_normal((4, 2)))
     agent = (rng.standard_normal((4, 3)), rng.standard_normal((4, 2)))
@@ -110,7 +110,7 @@ def test_gradients_match_finite_differences():
 
 
 def test_input_gradients_match_finite_differences():
-    d = tiny_disc(12, hidden=(10,))
+    d = float64(tiny_disc(12, hidden=(10,)))
     rng = np.random.default_rng(13)
     expert = (rng.standard_normal((3, 3)), rng.standard_normal((3, 2)))
     agent = (rng.standard_normal((3, 3)), rng.standard_normal((3, 2)))
@@ -136,7 +136,7 @@ def test_label_symmetry_one_step():
     agent = (rng.standard_normal((6, 3)), rng.standard_normal((6, 2)))
 
     def one_step(swap):
-        d = tiny_disc(15)
+        d = float64(tiny_disc(15))
         d.tree.layers[-1].w[...] = 0.0
         d.tree.layers[-1].b[...] = 0.0
         a, b = (agent, expert) if swap else (expert, agent)

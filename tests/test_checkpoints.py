@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import float64
 from lapal import adversary, configio, envsim, latentact, orchestrator
 from lapal.errors import CheckpointError
 from lapal.latentact import CVAEConfig
@@ -15,13 +16,22 @@ FEAT = envsim.feature_dim("pointmass")
 FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
 
+def random_demo(n_episodes, rng, boundaries=None):
+    """Random pointmass demo arrays for `n_episodes` fixed-horizon episodes."""
+    spec = envsim.env_spec("pointmass")
+    n = n_episodes * spec.horizon
+    if boundaries is None:
+        boundaries = np.arange(n_episodes) * spec.horizon
+    return envsim.DemoBuffer(
+        "pointmass", spec.digest(), rng.standard_normal((n, 4)), rng.standard_normal((n, 2)),
+        rng.standard_normal((n, 4)), np.zeros(n), rng.standard_normal(n),
+        np.asarray(boundaries))
+
+
 def small_artifacts():
     """One small pointmass object of each kind, with its saver, loader and digest."""
     rng = np.random.default_rng(0)
-    spec = envsim.env_spec("pointmass")
-    demo = envsim.DemoBuffer(
-        "pointmass", spec.digest(), rng.standard_normal((3, 4)), rng.standard_normal((3, 2)),
-        rng.standard_normal((3, 4)), np.zeros(3), rng.standard_normal(3), np.array([0, 2]))
+    demo = random_demo(1, rng)
     codec = latentact.make_codec(
         "pointmass", CVAEConfig(latent_dim=1, encoder_hidden=(3,), decoder_hidden=(3,)), 1)
     disc = adversary.make_discriminator(
@@ -155,3 +165,37 @@ def test_array_shape_that_does_not_fit_the_env_raises(saved):
     configio.write_checkpoint(path, header, {**arrays, "actions": np.zeros((3, 5))})
     with pytest.raises(CheckpointError, match="do not fit"):
         envsim.DemoBuffer.load(path)
+
+
+@pytest.mark.parametrize("n_episodes,boundaries", [
+    (2, [7, 3]), (2, [0]), (2, [0, 59]), (2, [60, 0]), (1, [0, 0]), (1, []),
+])
+def test_demo_episodes_that_are_not_horizon_steps_raise(n_episodes, boundaries, tmp_path):
+    # the file is intact (valid checksum); only its episode layout is wrong
+    random_demo(n_episodes, np.random.default_rng(1), boundaries).save(tmp_path / "d")
+    with pytest.raises(CheckpointError, match="60-step episodes"):
+        envsim.DemoBuffer.load(tmp_path / "d")
+
+
+def test_demo_length_that_is_not_whole_episodes_raises(tmp_path):
+    demo = random_demo(1, np.random.default_rng(2))
+    n = len(demo) - 1
+    for name in ("states", "actions", "next_states", "dones", "rewards"):
+        setattr(demo, name, getattr(demo, name)[:n])
+    demo.save(tmp_path / "d")
+    with pytest.raises(CheckpointError, match="60-step episodes"):
+        envsim.DemoBuffer.load(tmp_path / "d")
+
+
+def test_saved_trees_load_float32_with_the_same_bytes_and_passes(tmp_path):
+    # precision is not part of a checkpoint: a float64 tree saves the same
+    # bytes, and the loaded float32 tree computes what the saved one did
+    codec = ARTIFACTS["codec"][0]
+    latentact.save_codec(tmp_path / "f32", codec)
+    latentact.save_codec(tmp_path / "f64", float64(codec.copy()))
+    assert (tmp_path / "f32").read_bytes() == (tmp_path / "f64").read_bytes()
+    back = latentact.load_codec(tmp_path / "f32")
+    assert back.digest() == codec.digest()
+    assert back.encoder.dtype == back.decoder.dtype == np.float32
+    x = np.random.default_rng(3).standard_normal((5, codec.encoder.spec.input_dim))
+    assert back.encoder.forward(x).tobytes() == codec.encoder.forward(x).tobytes()

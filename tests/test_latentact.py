@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import assert_grads_close, fd_loss_gradient
-from lapal import configio, envsim, latentact
+from conftest import assert_grads_close, fd_loss_gradient, float64
+from lapal import configio, envsim, latentact, nncore
 from lapal.errors import CheckpointError, QualityGateError
 from lapal.latentact import (
     ActionCodec,
@@ -57,6 +57,21 @@ def test_decode_strictly_inside_bounds():
     assert np.all(a > -1.0) and np.all(a < 1.0)
 
 
+def test_float32_decode_strictly_inside_bounds_when_saturated():
+    # pre-activations far past the point where tanh rounds to +-1.0: the
+    # output activation and its cap run in float64, so no action reaches a bound
+    codec = make_codec("arm3", CVAEConfig(latent_dim=2, encoder_hidden=(8,),
+                                          decoder_hidden=(8,)), 4)
+    assert codec.decoder.dtype == np.float32
+    codec.decoder.layers[-1].w *= 1e4
+    feats = envsim.feature_map("arm3", np.stack([envsim.env_reset("arm3", i)
+                                                 for i in range(64)]))
+    z = np.random.default_rng(5).uniform(-1, 1, (64, 2))
+    a = decode(codec, feats, z) / codec.action_high
+    assert a.dtype == np.float64
+    assert np.all(np.abs(a) < 1.0) and np.any(np.abs(a) == nncore.TANH_CAP)
+
+
 def test_zero_decoder_maps_to_bound_midpoint():
     codec = make_codec("arm6", CVAEConfig(latent_dim=4), 0)
     for layer in codec.decoder.layers:
@@ -92,7 +107,7 @@ def test_degenerate_posterior_zero_kl():
 def test_loss_decomposition_matches_straight_line_oracle(pm_demos):
     """Recompute the loss with an independent inline implementation."""
     cfg = CVAEConfig(latent_dim=2, beta=0.05, encoder_hidden=(16,), decoder_hidden=(16,))
-    codec = make_codec("pointmass", cfg, 0)
+    codec = float64(make_codec("pointmass", cfg, 0))
     rng = np.random.default_rng(7)
     S, A = pm_demos.states[:4], pm_demos.actions[:4]
     noise = rng.standard_normal((4, 2))
@@ -121,7 +136,7 @@ def test_loss_decomposition_matches_straight_line_oracle(pm_demos):
 def test_cvae_gradients_match_finite_differences(pm_demos):
     cfg = CVAEConfig(latent_dim=2, beta=0.1, encoder_hidden=(12, 12),
                      decoder_hidden=(12, 12))
-    codec = make_codec("pointmass", cfg, 5)
+    codec = float64(make_codec("pointmass", cfg, 5))
     rng = np.random.default_rng(6)
     S, A = pm_demos.states[:8], pm_demos.actions[:8]
     noise = rng.standard_normal((8, 2))

@@ -3,7 +3,7 @@ import pytest
 
 import outofplace
 import perarray
-from conftest import assert_grads_close, fd_loss_gradient
+from conftest import assert_grads_close, fd_loss_gradient, float64
 from lapal import configio, envsim, nncore
 from lapal.errors import CheckpointError, ConfigError, OptimizerError, StateError
 from lapal.nncore import GaussianDist, MLPSpec, ParamTree
@@ -35,7 +35,7 @@ def test_identity_single_layer():
 
 def test_forward_matches_straight_line_oracle():
     spec = MLPSpec(1, (4,), 2, activation="tanh")
-    tree = ParamTree.init(spec, np.random.default_rng(0))
+    tree = float64(ParamTree.init(spec, np.random.default_rng(0)))
     x = np.array([0.5])
     got = tree.forward(x)
     l0, l1 = tree.layers
@@ -82,7 +82,7 @@ def test_zero_upstream_gives_zero_grads():
 @pytest.mark.parametrize("spec", REPO_SPECS, ids=lambda s: s.canonical())
 def test_gradients_match_finite_differences(spec):
     rng = np.random.default_rng(7)
-    tree = ParamTree.init(spec, rng)
+    tree = float64(ParamTree.init(spec, rng))
     x = rng.standard_normal((8, spec.input_dim))
     proj = rng.standard_normal(spec.output_dim)
 
@@ -98,7 +98,7 @@ def test_gradients_match_finite_differences(spec):
 def test_input_gradient_matches_finite_differences():
     spec = MLPSpec(5, (12, 12), 3, activation="tanh")
     rng = np.random.default_rng(3)
-    tree = ParamTree.init(spec, rng)
+    tree = float64(ParamTree.init(spec, rng))
     x = rng.standard_normal(5)
     proj = rng.standard_normal(3)
     tree.forward(x, record=True)
@@ -313,6 +313,7 @@ def _same(a, b):
 @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: s.canonical())
 def test_kernels_match_out_of_place_oracle(spec, batch, accumulate):
     tree, x, up = _kernel_case(spec, batch, seed=batch)
+    float64(tree)
     tree.grads[...] = np.random.default_rng(5).standard_normal(tree.grads.size)
     ref = outofplace.Net(tree)
     for xs, ups in ((x, up), (x[0], up[0])):
@@ -322,9 +323,30 @@ def test_kernels_match_out_of_place_oracle(spec, batch, accumulate):
         assert _same(l.gw, r.gw) and _same(l.gb, r.gb)
 
 
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+@pytest.mark.parametrize("batch", [1, 128])
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: s.canonical())
+def test_skipped_input_gradient_keeps_parameter_gradients(spec, batch, precision):
+    tree, x, up = _kernel_case(spec, batch, seed=batch)
+    if precision == "float64":
+        float64(tree)
+    twin, ref = tree.copy(), outofplace.Net(tree)
+    tree.forward(x, record=True)
+    assert tree.backward(up, input_grad=False) is None
+    twin.forward(x, record=True)
+    twin.backward(up)
+    assert _same(tree.grads, twin.grads)
+    if precision == "float64":
+        ref.forward(x, record=True)
+        ref.backward(up)
+        assert _same(tree.grads, np.concatenate(
+            [r for l in ref.layers for r in (l.gw.ravel(), l.gb)]))
+
+
 @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: s.canonical())
 def test_forward_matches_oracle_on_nonfinite_rows(spec):
     tree, x, _ = _kernel_case(spec, 8, seed=3)
+    float64(tree)
     x[2, 1] = np.inf
     x[3, 0] = -np.inf
     x[4, -1] = np.nan
@@ -341,7 +363,8 @@ def test_forward_matches_oracle_on_nonfinite_rows(spec):
 def test_activations_match_oracle_on_special_values(act, out_act):
     # 1-1-1 network with unit weights and -0.0 biases, so the special values
     # reach the hidden activation (the matmul turns a -0.0 input into +0.0)
-    tree = ParamTree.zeros(MLPSpec(1, (1,), 1, activation=act, output_activation=out_act))
+    tree = float64(ParamTree.zeros(MLPSpec(1, (1,), 1, activation=act,
+                                           output_activation=out_act)))
     for l in tree.layers:
         l.w[...] = 1.0
         l.b[...] = -0.0
@@ -367,6 +390,48 @@ def test_kernels_leave_inputs_and_tape_alone(spec):
     assert _same(x, x_before) and _same(up, up_before)
     twin.forward(x, record=True)
     assert _same(dx, twin.backward(up)) and _same(tree.grads, twin.grads)
+
+
+# float32 passes against the float64 reference: every entry of the output,
+# the input gradient and the accumulated parameter gradients lies within
+# F32_RTOL of the float64 value, relative to the largest magnitude in its array
+# (measured: at most 5e-7)
+F32_RTOL = 1e-4
+
+
+def _scaled_close(got, ref):
+    np.testing.assert_allclose(got, ref, rtol=0, atol=F32_RTOL * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("batch", [1, 128])
+@pytest.mark.parametrize("case", [pytest.param(s, id=s.canonical()) for s in REPO_SPECS]
+                         + ["critic", "actor", "encoder", "decoder", "discriminator"])
+def test_float32_passes_match_float64_reference(case, batch):
+    rng = np.random.default_rng(batch)
+    tree = _trees_in_use()[case] if isinstance(case, str) else ParamTree.init(case, rng)
+    assert tree.dtype == np.float32
+    tree.params += 0.1 * rng.standard_normal(tree.params.size)  # non-zero biases
+    tree.grads[...] = rng.standard_normal(tree.grads.size)
+    ref = float64(tree.copy())
+    x = rng.standard_normal((batch, tree.spec.input_dim))
+    up = rng.standard_normal((batch, tree.spec.output_dim))
+    y, y_ref = tree.forward(x, record=True), ref.forward(x, record=True)
+    dx, dx_ref = tree.backward(up), ref.backward(up)
+    assert y.dtype == dx.dtype == tree.grads.dtype == np.float64
+    for got, want in ((y, y_ref), (dx, dx_ref), (tree.grads, ref.grads)):
+        _scaled_close(got, want)
+    assert tree.params.tobytes() == ref.params.tobytes()
+
+
+def test_float32_backward_uses_the_weights_of_its_forward():
+    tree = ParamTree.init(MLPSpec(3, (8,), 2), np.random.default_rng(0))
+    twin = tree.copy()
+    x, up = np.ones((4, 3)), np.ones((4, 2))
+    tree.forward(x, record=True)
+    tree.params *= 2.0  # a write between the passes (an Adam or Polyak step),
+    tree.forward(x)  # then a forward on the new weights while the tape is pending
+    twin.forward(x, record=True)
+    assert _same(tree.backward(up), twin.backward(up)) and _same(tree.grads, twin.grads)
 
 
 def test_forward_backward_accept_array_likes():

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import assert_grads_close, fd_loss_gradient
+from conftest import assert_grads_close, fd_loss_gradient, float64
 from lapal import adversary, envsim, latentact, orchestrator, sacgen
 from lapal.errors import CheckpointError, ConfigError, DivergenceError
 from lapal.latentact import CVAEConfig, train_codec
@@ -106,6 +106,35 @@ def test_algo_codec_pairing_validated(pm_demos, pm_codec):
 def test_unknown_algo_rejected():
     with pytest.raises(ConfigError):
         small_run_cfg("bc")
+
+
+def test_agnostic_mode_needs_the_codec_warm_start():
+    # the agnostic mode freezes its codec: from scratch it would freeze a random one
+    with pytest.raises(ConfigError, match="warm start"):
+        small_run_cfg("lapal-agnostic", codec_warm_start=False)
+    small_run_cfg("lapal-aware", codec_warm_start=False)
+
+
+def test_aware_from_scratch_trains_on_arm3(env_inputs):
+    """The online task-aware codec: lapal-aware with a freshly initialized
+    codec in place of the pretrained one."""
+    demos, codec = env_inputs("arm3")
+
+    def run():
+        res = run_training(env_run_cfg("lapal-aware", "arm3", codec_warm_start=False),
+                           SMALL_SAC, demos, codec=codec, seed=21)
+        assert len(res.curve) == 3
+        assert all(np.isfinite(r.mean_eval_return) and np.isfinite(r.recon_mse)
+                   for r in res.curve)
+        assert res.codec.encoder.digest() != codec.encoder.digest()
+        assert not res.codec.frozen
+        return curve_to_csv(res.curve), res.bundle.digest()
+
+    first = run()
+    assert run() == first
+    warm = run_training(env_run_cfg("lapal-aware", "arm3"), SMALL_SAC, demos,
+                        codec=codec, seed=21)
+    assert warm.bundle.digest() != first[1]
 
 
 def test_emitted_latents_flag_scoped():
@@ -286,9 +315,9 @@ def check_aware_encoder_gradient_on_arm_features(sample_encoding):
     discriminator's input gradient, on arm3's 15 feature columns."""
     cvae_cfg = CVAEConfig(latent_dim=2, encoder_hidden=(12, 12), decoder_hidden=(12, 12),
                           sample_encoding=sample_encoding)
-    codec = latentact.make_codec("arm3", cvae_cfg, 50)
-    disc = adversary.make_discriminator(
-        adversary.DiscComposition("arm3", "latent", 15, 2, codec.digest()), (12, 12), 51)
+    codec = float64(latentact.make_codec("arm3", cvae_cfg, 50))
+    disc = float64(adversary.make_discriminator(
+        adversary.DiscComposition("arm3", "latent", 15, 2, codec.digest()), (12, 12), 51))
     rng = np.random.default_rng(52)
     feats = envsim.feature_map("arm3", np.stack([envsim.env_reset("arm3", i)
                                                  for i in range(8)]))

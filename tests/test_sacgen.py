@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import assert_grads_close, fd_loss_gradient
+from conftest import assert_grads_close, fd_loss_gradient, float64
 from lapal import envsim, latentact, sacgen
 from lapal.errors import StateError
 from lapal.sacgen import (
@@ -173,8 +173,8 @@ def test_critic_fixed_point_matches_scalar_oracle():
 
 
 def test_actor_gradients_match_finite_differences():
-    agent = small_agent(13, state_dim=3, u_dim=2,
-                        cfg=SacConfig(actor_hidden=(10, 10), critic_hidden=(10, 10)))
+    agent = float64(small_agent(13, state_dim=3, u_dim=2,
+                                cfg=SacConfig(actor_hidden=(10, 10), critic_hidden=(10, 10))))
     rng = np.random.default_rng(14)
     states = rng.standard_normal((2, 3))
     eps = rng.standard_normal((2, 2))
@@ -301,10 +301,10 @@ def test_decoder_path_gradient_on_arm_features():
     from lapal import adversary
     from lapal.latentact import CVAEConfig, make_codec
 
-    codec = make_codec("arm3", CVAEConfig(latent_dim=2, encoder_hidden=(12, 12),
-                                          decoder_hidden=(12, 12)), 40)
-    disc = adversary.make_discriminator(
-        adversary.DiscComposition("arm3", "latent", 15, 2, codec.digest()), (12, 12), 41)
+    codec = float64(make_codec("arm3", CVAEConfig(latent_dim=2, encoder_hidden=(12, 12),
+                                                  decoder_hidden=(12, 12)), 40))
+    disc = float64(adversary.make_discriminator(
+        adversary.DiscComposition("arm3", "latent", 15, 2, codec.digest()), (12, 12), 41))
     rng = np.random.default_rng(42)
     states = np.stack([envsim.env_reset("arm3", i) for i in range(6)])
     feats = envsim.feature_map("arm3", states)
