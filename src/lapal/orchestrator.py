@@ -11,9 +11,9 @@ on a fixed set of fresh episodes. Three algorithms share the loop:
                    ascent and the decoder joins the generator descent
 
 Raw env states stop at the env boundary: every network consumes state
-features, and each state is featurized once. The collection loop featurizes
-each new state once, the replay buffer stores the features of s and s', and
-the demos are featurized once per run.
+features, and each state is featurized once. Collection featurizes each new
+state once, the replay buffer stores the features of s and s', and the demos
+are featurized once per run.
 
 Latent actions attached to stored transitions are re-encoded from the raw
 buffer action with the current encoder (never cached, unless
@@ -33,7 +33,9 @@ list of episode seeds; the random reference draws each episode's action
 stream from its own sub-stream, in the order a one-episode-at-a-time loop
 would. Batched matrix products may round differently from one row: returns
 agree with such a loop to 1e-12 with float64 networks, to a relative 1e-6
-with the default float32 ones. Collection in `run_training` steps one row.
+with the default float32 ones. Collection in `run_training` runs in lockstep
+too: an iteration's episode segments step together, drawing the same random
+numbers and filling the buffer in the same order as a one-step loop would.
 """
 
 from __future__ import annotations
@@ -80,6 +82,11 @@ class RunConfig:
     def __post_init__(self):
         if self.algo not in ALGOS:
             raise ConfigError(f"unknown algo {self.algo!r}; expected one of {ALGOS}")
+        if min(self.total_env_steps, self.steps_per_iteration, self.eval_every,
+               self.eval_episodes) < 1:
+            raise ConfigError("step budgets and evaluation episodes must be positive")
+        if min(self.disc_updates_per_iteration, self.gen_updates_per_iteration) < 0:
+            raise ConfigError("update counts must not be negative")
         if self.eval_every % self.steps_per_iteration != 0:
             raise ConfigError("eval_every must be a multiple of steps_per_iteration")
         if not self.codec_warm_start and self.algo == "lapal-agnostic":
@@ -274,8 +281,7 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
                                     cfg.eval_episodes, eval_seed)
     bundle = PolicyBundle(cfg.env_id, "latent" if cfg.latent else "raw",
                           agent.actor, u_dim, run_codec)
-    featurize = lambda S: envsim.feature_map(cfg.env_id, S)
-    demo_feats = featurize(demos.states)
+    demo_feats = envsim.feature_map(cfg.env_id, demos.states)
     recon_probe = _recon_probe(demo_feats, demos.actions, batch_rng) if cfg.latent else None
 
     def reward_fn(states, u):
@@ -290,27 +296,15 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
 
     curve: list = []
     state = envsim.env_reset(cfg.env_id, act_rng)
-    feats = featurize(state)
     ep_t = 0
     steps = 0
     last = {"disc": float("nan"), "actor": float("nan"), "critic": float("nan"),
             "alpha": agent.alpha, "entropy": float("nan")}
     iteration = 0
     while steps < cfg.total_env_steps:
-        for _ in range(min(cfg.steps_per_iteration, cfg.total_env_steps - steps)):
-            u = sacgen.act(agent, feats, deterministic=False, rng=act_rng)
-            action = (latentact.decode(run_codec, feats, u) if cfg.latent
-                      else u * spec.action_high)
-            state, _ = envsim.env_step(cfg.env_id, state, action)
-            next_feats = featurize(state)
-            buf.push(feats, action, next_feats, u)
-            feats = next_feats
-            ep_t += 1
-            if ep_t >= spec.horizon:
-                state = envsim.env_reset(cfg.env_id, act_rng)
-                feats = featurize(state)
-                ep_t = 0
-            steps += 1
+        n = min(cfg.steps_per_iteration, cfg.total_env_steps - steps)
+        state, ep_t = _collect(cfg.env_id, agent, run_codec, buf, state, ep_t, n, act_rng)
+        steps += n
 
         if len(buf) >= sac_cfg.batch_size:
             dl = al = cl = en = 0.0
@@ -374,6 +368,37 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
     return RunResult(curve=curve, bundle=bundle, discriminator=disc,
                      codec=run_codec, expert_return=expert_ret,
                      random_return=random_ret, env_steps=steps)
+
+
+def _collect(env_id, agent, codec, buf, state, ep_t, n, rng):
+    """Push the current policy's next `n` transitions into `buf`; returns the
+    (state, ep_t) to go on from. The rest of this episode, whole episodes and
+    the next one's start step in lockstep, rows dropping out at their end;
+    `rng` and `buf` see each segment's noise, reset and rows in one-step order."""
+    spec = envsim.env_spec(env_id)
+    lengths, noise, starts = [], [], [state]
+    while n > 0:
+        lengths.append(min(spec.horizon - ep_t, n))
+        noise.append(rng.standard_normal((lengths[-1], agent.u_dim)))
+        n, ep_t = n - lengths[-1], (ep_t + lengths[-1]) % spec.horizon
+        if ep_t == 0:
+            starts.append(envsim.env_reset(env_id, rng))
+    k, lengths = len(lengths), np.array(lengths)
+    rows = np.arange(lengths.max()) < lengths[:, None]    # (segment, timestep) cells
+    S = np.stack(starts[:k])
+    F = np.empty((k, rows.shape[1] + 1, envsim.feature_dim(env_id)))
+    A = np.empty(rows.shape + (spec.action_dim,))
+    U = np.empty(rows.shape + (agent.u_dim,))
+    U[rows] = np.concatenate(noise)       # a cell's noise, until its action replaces it
+    F[:, 0] = envsim.feature_map(env_id, S)
+    for t, live in enumerate(rows.T):
+        f = F[live, t]
+        U[live, t] = u = sacgen.act(agent, f, deterministic=False, noise=U[live, t])
+        A[live, t] = a = latentact.decode(codec, f, u) if codec else u * spec.action_high
+        S[live], _ = envsim.step_batch(env_id, S[live], a)
+        F[live, t + 1] = envsim.feature_map(env_id, S[live])
+    buf.push(F[:, :-1][rows], A[rows], F[:, 1:][rows], U[rows])
+    return (starts[k] if len(starts) > k else S[-1]), ep_t
 
 
 def _recon_probe(feats, actions, rng, n=512):

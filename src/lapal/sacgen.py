@@ -102,13 +102,14 @@ def actor_dist(agent: SacAgent, states):
     return dist
 
 
-def act(agent: SacAgent, state, deterministic: bool, rng=None) -> np.ndarray:
-    dist = actor_dist(agent, state)
-    if deterministic:
-        return squash(dist.mean)[0]
-    if rng is None:
-        raise ConfigError("stochastic action needs an rng")
-    return squash(dist.sample(rng.standard_normal(dist.mean.shape)))[0]
+def act(agent: SacAgent, feats, deterministic: bool, noise=None) -> np.ndarray:
+    """Squashed actions for one feature row or (N, feat_dim) rows; stochastic
+    ones reparameterize the caller's standard-normal `noise`, one row each."""
+    if not deterministic and noise is None:
+        raise ConfigError("stochastic action needs noise")
+    dist = actor_dist(agent, feats)
+    u = squash(dist.mean if deterministic else dist.sample(np.atleast_2d(noise)))
+    return u[0] if np.ndim(feats) == 1 else u
 
 
 def sample_with_log_prob(agent: SacAgent, states, rng, record: bool = False):
@@ -135,6 +136,7 @@ class ReplayBuffer:
     """FIFO ring over (features, raw action, next features); no rewards.
 
     With `latent_dim` > 0 it also keeps the latent the policy emitted.
+    Collection writes each iteration's transitions in one `push`.
     """
 
     def __init__(self, capacity: int, feat_dim: int, action_dim: int, latent_dim: int = 0):
@@ -151,15 +153,18 @@ class ReplayBuffer:
     def __len__(self):
         return self.size
 
-    def push(self, feats, action, next_feats, latent=None) -> None:
-        i = self.cursor
-        self.states[i] = feats
-        self.actions[i] = action
-        self.next_states[i] = next_feats
-        if self.latents is not None:
-            self.latents[i] = latent
-        self.cursor = (i + 1) % self.capacity
-        self.size = min(self.size + 1, self.capacity)
+    def push(self, feats, actions, next_feats, latents=None) -> None:
+        """Append one transition, or k as (k, d) rows in order; the ring keeps
+        the last `capacity` rows, as k one-row pushes would."""
+        k = len(np.atleast_2d(feats))
+        kept = min(k, self.capacity)
+        idx = (self.cursor + k - kept + np.arange(kept)) % self.capacity
+        for col, rows in ((self.states, feats), (self.actions, actions),
+                          (self.next_states, next_feats), (self.latents, latents)):
+            if col is not None:
+                col[idx] = np.atleast_2d(rows)[k - kept:]
+        self.cursor = (self.cursor + k) % self.capacity
+        self.size = min(self.size + k, self.capacity)
 
     def sample(self, rng: np.random.Generator, n: int) -> BufferBatch:
         if self.size == 0:

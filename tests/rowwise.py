@@ -2,8 +2,9 @@
 
 This is the rollout code the lockstep paths replaced, kept as the oracle the
 tests compare them with: per-row kinematics, physics, scripted expert, demo
-collection and evaluation. Batched matrix products and row reductions may
-round differently in the last ulp, so the comparison tolerance is 1e-12.
+collection, evaluation and the collection step of training. Batched matrix
+products and row reductions may round differently in the last ulp, so the
+comparison tolerance is 1e-12.
 """
 
 import math
@@ -185,3 +186,25 @@ def collect_demos(env_id, n_episodes, seed, jitter=None):
         successes += ep["settle_dist"] <= env.params.success_tol
         episodes.append(ep)
     return episodes, successes / n_episodes
+
+
+def collect(env_id, agent, codec, buf, state, ep_t, n, rng):
+    """The one-step collection loop: push the next `n` transitions of the
+    current policy into `buf` one row at a time. Returns (state, ep_t)."""
+    spec = envsim.env_spec(env_id)
+    feats = envsim.feature_map(env_id, state)
+    for _ in range(n):
+        dist = sacgen.actor_dist(agent, feats)
+        u = sacgen.squash(dist.sample(rng.standard_normal(dist.mean.shape)))[0]
+        action = (latentact.decode(codec, feats, u) if codec is not None
+                  else u * spec.action_high)
+        state, _ = envsim.env_step(env_id, state, action)
+        next_feats = envsim.feature_map(env_id, state)
+        buf.push(feats, action, next_feats, u)
+        feats = next_feats
+        ep_t += 1
+        if ep_t >= spec.horizon:
+            state = env_reset(env_id, rng)
+            feats = envsim.feature_map(env_id, state)
+            ep_t = 0
+    return state, ep_t

@@ -7,7 +7,7 @@ import pytest
 
 import rowwise
 from conftest import float64
-from lapal import envsim, latentact
+from lapal import envsim, latentact, orchestrator
 from lapal.envsim import JitterConfig, env_def, env_reset, env_spec, env_step, step_batch
 from lapal.errors import ConfigError, QualityGateError
 from lapal.nncore import MLPSpec, ParamTree
@@ -18,6 +18,7 @@ from lapal.orchestrator import (
     _child_seq,
     evaluate_policy,
 )
+from lapal.sacgen import ReplayBuffer, SacAgent, SacConfig
 
 ENVS = ["pointmass", "arm2", "arm3", "arm3-perturbed"]
 TOL = 1e-12
@@ -197,6 +198,91 @@ def test_quality_gate_verdict_matches_per_row_oracle():
     assert rate < 0.9
     with pytest.raises(QualityGateError, match=f"only {rate:.0%} of 6"):
         envsim.collect_demos("arm3", n_episodes=6, seed=0, jitter=wild)
+
+
+# (ep_t, n, capacity, rows already in the buffer), with H the env's horizon
+COLLECTIONS = {
+    "inside-episode": lambda H: (10, 30, 1000, 0),
+    "whole-episodes": lambda H: (0, 2 * H, 1000, 0),
+    "ragged-both-ends": lambda H: (37, 2 * H + 20, 1000, 0),
+    "last-step": lambda H: (H - 1, 1, 1000, 0),
+    "crosses-wrap": lambda H: (37, H + 20, 2 * H, H + 50),
+    "over-capacity": lambda H: (37, 2 * H + 20, H + 50, 30),
+}
+
+
+def collection_pair(env_id, kind, case, emitted=False, f64=True):
+    """Lockstep and per-row collection of the same transitions from the same
+    state, agent and random stream: (buffer, state, ep_t, rng state) each."""
+    spec = env_spec(env_id)
+    ep_t, n, capacity, filled = COLLECTIONS[case](spec.horizon)
+    feat_dim = envsim.feature_dim(env_id)
+    codec = None
+    u_dim = spec.action_dim
+    if kind == "latent":
+        u_dim = 1 if env_id == "pointmass" else 2
+        codec = latentact.make_codec(env_id, latentact.CVAEConfig(latent_dim=u_dim), 20)
+    agent = SacAgent(feat_dim, u_dim, SacConfig(actor_hidden=(32, 32), critic_hidden=(8, 8)), 21)
+    if f64:
+        float64(agent)
+        float64(codec)
+    state, _ = step_batch(env_id, env_reset(env_id, 22)[None], np.ones((1, spec.action_dim)))
+    out = []
+    for collect in (orchestrator._collect, rowwise.collect):
+        buf = ReplayBuffer(capacity, feat_dim, spec.action_dim, u_dim if emitted else 0)
+        prefill = np.random.default_rng(23)
+        for _ in range(filled):
+            buf.push(*(prefill.standard_normal(d)
+                       for d in (feat_dim, spec.action_dim, feat_dim, u_dim)))
+        rng = np.random.default_rng(24)
+        out.append((buf, *collect(env_id, agent, codec, buf, state[0], ep_t, n, rng),
+                    rng.bit_generator.state))
+    return out
+
+
+def buffer_arrays(buf):
+    names = ("states", "actions", "next_states") + (("latents",) if buf.latents is not None
+                                                    else ())
+    return {name: getattr(buf, name)[: buf.size] for name in names}
+
+
+def assert_collections_match(pair, close):
+    (buf, state, ep_t, rng_state), (ref, ref_state, ref_ep_t, ref_rng_state) = pair
+    assert rng_state == ref_rng_state
+    assert (ep_t, buf.cursor, buf.size) == (ref_ep_t, ref.cursor, ref.size)
+    close(state, ref_state)
+    ours, theirs = buffer_arrays(buf), buffer_arrays(ref)
+    for name in theirs:
+        close(ours[name], theirs[name])
+
+
+def f64_close(x, y):
+    np.testing.assert_allclose(x, y, rtol=0, atol=TOL)
+
+
+def f32_close(x, y):
+    assert np.max(np.abs(x - y)) <= F32_RTOL * np.max(np.abs(y))
+
+
+@pytest.mark.parametrize("case", list(COLLECTIONS))
+@pytest.mark.parametrize("kind", ["raw", "latent"])
+@pytest.mark.parametrize("env_id", ["pointmass", "arm3"])
+def test_lockstep_collection_matches_per_row_oracle(env_id, kind, case):
+    assert_collections_match(collection_pair(env_id, kind, case), f64_close)
+
+
+@pytest.mark.parametrize("env_id", ["pointmass", "arm3"])
+def test_lockstep_collection_keeps_emitted_latents(env_id):
+    pair = collection_pair(env_id, "latent", "ragged-both-ends", emitted=True)
+    assert pair[0][0].latents is not None
+    assert_collections_match(pair, f64_close)
+
+
+@pytest.mark.parametrize("kind", ["raw", "latent"])
+@pytest.mark.parametrize("env_id", ["pointmass", "arm3"])
+def test_float32_lockstep_collection_close_to_per_row(env_id, kind):
+    assert_collections_match(collection_pair(env_id, kind, "ragged-both-ends", f64=False),
+                             f32_close)
 
 
 @pytest.fixture(autouse=True)

@@ -85,11 +85,24 @@ def demos_digest(demos):
     return h.hexdigest()
 
 
-def test_zero_budget_returns_empty_curve(pm_demos):
-    cfg = small_run_cfg("gail", total_env_steps=0)
-    res = run_training(cfg, SMALL_SAC, pm_demos, seed=0)
-    assert res.curve == []
-    assert res.bundle.kind == "raw"
+@pytest.mark.parametrize("field,value", [
+    ("total_env_steps", 0), ("total_env_steps", -600), ("steps_per_iteration", 0),
+    ("steps_per_iteration", -50), ("eval_every", 0), ("eval_every", -200),
+    ("eval_episodes", 0), ("disc_updates_per_iteration", -1),
+    ("gen_updates_per_iteration", -1),
+])
+def test_run_config_rejects_non_positive_budgets(field, value):
+    with pytest.raises(ConfigError, match="positive|negative"):
+        small_run_cfg("gail", **{field: value})
+
+
+def test_zero_update_counts_only_collect(pm_demos):
+    cfg = small_run_cfg("gail", disc_updates_per_iteration=0, gen_updates_per_iteration=0)
+    trace = []
+    res = run_training(cfg, SMALL_SAC, pm_demos, seed=0, on_iteration=trace.append)
+    assert [r["buffer_size"] for r in trace] == [200, 400, 600]
+    assert len({r["actor_digest"] for r in trace}) == 1
+    assert res.env_steps == 600 and len(res.curve) == 3
 
 
 def test_algo_codec_pairing_validated(pm_demos, pm_codec):
@@ -290,6 +303,27 @@ def test_run_training_deterministic(algo, env_id, env_inputs):
     assert run() == run()
 
 
+@pytest.mark.parametrize("env_id", ENVS)
+@pytest.mark.parametrize("algo", ALGOS)
+def test_run_training_deterministic_with_ragged_segments(algo, env_id, env_inputs):
+    """Iterations that are not a multiple of the horizon start and end
+    collection inside an episode."""
+    demos, codec = env_inputs(env_id)
+    spi = 97 if env_id == "pointmass" else 177     # horizon 60 or 140, plus 37
+    cfg = small_run_cfg(algo, env_id=env_id, total_env_steps=2 * spi,
+                        steps_per_iteration=spi, eval_every=2 * spi, eval_episodes=2,
+                        disc_updates_per_iteration=5, gen_updates_per_iteration=10)
+
+    def run():
+        trace = []
+        res = run_training(cfg, SMALL_SAC, demos, codec=codec if algo != "gail" else None,
+                           seed=24, on_iteration=trace.append)
+        assert [r["buffer_size"] for r in trace] == [spi, 2 * spi]
+        return curve_to_csv(res.curve), res.bundle.digest(), trace
+
+    assert run() == run()
+
+
 def test_transfer_identity_and_validation(pm_demos, pm_codec):
     res = run_training(small_run_cfg("lapal-agnostic"), SMALL_SAC, pm_demos,
                        codec=pm_codec, seed=9)
@@ -351,29 +385,42 @@ def test_sampled_aware_disc_step_encoder_gradient_on_arm_features():
 
 
 def test_buffer_holds_features_of_stepped_states(monkeypatch, env_inputs):
-    """Features computed once per state, one row at a time, equal the
+    """Features computed once per state as collection steps equal the
     features of the same states computed as one batch, bit for bit."""
     demos, codec = env_inputs("arm3")
-    stepped, pushed = [], []
-    env_step, push = envsim.env_step, sacgen.ReplayBuffer.push
+    stepped, pushed, evaluating = [], [], []
+    step_batch, push = envsim.step_batch, sacgen.ReplayBuffer.push
+    evaluate = orchestrator.evaluate_policy
 
-    def recording_step(env_id, state, action):
-        nxt, reward = env_step(env_id, state, action)
-        stepped.append((state, nxt))
-        return nxt, reward
+    def recording_step(env_id, states, actions):
+        nxt, rewards = step_batch(env_id, states, actions)
+        if not evaluating:
+            stepped.extend(zip(np.copy(states), nxt))
+        return nxt, rewards
 
-    def recording_push(buf, feats, action, next_feats, latent=None):
-        pushed.append((np.copy(feats), np.copy(next_feats)))
-        push(buf, feats, action, next_feats, latent)
+    def recording_push(buf, feats, actions, next_feats, latents=None):
+        pushed.extend(zip(np.copy(feats), np.copy(next_feats)))
+        push(buf, feats, actions, next_feats, latents)
 
-    monkeypatch.setattr(envsim, "env_step", recording_step)
+    def flagged_evaluate(*args, **kwargs):
+        evaluating.append(True)
+        try:
+            return evaluate(*args, **kwargs)
+        finally:
+            evaluating.pop()
+
+    monkeypatch.setattr(envsim, "step_batch", recording_step)
     monkeypatch.setattr(sacgen.ReplayBuffer, "push", recording_push)
+    monkeypatch.setattr(orchestrator, "evaluate_policy", flagged_evaluate)
     run_training(env_run_cfg("lapal-agnostic", "arm3"), SMALL_SAC, demos, codec=codec,
                  seed=13)
     assert len(stepped) == len(pushed) == 300
+    # collection steps rows timestep by timestep and pushes them segment by
+    # segment, so compare the two sides as multisets of rows
     for col in (0, 1):
         batch = envsim.feature_map("arm3", np.array([p[col] for p in stepped]))
-        assert np.array([p[col] for p in pushed]).tobytes() == batch.tobytes()
+        assert (sorted(row.tobytes() for row in batch)
+                == sorted(p[col].tobytes() for p in pushed))
     idx = np.random.default_rng(14).integers(0, len(demos), 64)
     assert (envsim.feature_map("arm3", demos.states)[idx].tobytes()
             == envsim.feature_map("arm3", demos.states[idx]).tobytes())

@@ -4,7 +4,7 @@ import scipy.stats
 
 from conftest import assert_grads_close, fd_loss_gradient, float64
 from lapal import envsim, latentact, sacgen
-from lapal.errors import StateError
+from lapal.errors import ConfigError, StateError
 from lapal.sacgen import (
     ReplayBuffer,
     SacAgent,
@@ -45,6 +45,23 @@ def test_actions_strictly_inside_box_fuzz():
     assert np.all(det > -1.0) and np.all(det < 1.0)
 
 
+def test_act_rows_match_one_row_calls():
+    agent = float64(small_agent(8))
+    rng = np.random.default_rng(9)
+    feats, noise = rng.standard_normal((6, 4)), rng.standard_normal((6, 2))
+    for deterministic in (True, False):
+        rows = act(agent, feats, deterministic, noise)
+        assert rows.shape == (6, 2)
+        for i in range(6):
+            np.testing.assert_allclose(rows[i], act(agent, feats[i], deterministic, noise[i]),
+                                       rtol=0, atol=1e-12)
+    dist = actor_dist(agent, feats)
+    np.testing.assert_array_equal(act(agent, feats, False, noise),
+                                  sacgen.squash(dist.mean + dist.std * noise))
+    with pytest.raises(ConfigError, match="noise"):
+        act(agent, feats, False)
+
+
 def test_log_prob_matches_cdf_difference_oracle():
     """For a 1-D actor the squashed density must equal the numerical
     derivative of P(tanh(Z) <= u) with Z ~ N(mean, std)."""
@@ -83,6 +100,33 @@ def test_buffer_fifo_eviction():
         buf.push([v], [v], [v])
     assert len(buf) == 2
     assert set(buf.states[:2, 0]) == {3.0, 2.0}
+
+
+@pytest.mark.parametrize("capacity,filled,k", [
+    pytest.param(16, 3, 9, id="inside"),
+    pytest.param(16, 11, 9, id="crosses-wrap"),
+    pytest.param(16, 16, 16, id="full-ring"),
+    pytest.param(16, 5, 37, id="k-over-capacity"),
+])
+@pytest.mark.parametrize("latent_dim", [0, 2])
+def test_batch_push_equals_one_row_pushes(capacity, filled, k, latent_dim):
+    rng = np.random.default_rng(capacity + filled + k)
+    rows = [rng.standard_normal((filled + k, d)) for d in (3, 2, 3, latent_dim or 1)]
+    one, batch = (ReplayBuffer(capacity, 3, 2, latent_dim) for _ in range(2))
+    for buf in (one, batch):
+        for i in range(filled):
+            buf.push(*[r[i] for r in rows])
+    for i in range(filled, filled + k):
+        one.push(*[r[i] for r in rows])
+    batch.push(*[r[filled:] for r in rows])
+    assert (batch.cursor, batch.size) == (one.cursor, one.size)
+    assert one.size == min(filled + k, capacity)
+    for name in ("states", "actions", "next_states") + (("latents",) if latent_dim else ()):
+        got, want = getattr(batch, name)[: one.size], getattr(one, name)[: one.size]
+        assert got.tobytes() == want.tobytes(), name
+    if k >= capacity:  # the last `capacity` rows survive
+        kept = np.roll(rows[0][-capacity:], batch.cursor, axis=0)
+        assert batch.states.tobytes() == kept.tobytes()
 
 
 def test_buffer_sample_membership():
