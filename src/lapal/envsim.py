@@ -37,7 +37,7 @@ import functools
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -604,7 +604,7 @@ def collect_demos(env_id: str, n_episodes: int = 64, seed: int = 0,
         return tau
 
     eps = rollout_episodes(env_id, act, rngs)
-    rate = np.count_nonzero(eps["settle_dist"] <= _success_tol(env)) / n_episodes
+    rate = np.count_nonzero(eps["settle_dist"] <= env.params.success_tol) / n_episodes
     buffer = DemoBuffer(
         env_id=env_id,
         env_digest=spec.digest(),
@@ -617,39 +617,7 @@ def collect_demos(env_id: str, n_episodes: int = 64, seed: int = 0,
     )
     if rate < min_success_rate:
         raise QualityGateError(
-            f"{env_id}: expert settled within {_success_tol(env)} of the goal in "
+            f"{env_id}: expert settled within {env.params.success_tol} of the goal in "
             f"only {rate:.0%} of {n_episodes} episodes (need {min_success_rate:.0%})"
         )
     return buffer
-
-
-def _success_tol(env: EnvDef) -> float:
-    return env.params.success_tol
-
-
-def demo_summary(buffer: DemoBuffer, jitter: JitterConfig | None = None,
-                 reference: dict | None = None) -> str:
-    """Human-readable sidecar text for a saved demo file."""
-    returns = buffer.episode_returns()
-    lines = [
-        f"env: {buffer.env_id}",
-        f"episodes: {buffer.n_episodes}",
-        f"transitions: {len(buffer)}",
-        f"env_digest: {buffer.env_digest}",
-        f"mean_episode_return: {np.mean(returns):.6f}",
-        f"std_episode_return: {np.std(returns):.6f}",
-        f"min_episode_return: {np.min(returns):.6f}",
-        f"max_episode_return: {np.max(returns):.6f}",
-    ]
-    if jitter is not None:
-        lines.append(
-            f"jitter: ou_sigma={jitter.ou_sigma} ou_tau={jitter.ou_tau} "
-            f"gain_scale={jitter.gain_scale_range[0]}..{jitter.gain_scale_range[1]}"
-        )
-    if reference is not None:
-        for key in sorted(reference):
-            lines.append(f"{key}: {reference[key]:.6f}")
-    lines.append("quality_gate: PASS")
-    lines.append("episode_returns:")
-    lines.extend(f"  {r:.6f}" for r in returns)
-    return "\n".join(lines) + "\n"

@@ -19,6 +19,7 @@ single reparameterized sample, on expert demonstrations only.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import warnings
 from dataclasses import asdict, dataclass
@@ -29,6 +30,8 @@ from . import envsim
 from .configio import read_checkpoint, write_checkpoint
 from .errors import CheckpointError, ConfigError, QualityGateError, StateError
 from .nncore import (
+    LOG_STD_MAX,
+    LOG_STD_MIN,
     GaussianDist,
     MLPSpec,
     ParamTree,
@@ -84,14 +87,15 @@ class ActionCodec:
     decoder: ParamTree
     config: CVAEConfig
     env_id: str
-    state_dim: int
-    action_dim: int
-    action_high: np.ndarray
     frozen: bool = False
 
     @property
     def feat_dim(self) -> int:
         return envsim.feature_dim(self.env_id)
+
+    @functools.cached_property
+    def action_high(self) -> np.ndarray:
+        return envsim.env_spec(self.env_id).action_high
 
     @property
     def latent_dim(self) -> int:
@@ -105,12 +109,8 @@ class ActionCodec:
         return h.hexdigest()
 
     def copy(self, frozen: bool | None = None) -> "ActionCodec":
-        return ActionCodec(
-            encoder=self.encoder.copy(), decoder=self.decoder.copy(),
-            config=self.config, env_id=self.env_id, state_dim=self.state_dim,
-            action_dim=self.action_dim, action_high=self.action_high.copy(),
-            frozen=self.frozen if frozen is None else frozen,
-        )
+        return ActionCodec(self.encoder.copy(), self.decoder.copy(), self.config,
+                           self.env_id, self.frozen if frozen is None else frozen)
 
     def require_mutable(self):
         if self.frozen:
@@ -127,15 +127,9 @@ def make_codec(env_id: str, cfg: CVAEConfig, seed) -> ActionCodec:
         )
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
     feat = envsim.feature_dim(env_id)
-    return ActionCodec(
-        encoder=ParamTree.init(encoder_spec(feat, spec.action_dim, cfg), rng),
-        decoder=ParamTree.init(decoder_spec(feat, spec.action_dim, cfg), rng),
-        config=cfg,
-        env_id=env_id,
-        state_dim=spec.state_dim,
-        action_dim=spec.action_dim,
-        action_high=np.array(spec.action_high, dtype=np.float64),
-    )
+    return ActionCodec(encoder=ParamTree.init(encoder_spec(feat, spec.action_dim, cfg), rng),
+                       decoder=ParamTree.init(decoder_spec(feat, spec.action_dim, cfg), rng),
+                       config=cfg, env_id=env_id)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +221,6 @@ def cvae_loss_and_grad(codec: ActionCodec, feats, actions, noise) -> tuple:
     d_mean = d_z + (beta / B) * dist.mean
     d_log_std = d_z * sigma * noise + (beta / B) * (sigma * sigma - 1.0)
     # log-std clamp subgradient: zero where the head output was clipped
-    from .nncore import LOG_STD_MAX, LOG_STD_MIN
-
     ls_ok = ((dist.log_std > LOG_STD_MIN) & (dist.log_std < LOG_STD_MAX)).astype(float)
     codec.encoder.backward(np.concatenate([d_mean, d_log_std * ls_ok], axis=1), input_grad=False)
     return loss, parts
@@ -341,11 +333,8 @@ def codec_from_state(header: dict, arrays: dict, prefix: str = "",
                           prefix + "encoder")
     dec = tree_from_state(decoder_spec(feat, spec.action_dim, cfg), header, arrays,
                           prefix + "decoder")
-    return ActionCodec(
-        encoder=enc, decoder=dec, config=cfg, env_id=env_id, state_dim=spec.state_dim,
-        action_dim=spec.action_dim, action_high=np.array(spec.action_high),
-        frozen=bool(header[prefix + "frozen"]),
-    )
+    return ActionCodec(encoder=enc, decoder=dec, config=cfg, env_id=env_id,
+                       frozen=bool(header[prefix + "frozen"]))
 
 
 def save_codec(path, codec: ActionCodec) -> None:

@@ -10,6 +10,14 @@ on a fixed set of fresh episodes. Three algorithms share the loop:
   lapal-aware      as agnostic, but the encoder joins the discriminator
                    ascent and the decoder joins the generator descent
 
+The modes differ in the policy's action space, and `PolicyBundle` is that
+space: `to_env` maps the actor's box points to env actions (scaled by the
+action bounds, or decoded through the codec) and `to_box` maps env actions
+back (divided, or encoded). Collection, the critic and discriminator inputs
+and evaluation all go through these two maps. Aware mode adds the encoder
+step in `_disc_step` and `sacgen.decoder_adversarial_step` after each actor
+step.
+
 Raw env states stop at the env boundary: every network consumes state
 features, and each state is featurized once. Collection featurizes each new
 state once, the replay buffer stores the features of s and s', and the demos
@@ -41,7 +49,7 @@ numbers and filling the buffer in the same order as a one-step loop would.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,29 +186,46 @@ def _child_seq(seq, i: int) -> np.random.SeedSequence:
 
 @dataclass
 class PolicyBundle:
-    """Deterministic evaluation policy: actor plus its action realization."""
+    """A policy's actor and its action space. The actor emits points u of the
+    box (-1, 1)^u_dim; `to_env` maps them to env actions and `to_box` maps env
+    actions back. A policy is latent, its box the codec's latent space,
+    exactly when it has a codec; otherwise the box is the env's action box
+    over `action_high`."""
 
     env_id: str
-    kind: str                          # "raw" | "latent"
     actor: object                      # ParamTree emitting a Gaussian head
-    u_dim: int
     codec: ActionCodec | None = None
 
     def __post_init__(self):
-        if self.kind not in ("raw", "latent"):
-            raise ConfigError(f"unknown policy kind {self.kind!r}")
-        if self.kind == "latent" and self.codec is None:
-            raise ConfigError("latent policy bundle needs a codec")
         if self.codec is not None and self.codec.env_id != self.env_id:
             raise ConfigError(f"a {self.codec.env_id} codec cannot act in {self.env_id}")
+        box = (self.codec.latent_dim if self.codec is not None
+               else envsim.env_spec(self.env_id).action_dim)
+        if self.actor.spec.output_dim != 2 * box:
+            raise ConfigError(f"actor emits {self.actor.spec.output_dim} head outputs; "
+                              f"a {box}-wide action box needs {2 * box}")
+
+    @property
+    def u_dim(self) -> int:
+        return self.actor.spec.output_dim // 2
+
+    def to_env(self, feats, u):
+        """Env actions of box points `u` at state features `feats`."""
+        if self.codec is None:
+            return u * envsim.env_spec(self.env_id).action_high
+        return latentact.decode(self.codec, feats, u)
+
+    def to_box(self, feats, actions, rng):
+        """Box points of env `actions` at state features `feats`; `rng` draws
+        the noise of the sampled-encoding ablation."""
+        if self.codec is None:
+            return actions / envsim.env_spec(self.env_id).action_high
+        return latentact.encode_for_training(self.codec, feats, actions, rng)
 
     def action(self, states):
         """Deterministic env actions for (N, state_dim) states."""
         feats = envsim.feature_map(self.env_id, states)
-        u = sacgen.squash(self.actor.forward(feats)[:, : self.u_dim])
-        if self.kind == "latent":
-            return latentact.decode(self.codec, feats, u)
-        return u * envsim.env_spec(self.env_id).action_high
+        return self.to_env(feats, sacgen.squash(self.actor.forward(feats)[:, : self.u_dim]))
 
     def lockstep_actor(self, episode_seeds):
         return lambda states, t: self.action(states)
@@ -257,16 +282,11 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
     feat_dim = envsim.feature_dim(cfg.env_id)
     run_codec = None
     if cfg.latent:
-        if cfg.codec_warm_start:
-            run_codec = codec.copy(frozen=(cfg.algo == "lapal-agnostic"))
-        else:
-            run_codec = latentact.make_codec(cfg.env_id, codec.config, s_codec)
-        u_dim = run_codec.latent_dim
-        comp = DiscComposition(cfg.env_id, "latent", feat_dim, u_dim,
-                               run_codec.digest())
-    else:
-        u_dim = spec.action_dim
-        comp = DiscComposition(cfg.env_id, "raw", feat_dim, u_dim)
+        run_codec = (codec.copy(frozen=(cfg.algo == "lapal-agnostic")) if cfg.codec_warm_start
+                     else latentact.make_codec(cfg.env_id, codec.config, s_codec))
+    u_dim = run_codec.latent_dim if run_codec else spec.action_dim
+    comp = (DiscComposition(cfg.env_id, "latent", feat_dim, u_dim, run_codec.digest())
+            if run_codec else DiscComposition(cfg.env_id, "raw", feat_dim, u_dim))
 
     agent = SacAgent(feat_dim, u_dim, sac_cfg, np.random.default_rng(s_init))
     disc = adversary.make_discriminator(comp, cfg.disc_hidden,
@@ -279,18 +299,13 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
                                     cfg.eval_episodes, eval_seed)
     random_ret, _ = evaluate_policy(RandomPolicy(cfg.env_id), cfg.env_id,
                                     cfg.eval_episodes, eval_seed)
-    bundle = PolicyBundle(cfg.env_id, "latent" if cfg.latent else "raw",
-                          agent.actor, u_dim, run_codec)
+    bundle = PolicyBundle(cfg.env_id, agent.actor, run_codec)
     demo_feats = envsim.feature_map(cfg.env_id, demos.states)
     recon_probe = _recon_probe(demo_feats, demos.actions, batch_rng) if cfg.latent else None
 
     def reward_fn(states, u):
         return adversary.disc_reward(disc, states, u)
 
-    aware = cfg.algo == "lapal-aware"
-    decoder_path = (
-        sacgen.DecoderPathContext(run_codec, disc, cfg.codec_gen_lr) if aware else None
-    )
     demo_n = len(demos)
     half = max(1, sac_cfg.batch_size // 2)
 
@@ -303,7 +318,7 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
     iteration = 0
     while steps < cfg.total_env_steps:
         n = min(cfg.steps_per_iteration, cfg.total_env_steps - steps)
-        state, ep_t = _collect(cfg.env_id, agent, run_codec, buf, state, ep_t, n, act_rng)
+        state, ep_t = _collect(bundle, agent, buf, state, ep_t, n, act_rng)
         steps += n
 
         if len(buf) >= sac_cfg.batch_size:
@@ -311,17 +326,18 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
             try:
                 for _ in range(cfg.disc_updates_per_iteration):
                     ei = batch_rng.integers(0, demo_n, half)
-                    dl = _disc_step(cfg, disc, run_codec, spec.action_high,
-                                    demo_feats[ei], demos.actions[ei],
+                    dl = _disc_step(cfg, disc, bundle, demo_feats[ei], demos.actions[ei],
                                     buf.sample(batch_rng, half), batch_rng)
                 for _ in range(cfg.gen_updates_per_iteration):
                     b = buf.sample(batch_rng, sac_cfg.batch_size)
-                    u_batch = _box_u(cfg, run_codec, spec.action_high, batch_rng,
-                                     b.states, b.actions, b.latents)
+                    u_batch = (b.latents if b.latents is not None
+                               else bundle.to_box(b.states, b.actions, batch_rng))
                     closses = sacgen.critic_update(agent, b.states, u_batch,
                                                    b.next_states, reward_fn, batch_rng)
-                    alosses = sacgen.actor_update(agent, b.states, batch_rng,
-                                                  decoder_path=decoder_path)
+                    alosses = sacgen.actor_update(agent, b.states, batch_rng)
+                    if cfg.algo == "lapal-aware":
+                        sacgen.decoder_adversarial_step(run_codec, disc, cfg.codec_gen_lr,
+                                                        b.states, alosses["u"])
                     cl, al, en = (closses["critic1"], alosses["actor"],
                                   alosses["entropy"])
             except OptimizerError as exc:
@@ -370,11 +386,13 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
                      random_return=random_ret, env_steps=steps)
 
 
-def _collect(env_id, agent, codec, buf, state, ep_t, n, rng):
-    """Push the current policy's next `n` transitions into `buf`; returns the
-    (state, ep_t) to go on from. The rest of this episode, whole episodes and
-    the next one's start step in lockstep, rows dropping out at their end;
-    `rng` and `buf` see each segment's noise, reset and rows in one-step order."""
+def _collect(bundle, agent, buf, state, ep_t, n, rng):
+    """Push the next `n` transitions of `agent`, acting through `bundle`, into
+    `buf`; returns the (state, ep_t) to go on from. The rest of this episode,
+    whole episodes and the next one's start step in lockstep, rows dropping out
+    at their end; `rng` and `buf` see each segment's noise, reset and rows in
+    one-step order."""
+    env_id = bundle.env_id
     spec = envsim.env_spec(env_id)
     lengths, noise, starts = [], [], [state]
     while n > 0:
@@ -394,7 +412,7 @@ def _collect(env_id, agent, codec, buf, state, ep_t, n, rng):
     for t, live in enumerate(rows.T):
         f = F[live, t]
         U[live, t] = u = sacgen.act(agent, f, deterministic=False, noise=U[live, t])
-        A[live, t] = a = latentact.decode(codec, f, u) if codec else u * spec.action_high
+        A[live, t] = a = bundle.to_env(f, u)
         S[live], _ = envsim.step_batch(env_id, S[live], a)
         F[live, t + 1] = envsim.feature_map(env_id, S[live])
     buf.push(F[:, :-1][rows], A[rows], F[:, 1:][rows], U[rows])
@@ -406,28 +424,20 @@ def _recon_probe(feats, actions, rng, n=512):
     return feats[idx], actions[idx]
 
 
-def _box_u(cfg, codec, action_high, rng, feats, actions, latents=None):
-    """Action-box coordinates the critics and discriminator consume; `rng`
-    draws the noise of the sampled-encoding ablation."""
-    if latents is not None:
-        return latents
-    if cfg.latent:
-        return latentact.encode_for_training(codec, feats, actions, rng)
-    return actions / action_high
-
-
-def _disc_step(cfg, disc, run_codec, action_high, se, ea, b, rng=None):
+def _disc_step(cfg, disc, bundle, se, ea, b, rng=None):
     """One discriminator minibatch of expert (features, actions) against
-    agent batch `b`; chains into the encoder in aware mode."""
+    agent batch `b`, both in `bundle`'s action box; chains into the encoder
+    in aware mode."""
     sa, n_e = b.states, len(se)
     if cfg.algo == "lapal-aware":
+        codec = bundle.codec
         # both expectation terms flow through the encoder, so encode the two
         # halves in one recorded pass and step the encoder with the combined
         # input gradient. The sampled-encoding ablation draws the noise that
         # `encode_for_training` would and chains into the log-std head too
-        post = latentact.encode(run_codec, np.concatenate([se, sa]),
+        post = latentact.encode(codec, np.concatenate([se, sa]),
                                 np.concatenate([ea, b.actions]), record=True)
-        sampled = run_codec.config.sample_encoding
+        sampled = codec.config.sample_encoding
         if sampled:
             noise = rng.standard_normal(post.mean.shape)
             abar = np.tanh(post.sample(noise))
@@ -443,16 +453,14 @@ def _disc_step(cfg, disc, run_codec, action_high, se, ea, b, rng=None):
             d_log_std = d_mean * post.std * noise * ls_ok
         else:
             d_log_std = np.zeros_like(d_mean)
-        run_codec.encoder.backward(np.concatenate([d_mean, d_log_std], axis=1), input_grad=False)
-        run_codec.encoder.adam_step(cfg.codec_disc_lr)
-    elif cfg.latent and b.latents is None:
-        abar = latentact.encode_for_training(run_codec, np.concatenate([se, sa]),
-                                             np.concatenate([ea, b.actions]), rng)
-        loss = adversary.disc_loss_and_grad(disc, (se, abar[:n_e]), (sa, abar[n_e:]))
+        codec.encoder.backward(np.concatenate([d_mean, d_log_std], axis=1), input_grad=False)
+        codec.encoder.adam_step(cfg.codec_disc_lr)
+    elif b.latents is None:
+        u = bundle.to_box(np.concatenate([se, sa]), np.concatenate([ea, b.actions]), rng)
+        loss = adversary.disc_loss_and_grad(disc, (se, u[:n_e]), (sa, u[n_e:]))
     else:
-        loss = adversary.disc_loss_and_grad(
-            disc, (se, _box_u(cfg, run_codec, action_high, rng, se, ea)),
-            (sa, _box_u(cfg, run_codec, action_high, rng, sa, b.actions, b.latents)))
+        loss = adversary.disc_loss_and_grad(disc, (se, bundle.to_box(se, ea, rng)),
+                                            (sa, b.latents))
     disc.tree.adam_step(cfg.disc_lr)
     return loss
 
@@ -468,7 +476,7 @@ def transfer_policy(source: PolicyBundle, target_demos: envsim.DemoBuffer,
     Touches the target environment only through the provided demonstrations.
     Returns (bundle, codec_history).
     """
-    if source.kind != "latent":
+    if source.codec is None:
         raise ConfigError("only latent policies can be transferred by decoder retraining")
     if cvae_cfg.latent_dim != source.u_dim:
         raise ConfigError(
@@ -477,10 +485,7 @@ def transfer_policy(source: PolicyBundle, target_demos: envsim.DemoBuffer,
         )
     new_codec, history = latentact.train_codec(target_demos, cvae_cfg, seed)
     latentact.freeze(new_codec)
-    bundle = PolicyBundle(env_id=target_demos.env_id, kind="latent",
-                          actor=source.actor.copy(), u_dim=source.u_dim,
-                          codec=new_codec)
-    return bundle, history
+    return PolicyBundle(target_demos.env_id, source.actor.copy(), new_codec), history
 
 
 # ---------------------------------------------------------------------------
@@ -533,25 +538,26 @@ def aggregate_curves(curves) -> list:
 def save_policy(path, bundle: PolicyBundle) -> None:
     """The actor's arrays under `actor.`; a latent policy's codec under `codec.`."""
     header, arrays = tree_state(bundle.actor, "actor")
-    if bundle.kind == "latent":
+    if bundle.codec is not None:
         h, a = latentact.codec_state(bundle.codec, "codec.")
         header.update(h)
         arrays.update(a)
     header.update(kind="policy", env_id=bundle.env_id,
                   env_digest=envsim.env_spec(bundle.env_id).digest(),
-                  policy_kind=bundle.kind, u_dim=bundle.u_dim,
-                  hidden=bundle.actor.spec.hidden)
+                  policy_kind="raw" if bundle.codec is None else "latent",
+                  u_dim=bundle.u_dim, hidden=bundle.actor.spec.hidden)
     write_checkpoint(path, header, arrays)
 
 
 def load_policy(path) -> PolicyBundle:
     def build(header, arrays):
         env_id, kind, u_dim = header["env_id"], header["policy_kind"], header["u_dim"]
+        if kind not in ("raw", "latent"):
+            raise CheckpointError(f"unknown policy kind {kind!r}")
         spec = MLPSpec(envsim.feature_dim(env_id), tuple(header["hidden"]), 2 * u_dim,
                        activation="relu")
         codec = (latentact.codec_from_state(header, arrays, "codec.")
                  if kind == "latent" else None)
-        return PolicyBundle(env_id=env_id, kind=kind, u_dim=u_dim, codec=codec,
-                            actor=tree_from_state(spec, header, arrays, "actor"))
+        return PolicyBundle(env_id, tree_from_state(spec, header, arrays, "actor"), codec)
 
     return read_checkpoint(path, "policy", build)

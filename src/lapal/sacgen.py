@@ -215,22 +215,6 @@ def critic_update(agent: SacAgent, states, u, next_states, reward_fn, rng) -> di
     return losses
 
 
-@dataclass
-class DecoderPathContext:
-    """Hook for training a decoder through the adversarial reward.
-
-    Minimizes mean log(1 - D(f, encode_mean(f, decode(f, u)))) over state
-    features f, w.r.t. the decoder parameters only: emissions are treated as
-    constants, so the actor's own update stays bit-identical to the plain
-    path; the encoder and discriminator serve purely as the differentiable
-    reward surface.
-    """
-
-    codec: object
-    discriminator: object
-    decoder_lr: float
-
-
 def actor_loss(agent: SacAgent, states, eps) -> float:
     """The actor objective at fixed reparameterization noise (no gradients)."""
     raw = agent.actor.forward(states)
@@ -279,7 +263,7 @@ def actor_loss_and_grad(agent: SacAgent, states, eps):
     return loss, u, log_prob
 
 
-def actor_update(agent: SacAgent, states, rng, decoder_path: DecoderPathContext | None = None) -> dict:
+def actor_update(agent: SacAgent, states, rng) -> dict:
     """Reparameterized policy step: minimize E[alpha log pi(u|s) - min Q(s,u)].
 
     `states` are the state features every network consumes.
@@ -292,29 +276,33 @@ def actor_update(agent: SacAgent, states, rng, decoder_path: DecoderPathContext 
     if agent.cfg.auto_tune_alpha:
         grad = -float(np.mean(log_prob + agent.target_entropy))
         agent.log_alpha.update(grad, agent.cfg.alpha_lr)
-    if decoder_path is not None:
-        out["decoder_adv"] = decoder_adversarial_step(decoder_path, states, u)
     return out
 
 
-def decoder_adversarial_step(ctx: DecoderPathContext, features, u) -> float:
+def decoder_adversarial_step(codec, discriminator, lr: float, features, u) -> float:
+    """One decoder step through the adversarial reward (the aware generator).
+
+    Minimizes mean log(1 - D(f, encode_mean(f, decode(f, u)))) over state
+    features f, w.r.t. the decoder parameters only. The emissions `u` are
+    constants, so the actor step that produced them is untouched; the encoder
+    and discriminator serve purely as the differentiable reward surface.
+    """
     from . import adversary, latentact
 
-    codec = ctx.codec
     codec.require_mutable()
     b = np.atleast_2d(features).shape[0]
     actions = latentact.decode(codec, features, u, record=True)
     post = latentact.encode(codec, features, actions, record=True)
     abar = np.tanh(post.mean)
-    logits = adversary.disc_logit(ctx.discriminator, features, abar, record=True)
+    logits = adversary.disc_logit(discriminator, features, abar, record=True)
     loss = float(np.mean(-softplus(logits)))
     d_logit = (-sigmoid(logits) / b)[:, None]
-    din_disc = ctx.discriminator.tree.backward(d_logit, accumulate=False)
+    din_disc = discriminator.tree.backward(d_logit, accumulate=False)
     d_abar = din_disc[:, features.shape[1]:]
     d_mean = d_abar * (1.0 - abar * abar)
     enc_upstream = np.concatenate([d_mean, np.zeros_like(d_mean)], axis=1)
     din_enc = codec.encoder.backward(enc_upstream, accumulate=False)
     d_actions = din_enc[:, codec.feat_dim:]
     codec.decoder.backward(d_actions * codec.action_high, input_grad=False)
-    codec.decoder.adam_step(ctx.decoder_lr)
+    codec.decoder.adam_step(lr)
     return loss

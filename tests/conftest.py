@@ -11,7 +11,7 @@ def float64(obj):
     finite differences and float64 oracles check to tight tolerances.
 
     `obj` is a tree or a lab object holding trees (an agent, codec,
-    discriminator, policy bundle or decoder-path context). Returns `obj`.
+    discriminator or policy bundle). Returns `obj`.
     """
     if isinstance(obj, nncore.ParamTree):
         obj.dtype = np.dtype(np.float64)

@@ -133,7 +133,7 @@ def episode_actor(policy, env_id, episode_seed):
     def act(state, t):
         feats = envsim.feature_map(policy.env_id, state)
         u = sacgen.squash(policy.actor.forward(feats[None, :])[0, : policy.u_dim])
-        if policy.kind == "latent":
+        if policy.codec is not None:
             return latentact.decode(policy.codec, feats, u)
         return u * envsim.env_spec(policy.env_id).action_high
 

@@ -37,7 +37,7 @@ def small_artifacts():
     disc = adversary.make_discriminator(
         adversary.DiscComposition("pointmass", "latent", FEAT, 1, codec.digest()), (3,), 2)
     policy = orchestrator.PolicyBundle(
-        "pointmass", "latent", ParamTree.init(MLPSpec(FEAT, (3,), 2), rng), 1, codec)
+        "pointmass", ParamTree.init(MLPSpec(FEAT, (3,), 2), rng), codec)
     demo_digest = lambda d: [d.env_id, d.env_digest] + [a.tobytes() for a in (
         d.states, d.actions, d.next_states, d.dones, d.rewards, d.episode_boundaries)]
     return {
@@ -122,8 +122,8 @@ def test_wrong_env_digest_raises(kind, tmp_path):
         envsim.collect_demos("pointmass", n_episodes=1, seed=0).save(path)
     else:
         actor = ParamTree.init(MLPSpec(FEAT, (3,), 4), np.random.default_rng(3))
-        orchestrator.save_policy(path, orchestrator.PolicyBundle("pointmass", "raw", actor, 2))
-        assert orchestrator.load_policy(path).kind == "raw"
+        orchestrator.save_policy(path, orchestrator.PolicyBundle("pointmass", actor))
+        assert orchestrator.load_policy(path).codec is None
     file_kind, load = {"demo": ("demo", envsim.DemoBuffer.load),
                        "raw-policy": ("policy", orchestrator.load_policy)}[kind]
     rewrite(path, file_kind, env_digest="0" * 64)
@@ -141,6 +141,7 @@ def test_wrong_env_digest_raises(kind, tmp_path):
     ("disc", {"composition": {"env_id": "pointmass", "input_kind": "pixels",
                               "state_dim": FEAT, "u_dim": 1}}),
     ("policy", {"u_dim": "1"}),
+    ("policy", {"policy_kind": "pixels"}),
     ("policy", {"actor": {"spec": "mlp", "step": 0}}),
     ("policy", {"codec.encoder": {"step": 0}}),
 ])

@@ -264,12 +264,3 @@ def test_demo_file_rejects_wrong_env(tmp_path):
                               arrays)
     with pytest.raises(CheckpointError):
         DemoBuffer.load(tmp_path / "bad.bin")
-
-
-def test_demo_summary_text():
-    demos = collect_demos("pointmass", n_episodes=3, seed=0)
-    text = envsim.demo_summary(demos, envsim.default_jitter("pointmass"),
-                               {"expert_mean_return": -5.0, "random_mean_return": -45.0})
-    assert "quality_gate: PASS" in text
-    assert "episodes: 3" in text
-    assert "expert_mean_return" in text

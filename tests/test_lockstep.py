@@ -123,7 +123,7 @@ def make_policy(kind, env_id):
         codec = latentact.make_codec(env_id, latentact.CVAEConfig(latent_dim=u_dim), rng)
     actor = ParamTree.init(MLPSpec(envsim.feature_dim(env_id), (32, 32), 2 * u_dim,
                                    activation="relu"), rng)
-    return PolicyBundle(env_id, kind, actor, u_dim, codec)
+    return PolicyBundle(env_id, actor, codec)
 
 
 def lockstep_and_per_row_returns(policy, env_id, n=5):
@@ -228,14 +228,17 @@ def collection_pair(env_id, kind, case, emitted=False, f64=True):
         float64(codec)
     state, _ = step_batch(env_id, env_reset(env_id, 22)[None], np.ones((1, spec.action_dim)))
     out = []
-    for collect in (orchestrator._collect, rowwise.collect):
+    bundle = PolicyBundle(env_id, agent.actor, codec)
+    collectors = (lambda *a: orchestrator._collect(bundle, agent, *a),
+                  lambda *a: rowwise.collect(env_id, agent, codec, *a))
+    for collect in collectors:
         buf = ReplayBuffer(capacity, feat_dim, spec.action_dim, u_dim if emitted else 0)
         prefill = np.random.default_rng(23)
         for _ in range(filled):
             buf.push(*(prefill.standard_normal(d)
                        for d in (feat_dim, spec.action_dim, feat_dim, u_dim)))
         rng = np.random.default_rng(24)
-        out.append((buf, *collect(env_id, agent, codec, buf, state[0], ep_t, n, rng),
+        out.append((buf, *collect(buf, state[0], ep_t, n, rng),
                     rng.bit_generator.state))
     return out
 

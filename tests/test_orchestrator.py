@@ -9,6 +9,7 @@ from conftest import assert_grads_close, fd_loss_gradient, float64
 from lapal import adversary, envsim, latentact, orchestrator, sacgen
 from lapal.errors import CheckpointError, ConfigError, DivergenceError
 from lapal.latentact import CVAEConfig, train_codec
+from lapal.nncore import MLPSpec, ParamTree
 from lapal.orchestrator import (
     ALGOS,
     ExpertPolicy,
@@ -269,9 +270,23 @@ def test_raw_policy_checkpoint(tmp_path, pm_demos):
     res = run_training(small_run_cfg("gail"), SMALL_SAC, pm_demos, seed=6)
     save_policy(tmp_path / "p.ckpt", res.bundle)
     back = load_policy(tmp_path / "p.ckpt")
-    assert back.kind == "raw" and back.codec is None
+    assert back.codec is None
     assert evaluate_policy(back, "pointmass", 3, 0) == evaluate_policy(
         res.bundle, "pointmass", 3, 0)
+
+
+def test_bundle_rejects_actor_that_does_not_fit_its_action_box():
+    """The actor's head must be 2 x the codec's latent_dim, or 2 x the env's
+    action_dim for a raw policy."""
+    codec = latentact.make_codec("arm3", CVAEConfig(latent_dim=2), 0)
+    feat = envsim.feature_dim("arm3")
+    three_latents = ParamTree.init(MLPSpec(feat, (8,), 6), np.random.default_rng(1))
+    with pytest.raises(ConfigError, match="2-wide action box"):
+        PolicyBundle("arm3", three_latents, codec)
+    two_actions = ParamTree.init(MLPSpec(feat, (8,), 4), np.random.default_rng(2))
+    with pytest.raises(ConfigError, match="3-wide action box"):
+        PolicyBundle("arm3", two_actions)
+    assert PolicyBundle("arm3", three_latents).u_dim == 3
 
 
 def test_curve_csv_round_trip(pm_demos):
@@ -361,8 +376,9 @@ def check_aware_encoder_gradient_on_arm_features(sample_encoding):
     codec.encoder.adam_step = lambda lr: None  # keep the accumulated gradient
     disc.tree.adam_step = lambda lr: None
     cfg = small_run_cfg("lapal-aware", env_id="arm3")
-    orchestrator._disc_step(cfg, disc, codec, envsim.env_spec("arm3").action_high,
-                            se, ea, agent, np.random.default_rng(53))
+    actor = ParamTree.init(MLPSpec(15, (4,), 4), np.random.default_rng(54))
+    orchestrator._disc_step(cfg, disc, PolicyBundle("arm3", actor, codec), se, ea, agent,
+                            np.random.default_rng(53))
     # the log-std half of the encoder head gets a gradient only when sampling
     assert np.all(codec.encoder.layers[-1].gb[2:] != 0.0) == sample_encoding
 

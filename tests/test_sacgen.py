@@ -306,10 +306,11 @@ def test_decoder_path_leaves_actor_update_bit_identical():
         agent = small_agent(24, state_dim=4, u_dim=2)
         c = codec.copy(frozen=False)
         rng = np.random.default_rng(25)
-        ctx = sacgen.DecoderPathContext(c, disc, decoder_lr=1e-3) if with_path else None
         states = rng.standard_normal((8, 4))
         for _ in range(3):
-            actor_update(agent, states, rng, decoder_path=ctx)
+            out = actor_update(agent, states, rng)
+            if with_path:
+                sacgen.decoder_adversarial_step(c, disc, 1e-3, states, out["u"])
         return agent.actor.digest(), c.decoder.digest()
 
     (actor_a, dec_a), (actor_b, dec_b) = run(False), run(True)
@@ -333,10 +334,10 @@ def test_decoder_path_respects_frozen_codec():
         (8,), 1)
     agent = small_agent(26, state_dim=4, u_dim=2)
     rng = np.random.default_rng(27)
-    ctx = sacgen.DecoderPathContext(codec, disc, decoder_lr=1e-3)
     states = rng.standard_normal((4, 4))
+    out = actor_update(agent, states, rng)
     with pytest.raises(StateError):
-        actor_update(agent, states, rng, decoder_path=ctx)
+        sacgen.decoder_adversarial_step(codec, disc, 1e-3, states, out["u"])
 
 
 def test_decoder_path_gradient_on_arm_features():
@@ -355,7 +356,7 @@ def test_decoder_path_gradient_on_arm_features():
     assert states.shape[1] == 8 and feats.shape[1] == codec.feat_dim == 15
     u = np.tanh(rng.standard_normal((6, 2)))
     codec.decoder.adam_step = lambda lr: None  # keep the accumulated gradient
-    sacgen.decoder_adversarial_step(sacgen.DecoderPathContext(codec, disc, 1e-3), feats, u)
+    sacgen.decoder_adversarial_step(codec, disc, 1e-3, feats, u)
 
     def loss_fn():
         abar = latentact.encode_mean(codec, feats, latentact.decode(codec, feats, u))
