@@ -23,12 +23,13 @@ interact and every reduction runs along a row, so a row of a batched step is
 bit-identical to the same row stepped alone. `rollout_episodes` rolls N
 episodes in lockstep: each episode resets from its own seed or generator, in
 order, and every timestep makes one policy call and one kernel step for all
-episodes. Policies and demo jitter therefore draw each episode's random
-stream exactly as a one-episode-at-a-time loop would. Batched policy, expert
-and kinematics arithmetic may differ from a per-row loop in the last ulp:
-demo arrays, and returns of float64 policies, agree with that loop to 1e-12
-(the tests keep such a loop as their oracle); float32 network passes round
-more coarsely, and their returns agree to a relative 1e-6.
+episodes, keeping their states as one path. Policies and demo jitter
+therefore draw each episode's random stream exactly as a one-episode-at-a-time
+loop would. Batched policy, expert and kinematics arithmetic may differ from
+a per-row loop in the last ulp: demo arrays, and returns of float64 policies,
+agree with that loop to 1e-12 (the tests keep such a loop as their oracle);
+float32 network passes round more coarsely, and their returns agree to a
+relative 1e-6.
 """
 
 from __future__ import annotations
@@ -185,12 +186,23 @@ def env_spec(env_id: str) -> EnvSpec:
 # kinematics
 
 
-def forward_kinematics(lengths, angles) -> np.ndarray:
-    """Planar chain end-effector position from joint angles, (k,) or (N, k)."""
+def _link_vectors(lengths, angles) -> np.ndarray:
+    """l_j (cos, sin)(theta_0 + ... + theta_j) of each link j, (..., 2, k)."""
     cum = np.cumsum(np.asarray(angles, dtype=np.float64), axis=-1)
     trig = np.concatenate([np.cos(cum), np.sin(cum)], axis=-1)
     links = trig.reshape(cum.shape[:-1] + (2, cum.shape[-1]))
-    return np.sum(np.asarray(lengths, dtype=np.float64) * links, axis=-1)
+    return np.asarray(lengths, dtype=np.float64) * links
+
+
+def _jacobian(links) -> np.ndarray:
+    # d ee / d theta_j involves links j..K-1 only
+    tails = np.cumsum(links[..., ::-1], axis=-1)[..., ::-1]
+    return np.stack([-tails[..., 1, :], tails[..., 0, :]], axis=-2)
+
+
+def forward_kinematics(lengths, angles) -> np.ndarray:
+    """Planar chain end-effector position from joint angles, (k,) or (N, k)."""
+    return np.sum(_link_vectors(lengths, angles), axis=-1)
 
 
 def arm_jacobian(lengths, angles) -> np.ndarray:
@@ -198,12 +210,7 @@ def arm_jacobian(lengths, angles) -> np.ndarray:
 
     (N, 2, K) for (N, K) angles.
     """
-    lengths = np.asarray(lengths, dtype=np.float64)
-    cum = np.cumsum(np.asarray(angles, dtype=np.float64), axis=-1)
-    # d ee / d theta_j involves links j..K-1 only
-    sx = np.cumsum((lengths * np.cos(cum))[..., ::-1], axis=-1)[..., ::-1]
-    sy = np.cumsum((lengths * np.sin(cum))[..., ::-1], axis=-1)[..., ::-1]
-    return np.stack([-sy, sx], axis=-2)
+    return _jacobian(_link_vectors(lengths, angles))
 
 
 def nullspace_direction(lengths, angles) -> np.ndarray:
@@ -411,8 +418,8 @@ def scripted_expert(env_id: str, state, kp_scale=1.0,
             f = f + task_bias
         return np.clip(f, spec.action_low, spec.action_high)
     angles, vel, goal = split_arm_state(env, state)
-    jac = arm_jacobian(p.lengths, angles)
-    ee = forward_kinematics(p.lengths, angles)
+    links = _link_vectors(p.lengths, angles)
+    jac, ee = _jacobian(links), np.sum(links, axis=-1)
     ee_vel = np.sum(jac * vel[..., None, :], axis=-1)
     f = kp * p.expert_kp * (goal - ee) - p.expert_kd * ee_vel
     if task_bias is not None:
@@ -429,32 +436,29 @@ def rollout_episodes(env_id: str, act_fn, episode_seeds) -> dict:
     """Roll one full episode per seed in lockstep; act_fn(states, t) -> actions.
 
     act_fn maps the (N, state_dim) states of all episodes at timestep t to
-    (N, action_dim) actions. Arrays are indexed [episode, t]; "return",
-    "final_dist" and "settle_dist" hold one value per episode.
+    (N, action_dim) actions. Arrays are indexed [episode, t]; "states" and
+    "next_states" are views of one (N, horizon + 1, state_dim) state path, and
+    "return", "final_dist" and "settle_dist" hold one value per episode.
     """
     env = env_def(env_id)
     spec = env.spec
-    state = np.stack([env_reset(env_id, s) for s in episode_seeds])
-    n, horizon = state.shape[0], spec.horizon
-    states = np.empty((n, horizon, spec.state_dim))
+    n, horizon = len(episode_seeds), spec.horizon
+    path = np.empty((n, horizon + 1, spec.state_dim))
+    path[:, 0] = [env_reset(env_id, s) for s in episode_seeds]
     actions = np.empty((n, horizon, spec.action_dim))
-    next_states = np.empty_like(states)
     rewards = np.empty((n, horizon))
     for t in range(horizon):
-        action = act_fn(state, t)
-        nxt, rewards[:, t] = step_batch(env_id, state, action)
-        states[:, t] = state
+        action = act_fn(path[:, t], t)
+        path[:, t + 1], rewards[:, t] = step_batch(env_id, path[:, t], action)
         actions[:, t] = np.clip(action, spec.action_low, spec.action_high)
-        next_states[:, t] = nxt
-        state = nxt
     dones = np.zeros((n, horizon))
     dones[:, -1] = 1.0
     return {
-        "states": states, "actions": actions, "next_states": next_states,
+        "states": path[:, :-1], "actions": actions, "next_states": path[:, 1:],
         "rewards": rewards, "dones": dones,
         "return": np.sum(rewards, axis=1),
-        "final_dist": goal_distance(env, state),
-        "settle_dist": np.mean(goal_distance(env, next_states[:, -10:]), axis=1),
+        "final_dist": goal_distance(env, path[:, -1]),
+        "settle_dist": np.mean(goal_distance(env, path[:, -10:]), axis=1),
     }
 
 
@@ -608,9 +612,9 @@ def collect_demos(env_id: str, n_episodes: int = 64, seed: int = 0,
     buffer = DemoBuffer(
         env_id=env_id,
         env_digest=spec.digest(),
-        states=eps["states"].reshape(-1, spec.state_dim),
+        states=np.concatenate(eps["states"]),              # copied out of the state
         actions=eps["actions"].reshape(-1, spec.action_dim),
-        next_states=eps["next_states"].reshape(-1, spec.state_dim),
+        next_states=np.concatenate(eps["next_states"]),    # path, so never aliased
         dones=eps["dones"].reshape(-1),
         rewards=eps["rewards"].reshape(-1),
         episode_boundaries=np.arange(n_episodes, dtype=np.int64) * spec.horizon,

@@ -59,6 +59,10 @@ class CVAEConfig:
             raise ConfigError("latent_dim must be positive")
         if self.beta < 0:
             raise ConfigError("beta must be non-negative")
+        if self.epochs < 0 or self.batch_size < 1:
+            raise ConfigError("epochs must be non-negative and batch_size positive")
+        if not (0.0 <= self.lr < np.inf and 0.0 <= self.holdout_fraction < 1.0):
+            raise ConfigError("lr must be finite and non-negative, holdout_fraction in [0, 1)")
         for name in ("encoder_hidden", "decoder_hidden"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
 

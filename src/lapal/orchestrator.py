@@ -31,12 +31,13 @@ sequence - a differential test the suite pins down.
 
 Rewards are recomputed from the current discriminator for every batch;
 nothing reward-like is ever stored. Normalized returns are gap-closed:
-(R - R_random) / (R_expert - R_random) against references recorded at run
-start with the same evaluation episodes.
+(R - R_random) / (R_expert - R_random) against expert and random references
+evaluated on the same episodes.
 
 Evaluation rolls its episodes in lockstep through `envsim.rollout_episodes`:
 at each timestep the feature map, actor forward, decode and env step each run
-once on the rows of all episodes. Policies hand out a lockstep actor for a
+once on the rows of all episodes; `run_training` rolls the references with
+its first evaluation in one batch. Policies hand out a lockstep actor for a
 list of episode seeds; the random reference draws each episode's action
 stream from its own sub-stream, in the order a one-episode-at-a-time loop
 would. Batched matrix products may round differently from one row: returns
@@ -237,18 +238,28 @@ class PolicyBundle:
         return h.hexdigest()
 
 
-def evaluate_policy(policy, env_id: str, n_episodes: int = 16, seed=0):
-    """Mean and std of episode returns over fresh deterministic episodes.
+def evaluate_policies(policies, env_id: str, n_episodes: int = 16, seed=0) -> list:
+    """(mean, std) of each policy's returns over the same fresh deterministic
+    episodes.
 
     Episode seeds derive statelessly from `seed`, so evaluating twice with
-    the same seed replays exactly the same episodes. The episodes run in
-    lockstep.
+    the same seed replays exactly the same episodes. All episodes run in one
+    lockstep batch, each actor on its own block of rows.
     """
-    if n_episodes < 1:
-        raise ConfigError("evaluation needs at least one episode")
+    if n_episodes < 1 or not policies:
+        raise ConfigError("evaluation needs at least one policy and one episode")
     seeds = [_child_seq(seed, ep) for ep in range(n_episodes)]
-    returns = envsim.rollout_episodes(env_id, policy.lockstep_actor(seeds), seeds)["return"]
-    return float(np.mean(returns)), float(np.std(returns))
+    actors = [p.lockstep_actor(seeds) for p in policies]
+    act = actors[0] if len(actors) == 1 else lambda states, t: np.concatenate(
+        [a(states[i * n_episodes:(i + 1) * n_episodes], t) for i, a in enumerate(actors)])
+    returns = envsim.rollout_episodes(env_id, act, seeds * len(policies))["return"]
+    return [(float(np.mean(r)), float(np.std(r)))
+            for r in returns.reshape(len(policies), n_episodes)]
+
+
+def evaluate_policy(policy, env_id: str, n_episodes: int = 16, seed=0):
+    """Mean and std of one policy's episode returns; see `evaluate_policies`."""
+    return evaluate_policies([policy], env_id, n_episodes, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +273,8 @@ def _eval_seed(seed) -> np.random.SeedSequence:
 def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
                  codec: ActionCodec | None = None, seed: int = 0,
                  on_iteration=None) -> RunResult:
+    """Train `cfg.algo` on `demos`. The expert and random references roll with
+    the first evaluation, which raises `ConfigError` if the expert loses."""
     spec = envsim.env_spec(cfg.env_id)
     if demos.env_digest != spec.digest():
         raise ConfigError(f"demos were generated for a different {cfg.env_id}")
@@ -295,10 +308,7 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
                               u_dim if cfg.store_emitted_latents else 0)
 
     eval_seed = _eval_seed(seed)
-    expert_ret, _ = evaluate_policy(ExpertPolicy(cfg.env_id), cfg.env_id,
-                                    cfg.eval_episodes, eval_seed)
-    random_ret, _ = evaluate_policy(RandomPolicy(cfg.env_id), cfg.env_id,
-                                    cfg.eval_episodes, eval_seed)
+    references = [ExpertPolicy(cfg.env_id), RandomPolicy(cfg.env_id)]
     bundle = PolicyBundle(cfg.env_id, agent.actor, run_codec)
     demo_feats = envsim.feature_map(cfg.env_id, demos.states)
     recon_probe = _recon_probe(demo_feats, demos.actions, batch_rng) if cfg.latent else None
@@ -351,8 +361,11 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
 
         iteration += 1
         if steps % cfg.eval_every == 0 or steps >= cfg.total_env_steps:
-            mean_ret, std_ret = evaluate_policy(bundle, cfg.env_id,
-                                                cfg.eval_episodes, eval_seed)
+            evals = evaluate_policies([bundle] + references, cfg.env_id,
+                                      cfg.eval_episodes, eval_seed)
+            if references:
+                (expert_ret, _), (random_ret, _), references = evals[1], evals[2], []
+            mean_ret, std_ret = evals[0]
             norm = _normalize(mean_ret, expert_ret, random_ret)
             recon = (
                 latentact.holdout_reconstruction_mse(run_codec, *recon_probe)
@@ -389,9 +402,9 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
 def _collect(bundle, agent, buf, state, ep_t, n, rng):
     """Push the next `n` transitions of `agent`, acting through `bundle`, into
     `buf`; returns the (state, ep_t) to go on from. The rest of this episode,
-    whole episodes and the next one's start step in lockstep, rows dropping out
-    at their end; `rng` and `buf` see each segment's noise, reset and rows in
-    one-step order."""
+    whole episodes and the next one's start step in lockstep, longest first so
+    that the rows still running are a prefix; `rng` and `buf` see each
+    segment's noise, reset and rows in one-step order."""
     env_id = bundle.env_id
     spec = envsim.env_spec(env_id)
     lengths, noise, starts = [], [], [state]
@@ -402,21 +415,23 @@ def _collect(bundle, agent, buf, state, ep_t, n, rng):
         if ep_t == 0:
             starts.append(envsim.env_reset(env_id, rng))
     k, lengths = len(lengths), np.array(lengths)
-    rows = np.arange(lengths.max()) < lengths[:, None]    # (segment, timestep) cells
-    S = np.stack(starts[:k])
-    F = np.empty((k, rows.shape[1] + 1, envsim.feature_dim(env_id)))
-    A = np.empty(rows.shape + (spec.action_dim,))
-    U = np.empty(rows.shape + (agent.u_dim,))
-    U[rows] = np.concatenate(noise)       # a cell's noise, until its action replaces it
+    cells = np.arange(lengths.max()) < lengths[:, None]   # (segment, timestep) in time order
+    order = np.argsort(-lengths, kind="stable")
+    S = np.stack(starts[:k])[order]
+    F = np.empty((k, cells.shape[1] + 1, envsim.feature_dim(env_id)))
+    A = np.empty(cells.shape + (spec.action_dim,))
+    U = np.empty(cells.shape + (agent.u_dim,))
+    U[cells[order]] = np.concatenate([noise[i] for i in order])   # noise, then the action
     F[:, 0] = envsim.feature_map(env_id, S)
-    for t, live in enumerate(rows.T):
-        f = F[live, t]
-        U[live, t] = u = sacgen.act(agent, f, deterministic=False, noise=U[live, t])
-        A[live, t] = a = bundle.to_env(f, u)
-        S[live], _ = envsim.step_batch(env_id, S[live], a)
-        F[live, t + 1] = envsim.feature_map(env_id, S[live])
-    buf.push(F[:, :-1][rows], A[rows], F[:, 1:][rows], U[rows])
-    return (starts[k] if len(starts) > k else S[-1]), ep_t
+    for t, m in enumerate(cells.sum(axis=0)):
+        f = F[:m, t]
+        U[:m, t] = u = sacgen.act(agent, f, deterministic=False, noise=U[:m, t])
+        A[:m, t] = a = bundle.to_env(f, u)
+        S[:m], _ = envsim.step_batch(env_id, S[:m], a)
+        F[:m, t + 1] = envsim.feature_map(env_id, S[:m])
+    back = np.argsort(order)
+    buf.push(F[back, :-1][cells], A[back][cells], F[back, 1:][cells], U[back][cells])
+    return (starts[k] if len(starts) > k else S[back[-1]]), ep_t
 
 
 def _recon_probe(feats, actions, rng, n=512):

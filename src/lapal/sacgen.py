@@ -64,6 +64,13 @@ class SacConfig:
     actor_hidden: tuple = (64, 64)
     critic_hidden: tuple = (64, 64)
 
+    def __post_init__(self):
+        if min(self.batch_size, self.buffer_capacity) < 1 or not 0 < self.init_alpha < np.inf:
+            raise ConfigError("batch_size, buffer_capacity and init_alpha must be positive")
+        if not (0.0 <= self.tau <= 1.0 and 0.0 <= self.gamma < 1.0 and all(
+                0.0 <= lr < np.inf for lr in (self.actor_lr, self.critic_lr, self.alpha_lr))):
+            raise ConfigError("tau must be in [0, 1], gamma in [0, 1), learning rates in [0, inf)")
+
 
 class SacAgent:
     def __init__(self, state_dim: int, u_dim: int, cfg: SacConfig, seed):

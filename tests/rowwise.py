@@ -4,7 +4,9 @@ This is the rollout code the lockstep paths replaced, kept as the oracle the
 tests compare them with: per-row kinematics, physics, scripted expert, demo
 collection, evaluation and the collection step of training. Batched matrix
 products and row reductions may round differently in the last ulp, so the
-comparison tolerance is 1e-12.
+comparison tolerance is 1e-12. At the end are batched forms that earlier
+versions of the lockstep code used, which the current code must match bit for
+bit.
 """
 
 import math
@@ -208,3 +210,70 @@ def collect(env_id, agent, codec, buf, state, ep_t, n, rng):
             feats = envsim.feature_map(env_id, state)
             ep_t = 0
     return state, ep_t
+
+
+# The batched kinematics, expert and lockstep rollout as they were before the
+# link vectors were shared and the states kept as one path.
+
+
+def batched_forward_kinematics(lengths, angles):
+    cum = np.cumsum(np.asarray(angles, dtype=np.float64), axis=-1)
+    trig = np.concatenate([np.cos(cum), np.sin(cum)], axis=-1)
+    links = trig.reshape(cum.shape[:-1] + (2, cum.shape[-1]))
+    return np.sum(np.asarray(lengths, dtype=np.float64) * links, axis=-1)
+
+
+def batched_arm_jacobian(lengths, angles):
+    lengths = np.asarray(lengths, dtype=np.float64)
+    cum = np.cumsum(np.asarray(angles, dtype=np.float64), axis=-1)
+    sx = np.cumsum((lengths * np.cos(cum))[..., ::-1], axis=-1)[..., ::-1]
+    sy = np.cumsum((lengths * np.sin(cum))[..., ::-1], axis=-1)[..., ::-1]
+    return np.stack([-sy, sx], axis=-2)
+
+
+def batched_scripted_expert(env_id, state, kp_scale=1.0, task_bias=None):
+    env = env_def(env_id)
+    spec, p = env.spec, env.params
+    state = np.asarray(state, dtype=np.float64)
+    kp = np.asarray(kp_scale, dtype=np.float64)[..., None]
+    if env.kind == "pointmass":
+        f = -kp * p.expert_kp * state[..., :2] - p.expert_kd * state[..., 2:]
+        if task_bias is not None:
+            f = f + task_bias
+        return np.clip(f, spec.action_low, spec.action_high)
+    angles, vel, goal = envsim.split_arm_state(env, state)
+    jac = batched_arm_jacobian(p.lengths, angles)
+    ee = batched_forward_kinematics(p.lengths, angles)
+    ee_vel = np.sum(jac * vel[..., None, :], axis=-1)
+    f = kp * p.expert_kp * (goal - ee) - p.expert_kd * ee_vel
+    if task_bias is not None:
+        f = f + task_bias
+    tau = np.sum(jac * f[..., None], axis=-2) - p.expert_joint_damping * vel
+    return np.clip(tau, spec.action_low, spec.action_high)
+
+
+def batched_rollout_episodes(env_id, act_fn, episode_seeds):
+    env = env_def(env_id)
+    spec = env.spec
+    state = np.stack([env_reset(env_id, s) for s in episode_seeds])
+    n, horizon = state.shape[0], spec.horizon
+    states = np.empty((n, horizon, spec.state_dim))
+    actions = np.empty((n, horizon, spec.action_dim))
+    next_states = np.empty_like(states)
+    rewards = np.empty((n, horizon))
+    for t in range(horizon):
+        action = act_fn(state, t)
+        nxt, rewards[:, t] = envsim.step_batch(env_id, state, action)
+        states[:, t] = state
+        actions[:, t] = np.clip(action, spec.action_low, spec.action_high)
+        next_states[:, t] = nxt
+        state = nxt
+    dones = np.zeros((n, horizon))
+    dones[:, -1] = 1.0
+    return {
+        "states": states, "actions": actions, "next_states": next_states,
+        "rewards": rewards, "dones": dones,
+        "return": np.sum(rewards, axis=1),
+        "final_dist": envsim.goal_distance(env, state),
+        "settle_dist": np.mean(envsim.goal_distance(env, next_states[:, -10:]), axis=1),
+    }

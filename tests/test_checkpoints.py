@@ -136,6 +136,7 @@ def test_wrong_env_digest_raises(kind, tmp_path):
     ("demo", {"env_id": 7}),
     ("codec", {"config": {"latent_dim": 1, "warp": 2}}),
     ("codec", {"config": {"latent_dim": 0}}),
+    ("codec", {"config": {"latent_dim": 2, "epochs": -1}}),
     ("codec", {"encoder": None}),
     ("disc", {"hidden": "3"}),
     ("disc", {"composition": {"env_id": "pointmass", "input_kind": "pixels",

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import assert_grads_close, fd_loss_gradient, float64
 from lapal import configio, envsim, latentact, nncore
-from lapal.errors import CheckpointError, QualityGateError
+from lapal.errors import CheckpointError, ConfigError, QualityGateError
 from lapal.latentact import (
     ActionCodec,
     CVAEConfig,
@@ -23,6 +23,15 @@ TINY = CVAEConfig(latent_dim=2, encoder_hidden=(16, 16), decoder_hidden=(16, 16)
 @pytest.fixture(scope="module")
 def pm_demos():
     return envsim.collect_demos("pointmass", n_episodes=24, seed=0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("epochs", -1), ("batch_size", 0), ("batch_size", -3), ("lr", -1e-3),
+    ("lr", float("nan")), ("holdout_fraction", 1.0), ("holdout_fraction", -0.1),
+])
+def test_cvae_config_rejects_values_that_cannot_train(field, value):
+    with pytest.raises(ConfigError):
+        CVAEConfig(latent_dim=2, **{field: value})
 
 
 def test_fresh_codec_encodes_finite(pm_demos):

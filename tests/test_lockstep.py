@@ -16,6 +16,7 @@ from lapal.orchestrator import (
     PolicyBundle,
     RandomPolicy,
     _child_seq,
+    evaluate_policies,
     evaluate_policy,
 )
 from lapal.sacgen import ReplayBuffer, SacAgent, SacConfig
@@ -109,6 +110,52 @@ def test_kinematics_and_expert_rows_match_per_row(env_id):
                                    rtol=0, atol=TOL)
 
 
+def bits(x):
+    return np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("env_id", ["arm2", "arm3", "arm6", "arm3-perturbed"])
+def test_shared_link_vectors_match_batched_oracle(env_id):
+    env = env_def(env_id)
+    lengths, k = env.params.lengths, env.params.n_joints
+    S, _ = random_batch(env_id, 8, seed=7)
+    near_pi = np.array([np.pi, np.nextafter(np.pi, 0), np.pi - 1e-9,
+                        np.nextafter(-np.pi, 0), -np.pi + 1e-9])
+    S[:5, :k] = np.resize(near_pi, (5, k)) * np.where(np.arange(k) % 2, -1.0, 1.0)
+    angles = S[:, :k]
+    for a in (angles, angles[0], angles[6]):
+        assert bits(envsim.forward_kinematics(lengths, a)) == bits(
+            rowwise.batched_forward_kinematics(lengths, a))
+        assert bits(envsim.arm_jacobian(lengths, a)) == bits(
+            rowwise.batched_arm_jacobian(lengths, a))
+    kp = np.linspace(0.75, 1.25, len(S))
+    bias = np.random.default_rng(8).normal(size=(len(S), 2))
+    for args in ((S,), (S[2],), (S, kp, bias), (S[5], kp[5], bias[5]), (S, 1.1, bias[0])):
+        assert bits(envsim.scripted_expert(env_id, *args)) == bits(
+            rowwise.batched_scripted_expert(env_id, *args))
+
+
+@pytest.mark.parametrize("env_id", ENVS)
+def test_state_path_and_demos_match_separate_arrays(env_id, monkeypatch, tmp_path):
+    def act(S, t):
+        return envsim.scripted_expert(env_id, S)
+
+    ours = envsim.rollout_episodes(env_id, act, [3, 4, 5])
+    theirs = rowwise.batched_rollout_episodes(env_id, act, [3, 4, 5])
+    assert ours.keys() == theirs.keys()
+    for key, value in theirs.items():
+        assert bits(ours[key]) == bits(value), key
+    envsim.collect_demos(env_id, n_episodes=3, seed=9, min_success_rate=0.0).save(
+        tmp_path / "ours")
+    one = envsim.collect_demos(env_id, n_episodes=1, seed=9, min_success_rate=0.0)
+    assert not np.shares_memory(one.states, one.next_states)
+    for name in ("forward_kinematics", "arm_jacobian", "scripted_expert", "rollout_episodes"):
+        monkeypatch.setattr(envsim, name, getattr(rowwise, "batched_" + name))
+    envsim.collect_demos(env_id, n_episodes=3, seed=9, min_success_rate=0.0).save(
+        tmp_path / "theirs")
+    assert (tmp_path / "ours").read_bytes() == (tmp_path / "theirs").read_bytes()
+
+
 def make_policy(kind, env_id):
     if kind == "expert":
         return ExpertPolicy(env_id)
@@ -156,6 +203,26 @@ def test_float32_lockstep_evaluation_close_to_per_row(env_id, kind):
 def test_evaluation_needs_an_episode():
     with pytest.raises(ConfigError):
         evaluate_policy(ExpertPolicy("arm2"), "arm2", 0)
+
+
+MIXES = [("raw", "expert", "random"), ("expert", "random", "latent"),
+         ("random", "latent", "raw", "expert"), ("latent", "raw")]
+
+
+@pytest.mark.parametrize("kinds", MIXES, ids="-".join)
+@pytest.mark.parametrize("env_id", ENVS)
+def test_merged_evaluation_equals_separate(env_id, kinds):
+    policies = [make_policy(kind, env_id) for kind in kinds]
+    seed = np.random.SeedSequence(12)
+    assert (evaluate_policies(policies, env_id, 5, seed)
+            == [evaluate_policy(p, env_id, 5, seed) for p in policies])
+
+
+def test_merged_evaluation_needs_a_policy_and_an_episode():
+    with pytest.raises(ConfigError):
+        evaluate_policies([], "arm2", 4)
+    with pytest.raises(ConfigError):
+        evaluate_policies([ExpertPolicy("arm2"), RandomPolicy("arm2")], "arm2", 0)
 
 
 def test_lockstep_clamp_count_matches_per_row():

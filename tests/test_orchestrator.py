@@ -406,7 +406,7 @@ def test_buffer_holds_features_of_stepped_states(monkeypatch, env_inputs):
     demos, codec = env_inputs("arm3")
     stepped, pushed, evaluating = [], [], []
     step_batch, push = envsim.step_batch, sacgen.ReplayBuffer.push
-    evaluate = orchestrator.evaluate_policy
+    evaluate = orchestrator.evaluate_policies
 
     def recording_step(env_id, states, actions):
         nxt, rewards = step_batch(env_id, states, actions)
@@ -427,7 +427,7 @@ def test_buffer_holds_features_of_stepped_states(monkeypatch, env_inputs):
 
     monkeypatch.setattr(envsim, "step_batch", recording_step)
     monkeypatch.setattr(sacgen.ReplayBuffer, "push", recording_push)
-    monkeypatch.setattr(orchestrator, "evaluate_policy", flagged_evaluate)
+    monkeypatch.setattr(orchestrator, "evaluate_policies", flagged_evaluate)
     run_training(env_run_cfg("lapal-agnostic", "arm3"), SMALL_SAC, demos, codec=codec,
                  seed=13)
     assert len(stepped) == len(pushed) == 300
@@ -440,6 +440,27 @@ def test_buffer_holds_features_of_stepped_states(monkeypatch, env_inputs):
     idx = np.random.default_rng(14).integers(0, len(demos), 64)
     assert (envsim.feature_map("arm3", demos.states)[idx].tobytes()
             == envsim.feature_map("arm3", demos.states[idx]).tobytes())
+
+
+@pytest.mark.parametrize("env_id", ["pointmass", "arm3"])
+def test_one_rollout_per_evaluation_point(monkeypatch, env_inputs, env_id):
+    """The references roll with the first evaluation; later points roll the
+    policy alone, and the references come out as if evaluated on their own."""
+    demos, _ = env_inputs(env_id)
+    cfg = env_run_cfg("gail", env_id)
+    cfg = dataclasses.replace(cfg, total_env_steps=2 * cfg.eval_every)
+    rollout, rows = envsim.rollout_episodes, []
+
+    def counting_rollout(env_id, act_fn, episode_seeds):
+        rows.append(len(episode_seeds))
+        return rollout(env_id, act_fn, episode_seeds)
+
+    monkeypatch.setattr(envsim, "rollout_episodes", counting_rollout)
+    res = run_training(cfg, SMALL_SAC, demos, seed=3)
+    assert rows == [3 * cfg.eval_episodes, cfg.eval_episodes]
+    eval_seed = orchestrator._eval_seed(3)
+    for policy, ret in ((ExpertPolicy, res.expert_return), (RandomPolicy, res.random_return)):
+        assert ret == evaluate_policy(policy(env_id), env_id, cfg.eval_episodes, eval_seed)[0]
 
 
 def test_emitted_latents_train_on_arm3(env_inputs):

@@ -26,6 +26,17 @@ def small_agent(seed=0, state_dim=4, u_dim=2, cfg=SMALL):
     return SacAgent(state_dim, u_dim, cfg, seed)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("batch_size", 0), ("batch_size", -5), ("buffer_capacity", 0), ("tau", -0.1),
+    ("tau", 1.5), ("gamma", 1.0), ("gamma", -0.5), ("actor_lr", -1e-3),
+    ("critic_lr", float("nan")), ("alpha_lr", float("inf")), ("init_alpha", 0.0),
+    ("init_alpha", -1.0), ("init_alpha", float("nan")),
+])
+def test_sac_config_rejects_values_that_cannot_train(field, value):
+    with pytest.raises(ConfigError):
+        SacConfig(**{field: value})
+
+
 def test_zero_actor_deterministic_action_is_zero():
     agent = small_agent()
     for layer in agent.actor.layers:
