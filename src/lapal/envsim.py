@@ -29,7 +29,9 @@ loop would. Batched policy, expert and kinematics arithmetic may differ from
 a per-row loop in the last ulp: demo arrays, and returns of float64 policies,
 agree with that loop to 1e-12 (the tests keep such a loop as their oracle);
 float32 network passes round more coarsely, and their returns agree to a
-relative 1e-6.
+relative 1e-6. The per-timestep kernels call ufuncs directly, in the order
+the wrappers `np.clip`, `np.sum` and `np.linalg.norm` run them, which saves
+the wrappers' per-call cost on few rows and matches those forms bit for bit.
 """
 
 from __future__ import annotations
@@ -188,21 +190,23 @@ def env_spec(env_id: str) -> EnvSpec:
 
 def _link_vectors(lengths, angles) -> np.ndarray:
     """l_j (cos, sin)(theta_0 + ... + theta_j) of each link j, (..., 2, k)."""
-    cum = np.cumsum(np.asarray(angles, dtype=np.float64), axis=-1)
-    trig = np.concatenate([np.cos(cum), np.sin(cum)], axis=-1)
-    links = trig.reshape(cum.shape[:-1] + (2, cum.shape[-1]))
-    return np.asarray(lengths, dtype=np.float64) * links
+    cum = np.add.accumulate(np.asarray(angles, dtype=np.float64), -1)
+    links = np.empty(cum.shape[:-1] + (2, cum.shape[-1]))
+    np.cos(cum, out=links[..., 0, :])
+    np.sin(cum, out=links[..., 1, :])
+    links *= lengths
+    return links
 
 
 def _jacobian(links) -> np.ndarray:
-    # d ee / d theta_j involves links j..K-1 only
-    tails = np.cumsum(links[..., ::-1], axis=-1)[..., ::-1]
-    return np.stack([-tails[..., 1, :], tails[..., 0, :]], axis=-2)
+    # d ee / d theta_j involves links j..K-1 only: rows (-tails_y, tails_x)
+    tails = np.add.accumulate(links[..., ::-1], -1)[..., ::-1]
+    return tails[..., ::-1, :] * [[-1.0], [1.0]]
 
 
 def forward_kinematics(lengths, angles) -> np.ndarray:
     """Planar chain end-effector position from joint angles, (k,) or (N, k)."""
-    return np.sum(_link_vectors(lengths, angles), axis=-1)
+    return np.add.reduce(_link_vectors(lengths, angles), -1)
 
 
 def arm_jacobian(lengths, angles) -> np.ndarray:
@@ -224,8 +228,8 @@ def nullspace_direction(lengths, angles) -> np.ndarray:
     if k <= 2:
         return np.zeros(angles.shape)
     jac = arm_jacobian(lengths, angles)
-    jac_t = np.swapaxes(jac, -1, -2)
-    pattern = np.array([1.0 if i % 2 == 0 else -1.0 for i in range(k)])
+    jac_t = jac.swapaxes(-1, -2)
+    pattern = np.where(np.arange(k) % 2, -1.0, 1.0)
     try:
         coef = np.linalg.solve(jac @ jac_t, (jac @ pattern)[..., None])
     except np.linalg.LinAlgError:
@@ -233,13 +237,15 @@ def nullspace_direction(lengths, angles) -> np.ndarray:
             return np.zeros(k)
         return np.stack([nullspace_direction(lengths, a) for a in angles])
     proj = pattern - (jac_t @ coef)[..., 0]
-    norm = np.linalg.norm(proj, axis=-1, keepdims=True)
+    norm = np.sqrt(np.add.reduce(proj * proj, -1, keepdims=True))
     return np.where(norm > 1e-9, proj / np.maximum(norm, 1e-9), 0.0)
 
 
 def wrap_angle(theta):
     """Wrap to (-pi, pi]; angles already in range pass through bit-exactly."""
     theta = np.asarray(theta, dtype=np.float64)
+    if np.logical_and.reduce(np.abs(theta) < np.pi, None):  # one compare; pi takes the exact test
+        return theta
     in_range = (theta > -np.pi) & (theta <= np.pi)
     if in_range.all():
         return theta
@@ -248,26 +254,19 @@ def wrap_angle(theta):
     return np.where(in_range, theta, w)
 
 
-def _arm_state(angles, velocities, goal):
-    return np.concatenate([angles, velocities, goal])
-
-
 def split_arm_state(env: EnvDef, state):
     k = env.params.n_joints
     return state[..., :k], state[..., k : 2 * k], state[..., 2 * k :]
 
 
-def end_effector(env: EnvDef, state) -> np.ndarray:
-    angles, _, _ = split_arm_state(env, state)
-    return forward_kinematics(env.params.lengths, angles)
-
-
 def goal_distance(env: EnvDef, state):
     """Distance to the goal of each state in (..., d); a scalar for one state."""
     if env.kind == "pointmass":
-        return np.linalg.norm(state[..., :2], axis=-1)
-    _, _, goal = split_arm_state(env, state)
-    return np.linalg.norm(end_effector(env, state) - goal, axis=-1)
+        d = state[..., :2]
+    else:
+        angles, _, goal = split_arm_state(env, state)
+        d = forward_kinematics(env.params.lengths, angles) - goal
+    return np.sqrt(np.add.reduce(d * d, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +301,7 @@ def env_reset(env_id: str, seed) -> np.ndarray:
     r = rng.uniform(*p.goal_radii) * float(np.sum(p.lengths))
     phi = ee_angle + rng.uniform(-p.goal_sector, p.goal_sector)
     goal = r * np.array([np.cos(phi), np.sin(phi)])
-    return _arm_state(angles, np.zeros(k), goal)
+    return np.concatenate([angles, np.zeros(k), goal])
 
 
 def step_batch(env_id: str, states, actions):
@@ -313,6 +312,8 @@ def step_batch(env_id: str, states, actions):
     `clamp_counts`. Every row reduces on its own, so a row's result does not
     depend on the other rows. Episodes terminate only at the horizon, which
     the rollout layer tracks; the dynamics themselves never emit a terminal.
+    A row is clamped when its clamped copy differs from it (NaN included),
+    and the reward -(w |a|^2) - dist rounds exactly as -dist - w |a|^2.
     """
     env = env_def(env_id)
     spec, p = env.spec, env.params
@@ -325,26 +326,27 @@ def step_batch(env_id: str, states, actions):
             f"action shape {A.shape} invalid for {env_id} "
             f"(want ({S.shape[0]}, {spec.action_dim}))"
         )
-    if not (np.isfinite(S).all() and np.isfinite(A).all()):
-        raise EnvironmentFault(f"non-finite state or action in {env_id}")
-    outside = (A < spec.action_low) | (A > spec.action_high)
+    if not np.isfinite(S).all():
+        raise EnvironmentFault(f"non-finite state in {env_id}")
+    clamped = np.minimum(np.maximum(A, spec.action_low), spec.action_high)
+    outside = clamped != A
     if outside.any():
-        clamped = int(np.count_nonzero(outside.any(axis=1)))
-        _clamp_counts[env_id] = _clamp_counts.get(env_id, 0) + clamped
-        A = np.clip(A, spec.action_low, spec.action_high)
-    ctrl = CONTROL_COST_WEIGHT * np.sum(A * A, axis=1)
+        if not np.isfinite(A).all():
+            raise EnvironmentFault(f"non-finite action in {env_id}")
+        _clamp_counts[env_id] = _clamp_counts.get(env_id, 0) + int(outside.any(1).sum())
+    reward = -CONTROL_COST_WEIGHT * np.add.reduce(clamped * clamped, 1)
     if env.kind == "pointmass":
         delta, vel = S[:, :2], S[:, 2:]
-        acc = (A - p.damping * vel) / p.mass
-        vel = np.clip(vel + spec.dt * acc, -p.v_max, p.v_max)
-        delta = delta + spec.dt * vel
-        return np.concatenate([delta, vel], axis=1), -np.linalg.norm(delta, axis=1) - ctrl
+        acc = (clamped - p.damping * vel) / p.mass
+        vel = np.minimum(np.maximum(vel + spec.dt * acc, -p.v_max), p.v_max)
+        d = delta + spec.dt * vel
+        return np.concatenate([d, vel], axis=1), reward - np.sqrt(np.add.reduce(d * d, 1))
     angles, vel, goal = split_arm_state(env, S)
-    acc = (A - p.damping * vel) / p.inertia
-    vel = np.clip(vel + spec.dt * acc, -p.v_max, p.v_max)
+    acc = (clamped - p.damping * vel) / p.inertia
+    vel = np.minimum(np.maximum(vel + spec.dt * acc, -p.v_max), p.v_max)
     angles = wrap_angle(angles + spec.dt * vel)
-    dist = np.linalg.norm(forward_kinematics(p.lengths, angles) - goal, axis=1)
-    return np.concatenate([angles, vel, goal], axis=1), -dist - ctrl
+    d = forward_kinematics(p.lengths, angles) - goal
+    return np.concatenate([angles, vel, goal], axis=1), reward - np.sqrt(np.add.reduce(d * d, 1))
 
 
 def env_step(env_id: str, state, action):
@@ -383,7 +385,7 @@ def feature_map(env_id: str, states) -> np.ndarray:
         ee = forward_kinematics(env.params.lengths, angles)
         out = np.concatenate(
             [np.cos(angles), np.sin(angles), vel / 4.0, goal, ee, goal - ee], axis=1)
-    return out[0] if np.asarray(states).ndim == 1 else out
+    return out[0] if np.ndim(states) == 1 else out
 
 
 def kinetic_energy(env_id: str, state) -> float:
@@ -416,16 +418,16 @@ def scripted_expert(env_id: str, state, kp_scale=1.0,
         f = -kp * p.expert_kp * state[..., :2] - p.expert_kd * state[..., 2:]
         if task_bias is not None:
             f = f + task_bias
-        return np.clip(f, spec.action_low, spec.action_high)
+        return np.minimum(np.maximum(f, spec.action_low), spec.action_high)
     angles, vel, goal = split_arm_state(env, state)
     links = _link_vectors(p.lengths, angles)
-    jac, ee = _jacobian(links), np.sum(links, axis=-1)
-    ee_vel = np.sum(jac * vel[..., None, :], axis=-1)
+    jac, ee = _jacobian(links), np.add.reduce(links, -1)
+    ee_vel = np.add.reduce(jac * vel[..., None, :], -1)
     f = kp * p.expert_kp * (goal - ee) - p.expert_kd * ee_vel
     if task_bias is not None:
         f = f + task_bias
-    tau = np.sum(jac * f[..., None], axis=-2) - p.expert_joint_damping * vel
-    return np.clip(tau, spec.action_low, spec.action_high)
+    tau = np.add.reduce(jac * f[..., None], -2) - p.expert_joint_damping * vel
+    return np.minimum(np.maximum(tau, spec.action_low), spec.action_high)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +440,7 @@ def rollout_episodes(env_id: str, act_fn, episode_seeds) -> dict:
     act_fn maps the (N, state_dim) states of all episodes at timestep t to
     (N, action_dim) actions. Arrays are indexed [episode, t]; "states" and
     "next_states" are views of one (N, horizon + 1, state_dim) state path, and
-    "return", "final_dist" and "settle_dist" hold one value per episode.
+    "return" and "settle_dist" hold one value per episode.
     """
     env = env_def(env_id)
     spec = env.spec
@@ -450,14 +452,13 @@ def rollout_episodes(env_id: str, act_fn, episode_seeds) -> dict:
     for t in range(horizon):
         action = act_fn(path[:, t], t)
         path[:, t + 1], rewards[:, t] = step_batch(env_id, path[:, t], action)
-        actions[:, t] = np.clip(action, spec.action_low, spec.action_high)
+        np.minimum(np.maximum(action, spec.action_low), spec.action_high, out=actions[:, t])
     dones = np.zeros((n, horizon))
     dones[:, -1] = 1.0
     return {
         "states": path[:, :-1], "actions": actions, "next_states": path[:, 1:],
         "rewards": rewards, "dones": dones,
-        "return": np.sum(rewards, axis=1),
-        "final_dist": goal_distance(env, path[:, -1]),
+        "return": np.add.reduce(rewards, 1),
         "settle_dist": np.mean(goal_distance(env, path[:, -10:]), axis=1),
     }
 
@@ -524,16 +525,9 @@ class DemoBuffer:
     def __len__(self):
         return self.states.shape[0]
 
-    @property
-    def n_episodes(self):
-        return len(self.episode_boundaries)
-
     def episode_slices(self):
         bounds = list(self.episode_boundaries) + [len(self)]
         return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-
-    def episode_returns(self):
-        return np.array([float(self.rewards[s].sum()) for s in self.episode_slices()])
 
     def save(self, path) -> None:
         write_checkpoint(
@@ -604,7 +598,7 @@ def collect_demos(env_id: str, n_episodes: int = 64, seed: int = 0,
         if null_amp is not None:
             angles, _, _ = split_arm_state(env, s)
             tau = tau + null_amp[:, t, None] * nullspace_direction(env.params.lengths, angles)
-            tau = np.clip(tau, spec.action_low, spec.action_high)
+            tau = np.minimum(np.maximum(tau, spec.action_low), spec.action_high)
         return tau
 
     eps = rollout_episodes(env_id, act, rngs)

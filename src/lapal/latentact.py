@@ -182,7 +182,7 @@ def decode(codec: ActionCodec, feats, latents, record: bool = False) -> np.ndarr
         raise ConfigError(f"latent width {z2.shape[1]} != latent_dim {codec.latent_dim}")
     out = codec.decoder.forward(np.concatenate([s2, z2], axis=1), record=record)
     out = out * codec.action_high
-    return out[0] if np.asarray(feats).ndim == 1 else out
+    return out[0] if np.ndim(feats) == 1 else out
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,7 @@ class ParamTree:
             elif act == "tanh":
                 np.tanh(a, out=a)
                 if i == last:
-                    np.clip(a, -TANH_CAP, TANH_CAP, out=a)
+                    np.minimum(np.maximum(a, -TANH_CAP, out=a), TANH_CAP, out=a)
             if record and i < last:
                 inputs.append(a)
         if record:
@@ -252,7 +252,10 @@ class ParamTree:
                 l.gb += d.sum(axis=0)
             if i == 0 and not input_grad:
                 return None
-            d = d @ weights[i].T
+            # for a width-1 layer `d @ w.T` runs matmul's slow non-BLAS loop: form the
+            # same products, plus the +0.0 its zeroed sum adds (-0.0 becomes 0.0)
+            w = weights[i]
+            d = d * w[:, 0] + 0.0 if w.shape[1] == 1 else d @ w.T
             if i > 0 and act == "relu":
                 d *= inputs[i] > 0.0
             elif i > 0 and act == "leaky_relu":
@@ -321,8 +324,8 @@ class GaussianDist:
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.log_std = np.clip(np.asarray(self.log_std, dtype=np.float64),
-                               LOG_STD_MIN, LOG_STD_MAX)
+        self.log_std = np.minimum(np.maximum(np.asarray(self.log_std, dtype=np.float64),
+                                             LOG_STD_MIN), LOG_STD_MAX)
 
     @property
     def std(self):

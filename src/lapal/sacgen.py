@@ -42,7 +42,7 @@ from .nncore import (
 
 def squash(z):
     """Capped tanh: emitted actions stay strictly inside the open box."""
-    return np.clip(np.tanh(z), -TANH_CAP, TANH_CAP)
+    return np.minimum(np.maximum(np.tanh(z), -TANH_CAP), TANH_CAP)
 
 
 # `latents` is None unless the buffer keeps emitted latents
@@ -214,11 +214,11 @@ def critic_update(agent: SacAgent, states, u, next_states, reward_fn, rng) -> di
     for name, critic in (("critic1", agent.critic1), ("critic2", agent.critic2)):
         q = _q(critic, states, u, record=True)
         err = q - y
-        losses[name] = float(np.mean(err * err))
+        losses[name] = float((err * err).sum()) / b
         critic.backward(((2.0 / b) * err)[:, None], input_grad=False)
         critic.adam_step(agent.cfg.critic_lr)
     polyak_update(agent, agent.cfg.tau)
-    losses["q_mean"] = float(np.mean(y))
+    losses["q_mean"] = float(y.sum()) / b
     return losses
 
 
@@ -231,7 +231,7 @@ def actor_loss(agent: SacAgent, states, eps) -> float:
     gauss = (-0.5 * eps * eps - dist.log_std - 0.5 * np.log(2 * np.pi)).sum(axis=1)
     log_prob = gauss - tanh_log_jacobian(z).sum(axis=1)
     qmin = np.minimum(_q(agent.critic1, states, u), _q(agent.critic2, states, u))
-    return float(np.mean(agent.alpha * log_prob - qmin))
+    return float((agent.alpha * log_prob - qmin).sum()) / states.shape[0]
 
 
 def actor_loss_and_grad(agent: SacAgent, states, eps):
@@ -251,7 +251,7 @@ def actor_loss_and_grad(agent: SacAgent, states, eps):
     q2 = _q(agent.critic2, states, u, record=True)
     qmin = np.minimum(q1, q2)
     alpha = agent.alpha
-    loss = float(np.mean(alpha * log_prob - qmin))
+    loss = float((alpha * log_prob - qmin).sum()) / b
 
     min1 = (q1 <= q2).astype(np.float64)
     din1 = agent.critic1.backward((-min1 / b)[:, None], accumulate=False)
@@ -275,13 +275,14 @@ def actor_update(agent: SacAgent, states, rng) -> dict:
 
     `states` are the state features every network consumes.
     """
-    eps = rng.standard_normal((states.shape[0], agent.u_dim))
+    b = states.shape[0]
+    eps = rng.standard_normal((b, agent.u_dim))
     loss, u, log_prob = actor_loss_and_grad(agent, states, eps)
     agent.actor.adam_step(agent.cfg.actor_lr)
-    out = {"actor": loss, "entropy": float(np.mean(-log_prob)), "alpha": agent.alpha,
+    out = {"actor": loss, "entropy": float((-log_prob).sum()) / b, "alpha": agent.alpha,
            "u": u}
     if agent.cfg.auto_tune_alpha:
-        grad = -float(np.mean(log_prob + agent.target_entropy))
+        grad = -float((log_prob + agent.target_entropy).sum()) / b
         agent.log_alpha.update(grad, agent.cfg.alpha_lr)
     return out
 
@@ -302,7 +303,7 @@ def decoder_adversarial_step(codec, discriminator, lr: float, features, u) -> fl
     post = latentact.encode(codec, features, actions, record=True)
     abar = np.tanh(post.mean)
     logits = adversary.disc_logit(discriminator, features, abar, record=True)
-    loss = float(np.mean(-softplus(logits)))
+    loss = float((-softplus(logits)).sum()) / b
     d_logit = (-sigmoid(logits) / b)[:, None]
     din_disc = discriminator.tree.backward(d_logit, accumulate=False)
     d_abar = din_disc[:, features.shape[1]:]

@@ -15,6 +15,7 @@ import numpy as np
 
 from lapal import envsim, latentact, sacgen
 from lapal.envsim import CONTROL_COST_WEIGHT, env_def, env_reset, wrap_angle
+from lapal.nncore import LOG_STD_MAX, LOG_STD_MIN, TANH_CAP
 from lapal.orchestrator import ExpertPolicy, PolicyBundle, RandomPolicy, _child_seq
 
 
@@ -118,7 +119,6 @@ def rollout_episode(env_id, act_fn, episode_seed):
     return {
         "states": states, "actions": actions, "next_states": next_states,
         "rewards": rewards, "return": float(np.sum(rewards)), "clamps": clamps,
-        "final_dist": goal_distance(env, state),
         "settle_dist": float(np.mean([goal_distance(env, s) for s in next_states[-10:]])),
     }
 
@@ -212,8 +212,11 @@ def collect(env_id, agent, codec, buf, state, ep_t, n, rng):
     return state, ep_t
 
 
-# The batched kinematics, expert and lockstep rollout as they were before the
-# link vectors were shared and the states kept as one path.
+# Earlier batched forms: the kinematics, expert and lockstep rollout as they
+# were before the link vectors were shared and the states kept as one path, and
+# the step, feature, distance, wrap and policy kernels as they were before they
+# called ufuncs directly (`np.clip`, `np.sum`, `np.linalg.norm`, concatenated
+# cos/sin). The current kernels must match them bit for bit.
 
 
 def batched_forward_kinematics(lengths, angles):
@@ -263,7 +266,7 @@ def batched_rollout_episodes(env_id, act_fn, episode_seeds):
     rewards = np.empty((n, horizon))
     for t in range(horizon):
         action = act_fn(state, t)
-        nxt, rewards[:, t] = envsim.step_batch(env_id, state, action)
+        nxt, rewards[:, t], _ = batched_step_batch(env_id, state, action)
         states[:, t] = state
         actions[:, t] = np.clip(action, spec.action_low, spec.action_high)
         next_states[:, t] = nxt
@@ -274,6 +277,101 @@ def batched_rollout_episodes(env_id, act_fn, episode_seeds):
         "states": states, "actions": actions, "next_states": next_states,
         "rewards": rewards, "dones": dones,
         "return": np.sum(rewards, axis=1),
-        "final_dist": envsim.goal_distance(env, state),
-        "settle_dist": np.mean(envsim.goal_distance(env, next_states[:, -10:]), axis=1),
+        "settle_dist": np.mean(batched_goal_distance(env, next_states[:, -10:]), axis=1),
     }
+
+
+def batched_wrap_angle(theta):
+    theta = np.asarray(theta, dtype=np.float64)
+    in_range = (theta > -np.pi) & (theta <= np.pi)
+    if in_range.all():
+        return theta
+    w = np.mod(theta + np.pi, 2.0 * np.pi) - np.pi
+    w = np.where(w == -np.pi, np.pi, w)
+    return np.where(in_range, theta, w)
+
+
+def batched_step_batch(env_id, states, actions):
+    """Returns (next_states, rewards, number of clamped rows)."""
+    env = env_def(env_id)
+    spec, p = env.spec, env.params
+    S = np.asarray(states, dtype=np.float64)
+    A = np.asarray(actions, dtype=np.float64)
+    outside = (A < spec.action_low) | (A > spec.action_high)
+    clamped = int(np.count_nonzero(outside.any(axis=1)))
+    if clamped:
+        A = np.clip(A, spec.action_low, spec.action_high)
+    ctrl = CONTROL_COST_WEIGHT * np.sum(A * A, axis=1)
+    if env.kind == "pointmass":
+        delta, vel = S[:, :2], S[:, 2:]
+        acc = (A - p.damping * vel) / p.mass
+        vel = np.clip(vel + spec.dt * acc, -p.v_max, p.v_max)
+        delta = delta + spec.dt * vel
+        return (np.concatenate([delta, vel], axis=1),
+                -np.linalg.norm(delta, axis=1) - ctrl, clamped)
+    angles, vel, goal = envsim.split_arm_state(env, S)
+    acc = (A - p.damping * vel) / p.inertia
+    vel = np.clip(vel + spec.dt * acc, -p.v_max, p.v_max)
+    angles = batched_wrap_angle(angles + spec.dt * vel)
+    dist = np.linalg.norm(batched_forward_kinematics(p.lengths, angles) - goal, axis=1)
+    return np.concatenate([angles, vel, goal], axis=1), -dist - ctrl, clamped
+
+
+def batched_goal_distance(env, state):
+    if env.kind == "pointmass":
+        return np.linalg.norm(state[..., :2], axis=-1)
+    angles, _, goal = envsim.split_arm_state(env, state)
+    return np.linalg.norm(batched_forward_kinematics(env.params.lengths, angles) - goal, axis=-1)
+
+
+def batched_feature_map(env_id, states):
+    env = env_def(env_id)
+    S = np.atleast_2d(np.asarray(states, dtype=np.float64))
+    if env.kind == "pointmass":
+        out = S
+    else:
+        angles, vel, goal = envsim.split_arm_state(env, S)
+        ee = batched_forward_kinematics(env.params.lengths, angles)
+        out = np.concatenate(
+            [np.cos(angles), np.sin(angles), vel / 4.0, goal, ee, goal - ee], axis=1)
+    return out[0] if np.asarray(states).ndim == 1 else out
+
+
+def batched_nullspace_direction(lengths, angles):
+    angles = np.asarray(angles, dtype=np.float64)
+    k = angles.shape[-1]
+    if k <= 2:
+        return np.zeros(angles.shape)
+    jac = batched_arm_jacobian(lengths, angles)
+    jac_t = np.swapaxes(jac, -1, -2)
+    pattern = np.array([1.0 if i % 2 == 0 else -1.0 for i in range(k)])
+    try:
+        coef = np.linalg.solve(jac @ jac_t, (jac @ pattern)[..., None])
+    except np.linalg.LinAlgError:
+        if angles.ndim == 1:
+            return np.zeros(k)
+        return np.stack([batched_nullspace_direction(lengths, a) for a in angles])
+    proj = pattern - (jac_t @ coef)[..., 0]
+    norm = np.linalg.norm(proj, axis=-1, keepdims=True)
+    return np.where(norm > 1e-9, proj / np.maximum(norm, 1e-9), 0.0)
+
+
+def batched_squash(z):
+    return np.clip(np.tanh(z), -TANH_CAP, TANH_CAP)
+
+
+def batched_gaussian_head(raw):
+    """Returns (mean, clamped log-std, clamp mask)."""
+    d = raw.shape[-1] // 2
+    raw_ls = raw[..., d:]
+    mask = ((raw_ls > LOG_STD_MIN) & (raw_ls < LOG_STD_MAX)).astype(np.float64)
+    log_std = np.clip(np.asarray(raw_ls, dtype=np.float64), LOG_STD_MIN, LOG_STD_MAX)
+    return np.asarray(raw[..., :d], dtype=np.float64), log_std, mask
+
+
+def batched_decode(codec, feats, latents):
+    s2 = np.atleast_2d(feats)
+    z2 = np.atleast_2d(latents)
+    out = codec.decoder.forward(np.concatenate([s2, z2], axis=1))
+    out = out * codec.action_high
+    return out[0] if np.asarray(feats).ndim == 1 else out

@@ -7,10 +7,10 @@ import pytest
 
 import rowwise
 from conftest import float64
-from lapal import envsim, latentact, orchestrator
+from lapal import envsim, latentact, orchestrator, sacgen
 from lapal.envsim import JitterConfig, env_def, env_reset, env_spec, env_step, step_batch
 from lapal.errors import ConfigError, QualityGateError
-from lapal.nncore import MLPSpec, ParamTree
+from lapal.nncore import LOG_STD_MAX, LOG_STD_MIN, MLPSpec, ParamTree, gaussian_head
 from lapal.orchestrator import (
     ExpertPolicy,
     PolicyBundle,
@@ -70,9 +70,17 @@ def test_step_batch_checks_shapes_and_finiteness():
     for bad_s, bad_a in ((S[0], A[0]), (S, A[:3]), (S[:, :5], A), (S, A[:, :1]), (S[None], A)):
         with pytest.raises(ConfigError):
             step_batch("arm2", bad_s, bad_a)
-    A[2, 1] = np.inf
-    with pytest.raises(envsim.EnvironmentFault):
-        step_batch("arm2", S, A)
+    envsim.reset_clamp_counts()
+    for i, j, value in ((2, 1, np.inf), (0, 0, -np.inf), (3, 1, np.nan)):
+        bad = np.clip(A, -1, 1)            # the non-finite entry is the only fault
+        bad[i, j] = value
+        with pytest.raises(envsim.EnvironmentFault, match="action"):
+            step_batch("arm2", S, bad)
+        bad_s = S.copy()
+        bad_s[i, j] = value
+        with pytest.raises(envsim.EnvironmentFault, match="state"):
+            step_batch("arm2", bad_s, A)
+    assert envsim.clamp_counts() == {}
 
 
 def test_env_def_cached_with_read_only_arrays():
@@ -149,11 +157,122 @@ def test_state_path_and_demos_match_separate_arrays(env_id, monkeypatch, tmp_pat
         tmp_path / "ours")
     one = envsim.collect_demos(env_id, n_episodes=1, seed=9, min_success_rate=0.0)
     assert not np.shares_memory(one.states, one.next_states)
-    for name in ("forward_kinematics", "arm_jacobian", "scripted_expert", "rollout_episodes"):
+    for name in ("forward_kinematics", "arm_jacobian", "scripted_expert", "rollout_episodes",
+                 "goal_distance", "nullspace_direction"):
         monkeypatch.setattr(envsim, name, getattr(rowwise, "batched_" + name))
     envsim.collect_demos(env_id, n_episodes=3, seed=9, min_success_rate=0.0).save(
         tmp_path / "theirs")
     assert (tmp_path / "ours").read_bytes() == (tmp_path / "theirs").read_bytes()
+
+
+KERNEL_ENVS = ["pointmass", "arm2", "arm3", "arm6", "arm3-perturbed"]
+KERNEL_CASES = ["actions-out-of-bounds", "past-v_max", "angles-at-pi"]
+# exactly +-pi, one ulp inside and outside, past pi and far past it, and zeros
+SPECIAL_ANGLES = np.array([np.pi, -np.pi, np.nextafter(np.pi, 0), np.nextafter(-np.pi, 0),
+                           np.nextafter(np.pi, 4), np.nextafter(-np.pi, -4), np.pi + 0.5,
+                           -np.pi - 0.5, 3 * np.pi, -7.0, 0.0, -0.0])
+
+
+def same(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return np.array_equal(x, y) and x.shape == y.shape and bits(x) == bits(y)
+
+
+def kernel_batch(env_id, n, case):
+    """n states and actions for one kernel case: actions past the bounds,
+    velocities the step carries past v_max, or (arms) zero velocity and zero
+    action, so the angles reach `wrap_angle` unchanged: exactly +-pi and past
+    it."""
+    env = env_def(env_id)
+    S, A = random_batch(env_id, n, seed=n, action_scale=0.9)
+    vel = S[:, 2:] if env.kind == "pointmass" else S[:, env.params.n_joints : 2 * env.params.n_joints]
+    if case == "actions-out-of-bounds":
+        A[::2] *= 2.5
+        A[0, 0] = -3.0
+    elif case == "past-v_max":
+        sign = np.where(np.arange(vel.size).reshape(vel.shape) % 3, 1.0, -1.0)
+        vel[...] = 1.5 * env.params.v_max * sign
+        A[...] = sign
+    elif env.kind == "arm":
+        k = env.params.n_joints
+        S[:, :k] = [np.roll(SPECIAL_ANGLES, -i)[:k] for i in range(n)]
+        vel[...] = 0.0
+        A[...] = 0.0
+    return S, A
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+@pytest.mark.parametrize("n", [1, 16, 48])
+@pytest.mark.parametrize("env_id", KERNEL_ENVS)
+def test_step_kernels_match_earlier_batched_forms(env_id, n, case):
+    env = env_def(env_id)
+    S, A = kernel_batch(env_id, n, case)
+    envsim.reset_clamp_counts()
+    nxt, rewards = step_batch(env_id, S, A)
+    ref_nxt, ref_rewards, clamped = rowwise.batched_step_batch(env_id, S, A)
+    assert same(nxt, ref_nxt) and same(rewards, ref_rewards)
+    assert envsim.clamp_counts().get(env_id, 0) == clamped
+    assert all(type(count) is int for count in envsim.clamp_counts().values())  # JSON-safe
+    assert (clamped > 0) == (case == "actions-out-of-bounds")
+    vel = nxt[:, 2:] if env.kind == "pointmass" else split_vel(env, nxt)
+    if case == "past-v_max":
+        assert (np.abs(vel) == env.params.v_max).any()
+    for states in (S, nxt, S[0], nxt[-1]):
+        assert same(envsim.feature_map(env_id, states), rowwise.batched_feature_map(env_id, states))
+        assert same(envsim.goal_distance(env, states), rowwise.batched_goal_distance(env, states))
+        assert same(envsim.scripted_expert(env_id, states),
+                    rowwise.batched_scripted_expert(env_id, states))
+    path = np.stack([S, nxt], axis=1)
+    assert same(envsim.goal_distance(env, path), rowwise.batched_goal_distance(env, path))
+    if env.kind != "arm":
+        return
+    k, lengths = env.params.n_joints, env.params.lengths
+    if case == "angles-at-pi":  # the step adds dt * 0.0, which turns -0.0 into 0.0
+        assert same(nxt[:, :k], rowwise.batched_wrap_angle(S[:, :k] + 0.0))
+        assert (nxt[:, :k][S[:, :k] == -np.pi] == np.pi).all() and (S[:, :k] == -np.pi).any()
+    for angles in (S[:, :k], nxt[:, :k], S[0, :k]):
+        assert same(envsim.forward_kinematics(lengths, angles),
+                    rowwise.batched_forward_kinematics(lengths, angles))
+        assert same(envsim.arm_jacobian(lengths, angles),
+                    rowwise.batched_arm_jacobian(lengths, angles))
+        assert same(envsim.nullspace_direction(lengths, angles),
+                    rowwise.batched_nullspace_direction(lengths, angles))
+
+
+def split_vel(env, states):
+    return envsim.split_arm_state(env, states)[1]
+
+
+def test_wrap_angle_matches_earlier_form():
+    inside = np.array([0.5, -3.0, np.nextafter(np.pi, 0), np.nextafter(-np.pi, 0), -0.0])
+    for theta in (SPECIAL_ANGLES, SPECIAL_ANGLES.reshape(3, 4), inside, inside[:, None],
+                  np.array([np.pi]), np.array([-np.pi]), np.pi, -np.pi, 0.25):
+        assert same(envsim.wrap_angle(theta), rowwise.batched_wrap_angle(theta))
+    assert envsim.wrap_angle(np.array([-np.pi]))[0] == np.pi
+    assert envsim.wrap_angle(inside) is inside      # in range: passed through untouched
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("n", [1, 16, 48])
+def test_policy_kernels_match_earlier_forms(n, precision):
+    rng = np.random.default_rng(n)
+    z = 3.0 * rng.standard_normal((n, 4))
+    z[0] = [0.0, -0.0, 40.0, -40.0]                 # tanh saturates: the cap clamps
+    for x in (z, z[0]):
+        assert same(sacgen.squash(x), rowwise.batched_squash(x))
+    raw = 8.0 * rng.standard_normal((n, 6))
+    raw[0, 3:] = [LOG_STD_MIN, LOG_STD_MAX, LOG_STD_MAX + 1e-9]
+    for x in (raw, raw[0], raw.astype(np.float32)):
+        dist, mask = gaussian_head(x)
+        mean, log_std, ref_mask = rowwise.batched_gaussian_head(x)
+        assert same(dist.mean, mean) and same(dist.log_std, log_std) and same(mask, ref_mask)
+    codec = latentact.make_codec("arm3", latentact.CVAEConfig(latent_dim=2), n)
+    if precision == "float64":
+        float64(codec)
+    S, _ = random_batch("arm3", n, seed=n)
+    feats, u = envsim.feature_map("arm3", S), sacgen.squash(z[:, :2])
+    for f, x in ((feats, u), (feats[0], u[0])):
+        assert same(latentact.decode(codec, f, x), rowwise.batched_decode(codec, f, x))
 
 
 def make_policy(kind, env_id):

@@ -343,6 +343,31 @@ def test_skipped_input_gradient_keeps_parameter_gradients(spec, batch, precision
             [r for l in ref.layers for r in (l.gw.ravel(), l.gb)]))
 
 
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+@pytest.mark.parametrize("batch", [1, 128])
+@pytest.mark.parametrize("hidden", [(16, 12), (1, 12)])
+def test_width_one_layer_backward_equals_matmul(hidden, batch, precision):
+    # a critic or discriminator head (and, with hidden width 1, a first layer
+    # whose broadcast gradient is the returned input gradient) against
+    # `d @ w.T` on the tree's cast weights, bit for bit, -0.0 included
+    tree, x, up = _kernel_case(MLPSpec(8, hidden, 1, activation="relu"), batch, seed=6)
+    if precision == "float64":
+        float64(tree)
+    weights = [(l.w.astype(tree.dtype), l.b.astype(tree.dtype)) for l in tree.layers]
+    hs = [x.astype(tree.dtype)]
+    for w, b in weights[:-1]:
+        hs.append(np.maximum(hs[-1] @ w + b, 0.0))
+    d, grads = up.astype(tree.dtype), []
+    for i in range(len(weights) - 1, -1, -1):
+        grads[:0] = [hs[i].T @ d, d.sum(axis=0)]
+        d = d @ weights[i][0].T
+        if i > 0:
+            d = d * (hs[i] > 0.0)
+    tree.forward(x, record=True)
+    assert _same(tree.backward(up), d.astype(np.float64))
+    assert _same(tree.grads, np.concatenate([g.astype(np.float64).ravel() for g in grads]))
+
+
 @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: s.canonical())
 def test_forward_matches_oracle_on_nonfinite_rows(spec):
     tree, x, _ = _kernel_case(spec, 8, seed=3)
