@@ -80,10 +80,6 @@ def disc_logit(d: Discriminator, states, actions, record: bool = False) -> np.nd
     return out[:, 0]
 
 
-def disc_prob(d: Discriminator, states, actions) -> np.ndarray:
-    return sigmoid(disc_logit(d, states, actions))
-
-
 def disc_reward(d: Discriminator, states, actions) -> np.ndarray:
     """-log(1 - D) computed as softplus(logit): finite, >= 0."""
     return softplus(disc_logit(d, states, actions))

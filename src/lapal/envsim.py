@@ -21,17 +21,18 @@ One batched kernel, `step_batch(env_id, S, A)`, steps N independent copies of
 an env over (N, d) arrays; `env_step` is its one-row view. Rows never
 interact and every reduction runs along a row, so a row of a batched step is
 bit-identical to the same row stepped alone. `rollout_episodes` rolls N
-episodes in lockstep: each episode resets from its own seed or generator, in
-order, and every timestep makes one policy call and one kernel step for all
-episodes, keeping their states as one path. Policies and demo jitter
-therefore draw each episode's random stream exactly as a one-episode-at-a-time
-loop would. Batched policy, expert and kinematics arithmetic may differ from
-a per-row loop in the last ulp: demo arrays, and returns of float64 policies,
-agree with that loop to 1e-12 (the tests keep such a loop as their oracle);
-float32 network passes round more coarsely, and their returns agree to a
-relative 1e-6. The per-timestep kernels call ufuncs directly, in the order
-the wrappers `np.clip`, `np.sum` and `np.linalg.norm` run them, which saves
-the wrappers' per-call cost on few rows and matches those forms bit for bit.
+episodes in lockstep from start states that its caller resets, and every
+timestep makes one policy call and one kernel step for all episodes, keeping
+their states as one path. Callers reset each episode from its own seed or
+generator, so policies and demo jitter draw each episode's random stream
+exactly as a one-episode-at-a-time loop would. Batched policy, expert and
+kinematics arithmetic may differ from a per-row loop in the last ulp: demo
+arrays, and returns of float64 policies, agree with that loop to 1e-12 (the
+tests keep such a loop as their oracle); float32 network passes round more
+coarsely, and their returns agree to a relative 1e-6. The per-timestep
+kernels call ufuncs directly, in the order the wrappers `np.clip`, `np.sum`
+and `np.linalg.norm` run them, which saves the wrappers' per-call cost on few
+rows and matches those forms bit for bit.
 """
 
 from __future__ import annotations
@@ -224,18 +225,24 @@ def nullspace_direction(lengths, angles) -> np.ndarray:
     for arms without redundant joints. (k,) or (N, k) angles.
     """
     angles = np.asarray(angles, dtype=np.float64)
-    k = angles.shape[-1]
-    if k <= 2:
+    if angles.shape[-1] <= 2:
         return np.zeros(angles.shape)
-    jac = arm_jacobian(lengths, angles)
+    return _nullspace(arm_jacobian(lengths, angles))
+
+
+def _nullspace(jac) -> np.ndarray:
+    """`nullspace_direction` from the (..., 2, k) Jacobian, k > 2. A stretched
+    arm makes J J^T singular: then each row is solved alone, and a singular
+    row gets zero."""
+    k = jac.shape[-1]
     jac_t = jac.swapaxes(-1, -2)
     pattern = np.where(np.arange(k) % 2, -1.0, 1.0)
     try:
         coef = np.linalg.solve(jac @ jac_t, (jac @ pattern)[..., None])
     except np.linalg.LinAlgError:
-        if angles.ndim == 1:
+        if jac.ndim == 2:
             return np.zeros(k)
-        return np.stack([nullspace_direction(lengths, a) for a in angles])
+        return np.stack([_nullspace(j) for j in jac])
     proj = pattern - (jac_t @ coef)[..., 0]
     norm = np.sqrt(np.add.reduce(proj * proj, -1, keepdims=True))
     return np.where(norm > 1e-9, proj / np.maximum(norm, 1e-9), 0.0)
@@ -259,14 +266,24 @@ def split_arm_state(env: EnvDef, state):
     return state[..., :k], state[..., k : 2 * k], state[..., 2 * k :]
 
 
+def _arm_kinematics(env: EnvDef, state):
+    """(velocities, goal, Jacobian, end effector) of arm states, from one
+    pass over the link vectors."""
+    angles, vel, goal = split_arm_state(env, state)
+    links = _link_vectors(env.params.lengths, angles)
+    return vel, goal, _jacobian(links), np.add.reduce(links, -1)
+
+
+def _norm(d):
+    return np.sqrt(np.add.reduce(d * d, -1))
+
+
 def goal_distance(env: EnvDef, state):
     """Distance to the goal of each state in (..., d); a scalar for one state."""
     if env.kind == "pointmass":
-        d = state[..., :2]
-    else:
-        angles, _, goal = split_arm_state(env, state)
-        d = forward_kinematics(env.params.lengths, angles) - goal
-    return np.sqrt(np.add.reduce(d * d, -1))
+        return _norm(state[..., :2])
+    angles, _, goal = split_arm_state(env, state)
+    return _norm(forward_kinematics(env.params.lengths, angles) - goal)
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +357,13 @@ def step_batch(env_id: str, states, actions):
         acc = (clamped - p.damping * vel) / p.mass
         vel = np.minimum(np.maximum(vel + spec.dt * acc, -p.v_max), p.v_max)
         d = delta + spec.dt * vel
-        return np.concatenate([d, vel], axis=1), reward - np.sqrt(np.add.reduce(d * d, 1))
+        return np.concatenate([d, vel], axis=1), reward - _norm(d)
     angles, vel, goal = split_arm_state(env, S)
     acc = (clamped - p.damping * vel) / p.inertia
     vel = np.minimum(np.maximum(vel + spec.dt * acc, -p.v_max), p.v_max)
     angles = wrap_angle(angles + spec.dt * vel)
     d = forward_kinematics(p.lengths, angles) - goal
-    return np.concatenate([angles, vel, goal], axis=1), reward - np.sqrt(np.add.reduce(d * d, 1))
+    return np.concatenate([angles, vel, goal], axis=1), reward - _norm(d)
 
 
 def env_step(env_id: str, state, action):
@@ -388,15 +405,6 @@ def feature_map(env_id: str, states) -> np.ndarray:
     return out[0] if np.ndim(states) == 1 else out
 
 
-def kinetic_energy(env_id: str, state) -> float:
-    env = env_def(env_id)
-    if env.kind == "pointmass":
-        v = state[2:]
-        return 0.5 * env.params.mass * float(v @ v)
-    _, vel, _ = split_arm_state(env, state)
-    return 0.5 * env.params.inertia * float(vel @ vel)
-
-
 # ---------------------------------------------------------------------------
 # scripted experts
 
@@ -419,9 +427,12 @@ def scripted_expert(env_id: str, state, kp_scale=1.0,
         if task_bias is not None:
             f = f + task_bias
         return np.minimum(np.maximum(f, spec.action_low), spec.action_high)
-    angles, vel, goal = split_arm_state(env, state)
-    links = _link_vectors(p.lengths, angles)
-    jac, ee = _jacobian(links), np.add.reduce(links, -1)
+    return _arm_expert(env, kp, task_bias, *_arm_kinematics(env, state))
+
+
+def _arm_expert(env: EnvDef, kp, task_bias, vel, goal, jac, ee) -> np.ndarray:
+    """`scripted_expert` of arm states from their `_arm_kinematics`."""
+    spec, p = env.spec, env.params
     ee_vel = np.add.reduce(jac * vel[..., None, :], -1)
     f = kp * p.expert_kp * (goal - ee) - p.expert_kd * ee_vel
     if task_bias is not None:
@@ -434,9 +445,11 @@ def scripted_expert(env_id: str, state, kp_scale=1.0,
 # rollouts
 
 
-def rollout_episodes(env_id: str, act_fn, episode_seeds) -> dict:
-    """Roll one full episode per seed in lockstep; act_fn(states, t) -> actions.
+def rollout_episodes(env_id: str, act_fn, starts) -> dict:
+    """Roll one full episode from each start state in lockstep;
+    act_fn(states, t) -> actions.
 
+    `starts` holds the (N, state_dim) reset states, which the caller draws.
     act_fn maps the (N, state_dim) states of all episodes at timestep t to
     (N, action_dim) actions. Arrays are indexed [episode, t]; "states" and
     "next_states" are views of one (N, horizon + 1, state_dim) state path, and
@@ -444,9 +457,9 @@ def rollout_episodes(env_id: str, act_fn, episode_seeds) -> dict:
     """
     env = env_def(env_id)
     spec = env.spec
-    n, horizon = len(episode_seeds), spec.horizon
+    n, horizon = len(starts), spec.horizon
     path = np.empty((n, horizon + 1, spec.state_dim))
-    path[:, 0] = [env_reset(env_id, s) for s in episode_seeds]
+    path[:, 0] = starts
     actions = np.empty((n, horizon, spec.action_dim))
     rewards = np.empty((n, horizon))
     for t in range(horizon):
@@ -469,7 +482,7 @@ def rollout_episode(env_id: str, act_fn, episode_seed) -> dict:
     The one-episode case of `rollout_episodes`.
     """
     ep = rollout_episodes(env_id, lambda s, t: np.asarray(act_fn(s[0], t))[None],
-                          [episode_seed])
+                          env_reset(env_id, episode_seed)[None])
     return {key: value[0] for key, value in ep.items()}
 
 
@@ -553,15 +566,42 @@ class DemoBuffer:
                    *(arrays[name].copy() for name in _DEMO_ARRAYS), bounds)
 
 
-def _ou_steps(rng, n, dim, sigma, tau, dt):
+def _ou_steps(z, sigma, tau, dt):
+    """Ornstein-Uhlenbeck paths, (N, n, dim), from standard-normal draws z of
+    shape (N, n + 1, dim): x_0 = sigma z_0 and x_t = decay x_{t-1} + diff z_t.
+
+    `sigma` is a scalar or one value per column. One recurrence steps every
+    path; each value rounds as in a one-path, one-step loop. z_n moves no kept
+    value, but it is part of each path's draw.
+    """
     decay = math.exp(-dt / tau)
     diff = sigma * math.sqrt(1.0 - decay * decay)
-    noise = np.empty((n, dim))
-    x = sigma * rng.standard_normal(dim)
-    for t in range(n):
-        noise[t] = x
-        x = decay * x + diff * rng.standard_normal(dim)
+    noise = np.empty((z.shape[0], z.shape[1] - 1, z.shape[2]))
+    noise[:, 0] = sigma * z[:, 0]
+    for t in range(1, noise.shape[1]):
+        noise[:, t] = decay * noise[:, t - 1] + diff * z[:, t]
     return noise
+
+
+def _demo_action(env: EnvDef, jitter: JitterConfig, s, kp_scale, noise, null_amp):
+    """Jittered expert actions at states `s`: expert gains `kp_scale` (N,),
+    task-space noise `noise` (N, 2) faded near the goal, and posture noise
+    `null_amp` (N,) or None. Arms compute their kinematics once, for the goal
+    distance, the expert torque and the nullspace direction alike."""
+    if env.kind == "arm":
+        vel, goal, jac, ee = _arm_kinematics(env, s)
+        dist = _norm(ee - goal)
+    else:
+        dist = _norm(s[:, :2])
+    fade = np.maximum(jitter.fade_floor, np.minimum(1.0, dist / jitter.fade_dist))
+    bias = fade[:, None] * noise
+    if env.kind != "arm":
+        return scripted_expert(env.spec.env_id, s, kp_scale=kp_scale, task_bias=bias)
+    tau = _arm_expert(env, kp_scale[:, None], bias, vel, goal, jac, ee)
+    if null_amp is None:
+        return tau
+    tau = tau + null_amp[:, None] * _nullspace(jac)
+    return np.minimum(np.maximum(tau, env.spec.action_low), env.spec.action_high)
 
 
 def collect_demos(env_id: str, n_episodes: int = 64, seed: int = 0,
@@ -569,8 +609,12 @@ def collect_demos(env_id: str, n_episodes: int = 64, seed: int = 0,
                   min_success_rate: float = 0.9) -> DemoBuffer:
     """Roll the scripted expert with task-space jitter; gate on goal reaching.
 
-    All episodes run in lockstep. Each one draws its gain, task noise and
-    posture noise, then its reset, from its own child stream of `seed`.
+    All episodes run in lockstep. Each one draws from its own child stream
+    of `seed`, in this order: its gain, its whole task noise input as one
+    (horizon + 1, 2) standard-normal block, its posture noise input as one
+    (horizon + 1, 1) block (arms with redundant joints), then its reset.
+    Arm timesteps compute the link vectors and Jacobian once, for the goal
+    distance, the expert torque and the nullspace direction alike.
     """
     if n_episodes < 1:
         raise ConfigError("need at least one episode")
@@ -578,30 +622,23 @@ def collect_demos(env_id: str, n_episodes: int = 64, seed: int = 0,
     spec = env.spec
     if jitter is None:
         jitter = default_jitter(env_id)
-    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_episodes)]
     use_null = env.kind == "arm" and env.params.n_joints > 2 and jitter.null_sigma > 0
-    kp_scale, noise, null_amp = [], [], []
-    for rng in rngs:
-        kp_scale.append(rng.uniform(*jitter.gain_scale_range))
-        noise.append(_ou_steps(rng, spec.horizon, 2, jitter.ou_sigma, jitter.ou_tau, spec.dt))
-        if use_null:
-            null_amp.append(_ou_steps(rng, spec.horizon, 1, jitter.null_sigma,
-                                      jitter.ou_tau, spec.dt)[:, 0])
-    kp_scale, noise = np.array(kp_scale), np.stack(noise)
-    null_amp = np.stack(null_amp) if use_null else None
+    kp_scale, draws, starts = np.empty(n_episodes), [], []
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_episodes)):
+        rng = np.random.default_rng(child)
+        kp_scale[i] = rng.uniform(*jitter.gain_scale_range)
+        draws.append(np.concatenate([rng.standard_normal((spec.horizon + 1, width))
+                                     for width in (2, 1)[: 1 + use_null]], 1))
+        starts.append(env_reset(env_id, rng))
+    sigma = np.array([jitter.ou_sigma] * 2 + [jitter.null_sigma] * use_null)
+    ou = _ou_steps(np.stack(draws), sigma, jitter.ou_tau, spec.dt)
+    noise, null_amp = ou[..., :2], (ou[..., 2] if use_null else None)
 
     def act(s, t):
-        fade = np.maximum(jitter.fade_floor,
-                          np.minimum(1.0, goal_distance(env, s) / jitter.fade_dist))
-        tau = scripted_expert(env_id, s, kp_scale=kp_scale,
-                              task_bias=fade[:, None] * noise[:, t])
-        if null_amp is not None:
-            angles, _, _ = split_arm_state(env, s)
-            tau = tau + null_amp[:, t, None] * nullspace_direction(env.params.lengths, angles)
-            tau = np.minimum(np.maximum(tau, spec.action_low), spec.action_high)
-        return tau
+        return _demo_action(env, jitter, s, kp_scale, noise[:, t],
+                            None if null_amp is None else null_amp[:, t])
 
-    eps = rollout_episodes(env_id, act, rngs)
+    eps = rollout_episodes(env_id, act, np.stack(starts))
     rate = np.count_nonzero(eps["settle_dist"] <= env.params.success_tol) / n_episodes
     buffer = DemoBuffer(
         env_id=env_id,

@@ -30,8 +30,6 @@ from . import envsim
 from .configio import read_checkpoint, write_checkpoint
 from .errors import CheckpointError, ConfigError, QualityGateError, StateError
 from .nncore import (
-    LOG_STD_MAX,
-    LOG_STD_MIN,
     GaussianDist,
     MLPSpec,
     ParamTree,
@@ -140,14 +138,19 @@ def make_codec(env_id: str, cfg: CVAEConfig, seed) -> ActionCodec:
 # encode / decode
 
 
-def encode(codec: ActionCodec, feats, actions, record: bool = False) -> GaussianDist:
-    """Posterior over the pre-squash latent; tanh of its samples/mean is the
-    latent action. `feats` are state features, not raw env states."""
+def encoder_input(feats, actions) -> np.ndarray:
+    """The encoder's input rows [features | actions]; `ConfigError` if any
+    entry is non-finite."""
     x = np.concatenate([np.atleast_2d(feats), np.atleast_2d(actions)], axis=1)
     if not np.all(np.isfinite(x)):
         raise ConfigError("non-finite inputs to encode")
-    raw = codec.encoder.forward(x, record=record)
-    dist, _ = gaussian_head(raw)
+    return x
+
+
+def encode(codec: ActionCodec, feats, actions, record: bool = False) -> GaussianDist:
+    """Posterior over the pre-squash latent; tanh of its samples/mean is the
+    latent action. `feats` are state features, not raw env states."""
+    dist, _ = gaussian_head(codec.encoder.forward(encoder_input(feats, actions), record=record))
     return dist
 
 
@@ -156,18 +159,14 @@ def encode_mean(codec: ActionCodec, feats, actions) -> np.ndarray:
     return np.tanh(encode(codec, feats, actions).mean)
 
 
-def encode_sample(codec: ActionCodec, feats, actions, rng) -> np.ndarray:
-    dist = encode(codec, feats, actions)
-    return np.tanh(dist.sample(rng.standard_normal(dist.mean.shape)))
-
-
 def encode_for_training(codec: ActionCodec, feats, actions, rng=None) -> np.ndarray:
     """Latent actions fed to discriminators/critics; mean unless the
     sampled-encoding ablation is enabled."""
     if codec.config.sample_encoding:
         if rng is None:
             raise ConfigError("sampled encoding needs an rng")
-        return encode_sample(codec, feats, actions, rng)
+        dist = encode(codec, feats, actions)
+        return np.tanh(dist.sample(rng.standard_normal(dist.mean.shape)))
     return encode_mean(codec, feats, actions)
 
 
@@ -189,43 +188,49 @@ def decode(codec: ActionCodec, feats, latents, record: bool = False) -> np.ndarr
 # loss
 
 
-def cvae_loss(codec: ActionCodec, feats, actions, noise) -> tuple:
-    """Reconstruction + beta * KL, averaged over the batch; loss = recon + beta*kl."""
-    loss, parts, _ = _cvae_forward(codec, feats, actions, noise, record=False)
+def cvae_loss(codec: ActionCodec, x, noise) -> tuple:
+    """Reconstruction + beta * KL, averaged over the batch; loss = recon + beta*kl.
+
+    `x` holds `encoder_input` rows: the features and the actions of the pairs.
+    """
+    loss, parts, _ = _cvae_forward(codec, x, noise, record=False)
     return loss, parts
 
 
-def _cvae_forward(codec, feats, actions, noise, record):
-    S = np.atleast_2d(feats)
-    A = np.atleast_2d(actions)
-    dist = encode(codec, S, A, record=record)
-    z = dist.sample(noise)
+def _cvae_forward(codec, x, noise, record):
+    dist, ls_ok = gaussian_head(codec.encoder.forward(x, record=record))
+    noise = np.asarray(noise, dtype=np.float64)
+    if noise.shape != dist.mean.shape:
+        raise ConfigError(f"noise shape {noise.shape} != mean shape {dist.mean.shape}")
+    sigma = dist.std
+    z = dist.mean + sigma * noise
     abar = np.tanh(z)
+    n_act = codec.action_high.size
+    S, A = x[:, :-n_act], x[:, -n_act:]
     recon = decode(codec, S, abar, record=record)
     err = recon - A
-    recon_term = float(np.mean(np.sum(err * err, axis=1)))
-    kl_term = float(np.mean(dist.kl_to_standard()))
+    B = x.shape[0]
+    recon_term = float(np.add.reduce(np.add.reduce(err * err, 1))) / B
+    kl_term = float(np.add.reduce(dist.kl_to_standard())) / B
     loss = recon_term + codec.config.beta * kl_term
-    cache = (S, A, dist, z, abar, recon, err)
+    cache = (dist, sigma, ls_ok, abar, err)
     return loss, {"recon": recon_term, "kl": kl_term}, cache
 
 
-def cvae_loss_and_grad(codec: ActionCodec, feats, actions, noise) -> tuple:
+def cvae_loss_and_grad(codec: ActionCodec, x, noise) -> tuple:
     """As cvae_loss, but also accumulates encoder/decoder gradients."""
-    loss, parts, cache = _cvae_forward(codec, feats, actions, noise, record=True)
-    S, A, dist, z, abar, recon, err = cache
-    B = S.shape[0]
+    loss, parts, cache = _cvae_forward(codec, x, noise, record=True)
+    dist, sigma, ls_ok, abar, err = cache
+    B = x.shape[0]
     beta = codec.config.beta
     # reconstruction path: d/d(decoder output before bound scaling)
     d_dec_out = (2.0 / B) * err * codec.action_high
     d_in = codec.decoder.backward(d_dec_out)
     d_abar = d_in[:, codec.feat_dim:]
     d_z = d_abar * (1.0 - abar * abar)
-    sigma = dist.std
     d_mean = d_z + (beta / B) * dist.mean
     d_log_std = d_z * sigma * noise + (beta / B) * (sigma * sigma - 1.0)
     # log-std clamp subgradient: zero where the head output was clipped
-    ls_ok = ((dist.log_std > LOG_STD_MIN) & (dist.log_std < LOG_STD_MAX)).astype(float)
     codec.encoder.backward(np.concatenate([d_mean, d_log_std * ls_ok], axis=1), input_grad=False)
     return loss, parts
 
@@ -239,7 +244,9 @@ def train_codec(demos: envsim.DemoBuffer, cfg: CVAEConfig, seed) -> tuple:
 
     Returns (codec, history). Episodes are split 90/10 into train/held-out
     sets; the held-out reconstruction error must beat predicting the train
-    corpus mean action or the codec is rejected.
+    corpus mean action or the codec is rejected. The demos' `encoder_input`
+    rows (features and actions) are stacked, and checked finite, once before
+    the first epoch; each minibatch is one gather of the train split's rows.
     """
     seq = np.random.SeedSequence(seed) if not isinstance(seed, np.random.SeedSequence) else seed
     init_rng, batch_rng = (np.random.default_rng(s) for s in seq.spawn(2))
@@ -252,9 +259,10 @@ def train_codec(demos: envsim.DemoBuffer, cfg: CVAEConfig, seed) -> tuple:
     tr_idx = np.concatenate([np.arange(s.start, s.stop) for s in train_slices])
     ho_idx = (np.concatenate([np.arange(s.start, s.stop) for s in hold_slices])
               if hold_slices else tr_idx)
-    feats = envsim.feature_map(demos.env_id, demos.states)
-    S_tr, A_tr = feats[tr_idx], demos.actions[tr_idx]
-    S_ho, A_ho = feats[ho_idx], demos.actions[ho_idx]
+    x = encoder_input(envsim.feature_map(demos.env_id, demos.states), demos.actions)
+    X_tr, S_ho = x[tr_idx], x[ho_idx, : codec.feat_dim]
+    A_tr, A_ho = demos.actions[tr_idx], demos.actions[ho_idx]
+    del x  # the epochs keep only the train split's copy
 
     history = {"loss": [], "recon": [], "kl": [], "holdout_recon": []}
     n = len(tr_idx)
@@ -264,7 +272,7 @@ def train_codec(demos: envsim.DemoBuffer, cfg: CVAEConfig, seed) -> tuple:
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             noise = batch_rng.standard_normal((len(idx), cfg.latent_dim))
-            loss, parts = cvae_loss_and_grad(codec, S_tr[idx], A_tr[idx], noise)
+            loss, parts = cvae_loss_and_grad(codec, X_tr[idx], noise)
             if not np.isfinite(loss):
                 raise QualityGateError(
                     f"CVAE loss became non-finite (recon={parts['recon']}, kl={parts['kl']})"

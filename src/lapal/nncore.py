@@ -7,12 +7,12 @@ optimizer step zeroes them, which is what lets a loss with several
 expectation terms sum its pieces before updating.
 
 A ParamTree keeps four contiguous float64 vectors, `params`, `grads`, `m`
-and `v`, each laid out layer by layer (weights row-major, then biases: the
-`get_flat` order). Every DenseLayer array (`w`, `b`, `gw`, `gb`, `mw`, `vw`,
-`mb`, `vb`) is a view into one of them, so the forward and backward passes
-work per layer while Adam, Polyak averaging and the flat accessors are a few
-whole-vector ops. Those ops are elementwise, so they give the same bits as a
-loop over the layer arrays.
+and `v`, each laid out layer by layer (weights row-major, then biases).
+Every DenseLayer array (`w`, `b`, `gw`, `gb`, `mw`, `vw`, `mb`, `vb`) is a
+view into one of them, so the forward and backward passes work per layer
+while Adam and Polyak averaging are a few whole-vector ops, and checkpoints
+save whole vectors. Those ops are elementwise, so they give the same bits as
+a loop over the layer arrays.
 
 Precision is split: these buffers and checkpoints are float64, while the
 passes run matmuls and hidden activations in the tree's `dtype` (float32 by
@@ -155,23 +155,6 @@ class ParamTree:
             l.w *= 2.0 * bound
             l.w -= bound
         return tree
-
-    @classmethod
-    def zeros(cls, spec: MLPSpec) -> "ParamTree":
-        return cls(spec)
-
-    # -- parameter plumbing -------------------------------------------------
-
-    def get_flat(self) -> np.ndarray:
-        return self.params.copy()
-
-    def set_flat(self, vec: np.ndarray) -> None:
-        if vec.size != self.params.size:
-            raise ConfigError(f"flat vector length {vec.size} != {self.params.size}")
-        self.params[...] = vec
-
-    def grad_flat(self) -> np.ndarray:
-        return self.grads.copy()
 
     def copy(self) -> "ParamTree":
         clone = ParamTree(self.spec, step=self.step, dtype=self.dtype)
@@ -362,10 +345,6 @@ def gaussian_head(raw: np.ndarray):
     raw_ls = raw[..., d:]
     mask = ((raw_ls > LOG_STD_MIN) & (raw_ls < LOG_STD_MAX)).astype(np.float64)
     return GaussianDist(raw[..., :d], raw_ls), mask
-
-
-def gaussian_kl_to_standard(d: GaussianDist) -> float:
-    return float(np.sum(d.kl_to_standard()))
 
 
 # ---------------------------------------------------------------------------

@@ -244,15 +244,17 @@ def evaluate_policies(policies, env_id: str, n_episodes: int = 16, seed=0) -> li
 
     Episode seeds derive statelessly from `seed`, so evaluating twice with
     the same seed replays exactly the same episodes. All episodes run in one
-    lockstep batch, each actor on its own block of rows.
+    lockstep batch, each actor on its own block of rows; each episode resets
+    once, and every block starts from the same states.
     """
     if n_episodes < 1 or not policies:
         raise ConfigError("evaluation needs at least one policy and one episode")
     seeds = [_child_seq(seed, ep) for ep in range(n_episodes)]
+    starts = np.tile(np.stack([envsim.env_reset(env_id, s) for s in seeds]), (len(policies), 1))
     actors = [p.lockstep_actor(seeds) for p in policies]
     act = actors[0] if len(actors) == 1 else lambda states, t: np.concatenate(
         [a(states[i * n_episodes:(i + 1) * n_episodes], t) for i, a in enumerate(actors)])
-    returns = envsim.rollout_episodes(env_id, act, seeds * len(policies))["return"]
+    returns = envsim.rollout_episodes(env_id, act, starts)["return"]
     return [(float(np.mean(r)), float(np.std(r)))
             for r in returns.reshape(len(policies), n_episodes)]
 

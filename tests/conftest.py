@@ -31,10 +31,9 @@ def fd_loss_gradient(loss_fn, trees, h=1e-5, n_probes=100, seed=0):
     """
     if isinstance(trees, nncore.ParamTree):
         trees = [trees]
-    analytic_full = np.concatenate([t.grad_flat() for t in trees])
-    flats = [t.get_flat() for t in trees]
-    sizes = [f.size for f in flats]
-    offsets = np.cumsum([0] + sizes)
+    analytic_full = np.concatenate([t.grads for t in trees])
+    flats = [t.params for t in trees]
+    offsets = np.cumsum([0] + [f.size for f in flats])
     rng = np.random.default_rng(seed)
     coords = rng.choice(offsets[-1], size=min(n_probes, offsets[-1]), replace=False)
     fd = np.empty(len(coords))
@@ -43,13 +42,10 @@ def fd_loss_gradient(loss_fn, trees, h=1e-5, n_probes=100, seed=0):
         i = c - offsets[k]
         orig = flats[k][i]
         flats[k][i] = orig + h
-        trees[k].set_flat(flats[k])
         up = loss_fn()
         flats[k][i] = orig - h
-        trees[k].set_flat(flats[k])
         down = loss_fn()
         flats[k][i] = orig
-        trees[k].set_flat(flats[k])
         fd[j] = (up - down) / (2.0 * h)
     return coords, fd, analytic_full[coords]
 

@@ -1,0 +1,63 @@
+"""Print one digest per setup and training path, to compare two versions.
+
+A change meant to be bit-identical must print the same lines before and
+after. Run from the repository root:
+
+    PYTHONPATH=src python tests/digests.py
+
+It prints a digest of the demos of every env family at fixed seeds, of a
+short `train_codec` run (weights and history) and of a small `run_training`
+in each mode (per-iteration digests and the curve). pytest does not collect
+this file.
+"""
+
+import hashlib
+import warnings
+from dataclasses import astuple
+
+import numpy as np
+
+from lapal import envsim, latentact, orchestrator, sacgen
+
+ENVS = ["pointmass", "arm1", "arm2", "arm3", "arm6", "arm3-perturbed", "arm6-perturbed"]
+
+
+def digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.tobytes() if isinstance(part, np.ndarray) else repr(part).encode())
+    return h.hexdigest()[:16]
+
+
+def demo_digest(demos) -> str:
+    return digest(demos.env_id, demos.states, demos.actions, demos.next_states, demos.dones,
+                  demos.rewards, demos.episode_boundaries)
+
+
+def main():
+    warnings.simplefilter("ignore")
+    for env_id in ENVS:
+        for n, seed in ((1, 0), (5, 3), (16, 11)):
+            demos = envsim.collect_demos(env_id, n, seed, min_success_rate=0.0)
+            print(f"demos {env_id} n={n} seed={seed}: {demo_digest(demos)}")
+
+    demos = envsim.collect_demos("arm3", 16, 5)
+    cfg = latentact.CVAEConfig(latent_dim=2, epochs=4)
+    codec, history = latentact.train_codec(demos, cfg, 7)
+    print(f"train_codec arm3: {digest(codec.digest(), sorted(history.items()))}")
+
+    for algo in orchestrator.ALGOS:
+        run = orchestrator.RunConfig(
+            algo=algo, env_id="arm3", total_env_steps=500, steps_per_iteration=250,
+            disc_updates_per_iteration=10, gen_updates_per_iteration=20, eval_every=250,
+            eval_episodes=4, divergence_guard=False)
+        records = []
+        res = orchestrator.run_training(run, sacgen.SacConfig(), demos,
+                                        codec if run.latent else None, seed=3,
+                                        on_iteration=records.append)
+        curve = [astuple(row) for row in res.curve]
+        print(f"run_training {algo}: {digest(records, curve, res.bundle.digest())}")
+
+
+if __name__ == "__main__":
+    main()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from lapal.errors import ConfigError
 
 _ATOL = 1e-12
 

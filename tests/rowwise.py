@@ -15,7 +15,8 @@ import numpy as np
 
 from lapal import envsim, latentact, sacgen
 from lapal.envsim import CONTROL_COST_WEIGHT, env_def, env_reset, wrap_angle
-from lapal.nncore import LOG_STD_MAX, LOG_STD_MIN, TANH_CAP
+from lapal.errors import ConfigError
+from lapal.nncore import LOG_STD_MAX, LOG_STD_MIN, TANH_CAP, gaussian_head
 from lapal.orchestrator import ExpertPolicy, PolicyBundle, RandomPolicy, _child_seq
 
 
@@ -375,3 +376,77 @@ def batched_decode(codec, feats, latents):
     out = codec.decoder.forward(np.concatenate([s2, z2], axis=1))
     out = out * codec.action_high
     return out[0] if np.asarray(feats).ndim == 1 else out
+
+
+# The setup path as it was before each demo stream drew its noise in one block
+# and each demo step computed its kinematics once: per-step OU draws, the
+# demo step through the public expert, distance and nullspace functions, and
+# the CVAE step that stacked and checked its encoder input per batch. The
+# current setup path must match them bit for bit.
+
+
+def batched_demo_action(env_id, jitter, s, kp_scale, noise, null_amp,
+                        goal_distance=batched_goal_distance,
+                        scripted_expert=batched_scripted_expert,
+                        nullspace_direction=batched_nullspace_direction):
+    env = env_def(env_id)
+    spec = env.spec
+    fade = np.maximum(jitter.fade_floor,
+                      np.minimum(1.0, goal_distance(env, s) / jitter.fade_dist))
+    tau = scripted_expert(env_id, s, kp_scale=kp_scale, task_bias=fade[:, None] * noise)
+    if null_amp is not None:
+        angles, _, _ = envsim.split_arm_state(env, s)
+        tau = tau + null_amp[:, None] * nullspace_direction(env.params.lengths, angles)
+        tau = np.minimum(np.maximum(tau, spec.action_low), spec.action_high)
+    return tau
+
+
+def batched_collect_demos(env_id, n_episodes, seed, jitter=None):
+    """The demo buffer of the jittered expert, every gate off."""
+    env = env_def(env_id)
+    spec = env.spec
+    jitter = jitter or envsim.default_jitter(env_id)
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_episodes)]
+    use_null = env.kind == "arm" and env.params.n_joints > 2 and jitter.null_sigma > 0
+    kp_scale, noise, null_amp = [], [], []
+    for rng in rngs:
+        kp_scale.append(rng.uniform(*jitter.gain_scale_range))
+        noise.append(_ou_steps(rng, spec.horizon, 2, jitter.ou_sigma, jitter.ou_tau, spec.dt))
+        if use_null:
+            null_amp.append(_ou_steps(rng, spec.horizon, 1, jitter.null_sigma,
+                                      jitter.ou_tau, spec.dt)[:, 0])
+    kp_scale, noise = np.array(kp_scale), np.stack(noise)
+    null_amp = np.stack(null_amp) if use_null else None
+    eps = batched_rollout_episodes(env_id, lambda s, t: batched_demo_action(
+        env_id, jitter, s, kp_scale, noise[:, t], None if null_amp is None else null_amp[:, t]),
+        rngs)
+    return envsim.DemoBuffer(
+        env_id, spec.digest(), np.concatenate(eps["states"]),
+        eps["actions"].reshape(-1, spec.action_dim), np.concatenate(eps["next_states"]),
+        eps["dones"].reshape(-1), eps["rewards"].reshape(-1),
+        np.arange(n_episodes, dtype=np.int64) * spec.horizon)
+
+
+def batched_cvae_loss_and_grad(codec, feats, actions, noise):
+    """Returns (loss, parts) and accumulates the codec's gradients."""
+    S, A = np.atleast_2d(feats), np.atleast_2d(actions)
+    x = np.concatenate([S, A], axis=1)
+    if not np.all(np.isfinite(x)):
+        raise ConfigError("non-finite inputs to encode")
+    dist, _ = gaussian_head(codec.encoder.forward(x, record=True))
+    z = dist.sample(noise)
+    abar = np.tanh(z)
+    recon = latentact.decode(codec, S, abar, record=True)
+    err = recon - A
+    recon_term = float(np.mean(np.sum(err * err, axis=1)))
+    kl_term = float(np.mean(dist.kl_to_standard()))
+    loss = recon_term + codec.config.beta * kl_term
+    B, beta = S.shape[0], codec.config.beta
+    d_in = codec.decoder.backward((2.0 / B) * err * codec.action_high)
+    d_z = d_in[:, codec.feat_dim:] * (1.0 - abar * abar)
+    sigma = dist.std
+    d_mean = d_z + (beta / B) * dist.mean
+    d_log_std = d_z * sigma * noise + (beta / B) * (sigma * sigma - 1.0)
+    ls_ok = ((dist.log_std > LOG_STD_MIN) & (dist.log_std < LOG_STD_MAX)).astype(float)
+    codec.encoder.backward(np.concatenate([d_mean, d_log_std * ls_ok], axis=1), input_grad=False)
+    return loss, {"recon": recon_term, "kl": kl_term}

@@ -3,20 +3,24 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from conftest import assert_grads_close, fd_loss_gradient, float64
-from lapal import adversary, oracle
+from lapal import adversary
 from lapal.adversary import (
     DiscComposition,
     Discriminator,
     disc_logit,
     disc_loss,
     disc_loss_and_grad,
-    disc_prob,
     disc_reward,
     make_discriminator,
 )
 from lapal.errors import CheckpointError, ConfigError
-from lapal.nncore import MLPSpec, ParamTree
+from lapal.nncore import MLPSpec, ParamTree, sigmoid
+
+
+def disc_prob(d, states, actions):
+    return sigmoid(disc_logit(d, states, actions))
 
 
 def tiny_disc(seed=0, state_dim=3, u_dim=2, hidden=(16, 16)):

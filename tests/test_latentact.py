@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import rowwise
 from conftest import assert_grads_close, fd_loss_gradient, float64
 from lapal import configio, envsim, latentact, nncore
 from lapal.errors import CheckpointError, ConfigError, QualityGateError
+from lapal.nncore import gaussian_head
 from lapal.latentact import (
     ActionCodec,
     CVAEConfig,
@@ -12,6 +16,7 @@ from lapal.latentact import (
     decode,
     encode,
     encode_mean,
+    encoder_input,
     make_codec,
     train_codec,
 )
@@ -98,7 +103,7 @@ def test_perfect_reconstruction_zero_loss():
         layer.b[...] = 0.0
     actions = np.zeros((8, 2))  # tanh(0) * high = 0 reproduces them exactly
     states = np.stack([envsim.env_reset("pointmass", i) for i in range(8)])
-    loss, parts = cvae_loss(codec, states, actions, np.zeros((8, 2)))
+    loss, parts = cvae_loss(codec, encoder_input(states, actions), np.zeros((8, 2)))
     assert loss == 0.0 and parts["recon"] == 0.0
 
 
@@ -109,7 +114,7 @@ def test_degenerate_posterior_zero_kl():
         layer.b[...] = 0.0
     s = np.stack([envsim.env_reset("pointmass", i) for i in range(4)])
     a = np.zeros((4, 2))
-    _, parts = cvae_loss(codec, s, a, np.zeros((4, 2)))
+    _, parts = cvae_loss(codec, encoder_input(s, a), np.zeros((4, 2)))
     assert parts["kl"] == 0.0
 
 
@@ -120,7 +125,7 @@ def test_loss_decomposition_matches_straight_line_oracle(pm_demos):
     rng = np.random.default_rng(7)
     S, A = pm_demos.states[:4], pm_demos.actions[:4]
     noise = rng.standard_normal((4, 2))
-    loss, parts = cvae_loss(codec, S, A, noise)
+    loss, parts = cvae_loss(codec, encoder_input(S, A), noise)
 
     # straight-line re-implementation using raw matrices
     def leaky(x):
@@ -149,14 +154,50 @@ def test_cvae_gradients_match_finite_differences(pm_demos):
     rng = np.random.default_rng(6)
     S, A = pm_demos.states[:8], pm_demos.actions[:8]
     noise = rng.standard_normal((8, 2))
-    cvae_loss_and_grad(codec, S, A, noise)
+    x = encoder_input(S, A)
+    cvae_loss_and_grad(codec, x, noise)
 
     def loss_fn():
-        return cvae_loss(codec, S, A, noise)[0]
+        return cvae_loss(codec, x, noise)[0]
 
     _, fd, analytic = fd_loss_gradient(loss_fn, [codec.encoder, codec.decoder],
                                        n_probes=120, seed=8)
     assert_grads_close(fd, analytic, rtol=1e-4)
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_cvae_step_matches_earlier_form(precision):
+    demos = envsim.collect_demos("arm3", n_episodes=2, seed=1)
+    S = envsim.feature_map("arm3", demos.states[:96])
+    A = demos.actions[:96]
+    noise = np.random.default_rng(2).standard_normal((96, 2))
+    codecs = [make_codec("arm3", CVAEConfig(latent_dim=2, beta=0.05), 3) for _ in range(2)]
+    for codec in codecs:
+        codec.encoder.layers[-1].w[:, 2:] *= 30.0      # push log-stds past both clamps
+        if precision == "float64":
+            float64(codec)
+    ours, theirs = codecs
+    mask = gaussian_head(ours.encoder.forward(encoder_input(S, A)))[1]
+    assert 0.0 < mask.mean() < 1.0
+    for _ in range(2):                                  # the second call accumulates
+        assert (cvae_loss_and_grad(ours, encoder_input(S, A), noise)
+                == rowwise.batched_cvae_loss_and_grad(theirs, S, A, noise))
+        for a, b in ((ours.encoder, theirs.encoder), (ours.decoder, theirs.decoder)):
+            assert a.grads.tobytes() == b.grads.tobytes()
+    assert cvae_loss(ours, encoder_input(S, A), noise) == cvae_loss(theirs, encoder_input(S, A),
+                                                                    noise)
+
+
+@pytest.mark.parametrize("epochs", [0, 1])
+def test_train_codec_rejects_non_finite_demos(pm_demos, epochs):
+    holdout_row = len(pm_demos) - 1
+    for name, row, value in (("states", 5, np.nan), ("actions", 5, np.inf),
+                             ("states", holdout_row, -np.inf), ("actions", holdout_row, np.nan)):
+        bad = getattr(pm_demos, name).copy()
+        bad[row, 0] = value
+        demos = dataclasses.replace(pm_demos, **{name: bad})
+        with pytest.raises(ConfigError, match="non-finite"):
+            train_codec(demos, CVAEConfig(latent_dim=2, epochs=epochs), seed=0)
 
 
 def test_train_epochs_zero_returns_init(pm_demos):

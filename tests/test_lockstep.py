@@ -143,12 +143,16 @@ def test_shared_link_vectors_match_batched_oracle(env_id):
             rowwise.batched_scripted_expert(env_id, *args))
 
 
+def resets(env_id, seeds):
+    return np.stack([env_reset(env_id, s) for s in seeds])
+
+
 @pytest.mark.parametrize("env_id", ENVS)
-def test_state_path_and_demos_match_separate_arrays(env_id, monkeypatch, tmp_path):
+def test_state_path_and_demos_match_separate_arrays(env_id, tmp_path):
     def act(S, t):
         return envsim.scripted_expert(env_id, S)
 
-    ours = envsim.rollout_episodes(env_id, act, [3, 4, 5])
+    ours = envsim.rollout_episodes(env_id, act, resets(env_id, [3, 4, 5]))
     theirs = rowwise.batched_rollout_episodes(env_id, act, [3, 4, 5])
     assert ours.keys() == theirs.keys()
     for key, value in theirs.items():
@@ -157,11 +161,7 @@ def test_state_path_and_demos_match_separate_arrays(env_id, monkeypatch, tmp_pat
         tmp_path / "ours")
     one = envsim.collect_demos(env_id, n_episodes=1, seed=9, min_success_rate=0.0)
     assert not np.shares_memory(one.states, one.next_states)
-    for name in ("forward_kinematics", "arm_jacobian", "scripted_expert", "rollout_episodes",
-                 "goal_distance", "nullspace_direction"):
-        monkeypatch.setattr(envsim, name, getattr(rowwise, "batched_" + name))
-    envsim.collect_demos(env_id, n_episodes=3, seed=9, min_success_rate=0.0).save(
-        tmp_path / "theirs")
+    rowwise.batched_collect_demos(env_id, n_episodes=3, seed=9).save(tmp_path / "theirs")
     assert (tmp_path / "ours").read_bytes() == (tmp_path / "theirs").read_bytes()
 
 
@@ -296,7 +296,8 @@ def lockstep_and_per_row_returns(policy, env_id, n=5):
     seed = np.random.SeedSequence(11)
     reference = rowwise.episode_returns(policy, env_id, n, seed)
     seeds = [_child_seq(seed, i) for i in range(n)]
-    returns = envsim.rollout_episodes(env_id, policy.lockstep_actor(seeds), seeds)["return"]
+    returns = envsim.rollout_episodes(env_id, policy.lockstep_actor(seeds),
+                                      resets(env_id, seeds))["return"]
     return returns, reference, evaluate_policy(policy, env_id, n, seed)
 
 
@@ -337,6 +338,21 @@ def test_merged_evaluation_equals_separate(env_id, kinds):
             == [evaluate_policy(p, env_id, 5, seed) for p in policies])
 
 
+@pytest.mark.parametrize("env_id", ENVS)
+def test_evaluation_resets_each_episode_once(env_id, monkeypatch):
+    policies = [make_policy(kind, env_id) for kind in ("latent", "expert", "random")]
+    seed = np.random.SeedSequence(14)
+    seeds = [_child_seq(seed, i) for i in range(5)]
+    actors = [p.lockstep_actor(seeds) for p in policies]
+    earlier = rowwise.batched_rollout_episodes(env_id, lambda S, t: np.concatenate(
+        [a(S[5 * i : 5 * (i + 1)], t) for i, a in enumerate(actors)]), seeds * 3)["return"]
+    calls, real = [], envsim.env_reset
+    monkeypatch.setattr(envsim, "env_reset", lambda *a: calls.append(a) or real(*a))
+    assert evaluate_policies(policies, env_id, 5, seed) == [
+        (float(np.mean(r)), float(np.std(r))) for r in earlier.reshape(3, 5)]
+    assert len(calls) == 5
+
+
 def test_merged_evaluation_needs_a_policy_and_an_episode():
     with pytest.raises(ConfigError):
         evaluate_policies([], "arm2", 4)
@@ -349,7 +365,7 @@ def test_lockstep_clamp_count_matches_per_row():
     draws = {s: np.random.default_rng(100 + s).uniform(-1.6, 1.6, (140, 3)) for s in seeds}
     envsim.reset_clamp_counts()
     out = envsim.rollout_episodes(
-        "arm3", lambda S, t: np.stack([draws[s][t] for s in seeds]), seeds)
+        "arm3", lambda S, t: np.stack([draws[s][t] for s in seeds]), resets("arm3", seeds))
     per_row = [rowwise.rollout_episode("arm3", lambda s, t, d=draws[k]: d[t], k)
                for k in seeds]
     assert envsim.clamp_counts()["arm3"] == sum(ep["clamps"] for ep in per_row) > 0
@@ -362,7 +378,7 @@ def test_rollout_episode_is_the_one_episode_case():
     act = lambda s, t: envsim.scripted_expert("arm3", s)
     one = envsim.rollout_episode("arm3", act, 7)
     many = envsim.rollout_episodes("arm3", lambda S, t: envsim.scripted_expert("arm3", S),
-                                   [3, 7])
+                                   resets("arm3", [3, 7]))
     for key, value in one.items():
         np.testing.assert_array_equal(value, many[key][1])
 
@@ -376,6 +392,76 @@ def test_lockstep_demos_match_per_row_oracle(env_id):
         np.testing.assert_allclose(getattr(demos, key), reference, rtol=0, atol=TOL)
     assert rate >= 0.9
     envsim.collect_demos(env_id, n_episodes=4, seed=6)  # passes the default gate too
+
+
+# every env family the registry builds: the point mass, arms without and with
+# redundant joints, and perturbed arms
+REGISTERED = ["pointmass", "arm1", "arm2", "arm3", "arm6", "arm10", "arm3-perturbed",
+              "arm6-perturbed"]
+
+
+@pytest.mark.parametrize("null_sigma", [None, 0.0], ids=["default", "no-posture"])
+@pytest.mark.parametrize("env_id", REGISTERED)
+def test_demo_streams_match_per_step_ou_draws(env_id, null_sigma, monkeypatch, tmp_path):
+    jitter = envsim.default_jitter(env_id)
+    if null_sigma is not None:
+        jitter = JitterConfig(**{**vars(jitter), "null_sigma": null_sigma})
+    made, real = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(real(*a)) or made[-1])
+    envsim.collect_demos(env_id, n_episodes=4, seed=17, jitter=jitter,
+                         min_success_rate=0.0).save(tmp_path / "ours")
+    ours = [g.bit_generator.state for g in made]
+    made.clear()
+    rowwise.batched_collect_demos(env_id, 4, seed=17, jitter=jitter).save(tmp_path / "theirs")
+    assert len(ours) == 4 and [g.bit_generator.state for g in made] == ours
+    assert (tmp_path / "ours").read_bytes() == (tmp_path / "theirs").read_bytes()
+
+
+@pytest.mark.parametrize("widths,sigmas", [((1,), (0.3,)), ((2,), (0.45,)),
+                                            ((2, 1), (0.45, 0.25))])
+def test_ou_block_equals_per_step_draws(widths, sigmas):
+    ours, theirs = ([np.random.default_rng(s) for s in range(5)] for _ in range(2))
+    z = np.stack([np.concatenate([g.standard_normal((41, w)) for w in widths], 1)
+                  for g in ours])
+    sigma = sigmas[0] if len(widths) == 1 else np.repeat(sigmas, widths)
+    paths = envsim._ou_steps(z, sigma, 0.4, 0.05)
+    for path, g, ours_g in zip(paths, theirs, ours):
+        ref = np.concatenate([rowwise._ou_steps(g, 40, w, sd, 0.4, 0.05)
+                              for w, sd in zip(widths, sigmas)], 1)
+        assert bits(path) == bits(ref)
+        assert g.bit_generator.state == ours_g.bit_generator.state
+
+
+def stretched_batch(env_id, n):
+    """n states of which row 1 is an arm stretched straight along the x axis,
+    where J J^T is singular."""
+    env = env_def(env_id)
+    S, _ = random_batch(env_id, max(n, 2), seed=n + 40)
+    if env.kind == "arm":
+        S[1, : env.params.n_joints] = 0.0
+        jac = envsim.arm_jacobian(env.params.lengths, S[1, : env.params.n_joints])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(jac @ jac.T, jac[:, 0])
+    return S[1:2] if n == 1 else S[:n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 16])
+@pytest.mark.parametrize("env_id", REGISTERED)
+def test_demo_step_matches_public_functions(env_id, n):
+    env, jitter = env_def(env_id), envsim.default_jitter(env_id)
+    S = stretched_batch(env_id, n)
+    rng = np.random.default_rng(n)
+    kp, noise = rng.uniform(0.75, 1.25, n), 0.5 * rng.standard_normal((n, 2))
+    k = env.params.n_joints if env.kind == "arm" else 0
+    for null in ((None, rng.standard_normal(n)) if k > 2 else (None,)):
+        ours = envsim._demo_action(env, jitter, S, kp, noise, null)
+        assert same(ours, rowwise.batched_demo_action(env_id, jitter, S, kp, noise, null))
+        assert same(ours, rowwise.batched_demo_action(
+            env_id, jitter, S, kp, noise, null, goal_distance=envsim.goal_distance,
+            scripted_expert=envsim.scripted_expert,
+            nullspace_direction=envsim.nullspace_direction))
+    if k > 2:  # the stretched row has no nullspace direction
+        assert not envsim.nullspace_direction(env.params.lengths, S[min(n - 1, 1), :k]).any()
 
 
 def test_quality_gate_verdict_matches_per_row_oracle():

@@ -20,14 +20,14 @@ REPO_SPECS = [
 
 def test_zero_network_forward_is_zero():
     spec = MLPSpec(3, (5, 4), 2)
-    tree = ParamTree.zeros(spec)
+    tree = ParamTree(spec)
     x = np.array([1.0, -2.0, 0.5])
     assert np.array_equal(tree.forward(x), np.zeros(2))
 
 
 def test_identity_single_layer():
     spec = MLPSpec(2, (2,), 2, activation="identity")
-    tree = ParamTree.zeros(spec)
+    tree = ParamTree(spec)
     tree.layers[0].w[...] = np.eye(2)
     tree.layers[1].w[...] = np.eye(2)
     assert np.allclose(tree.forward(np.array([1.0, 2.0])), [1.0, 2.0])
@@ -44,7 +44,7 @@ def test_forward_matches_straight_line_oracle():
 
 
 def test_forward_shape_mismatch_raises():
-    tree = ParamTree.zeros(MLPSpec(3, (4,), 2))
+    tree = ParamTree(MLPSpec(3, (4,), 2))
     with pytest.raises(ConfigError):
         tree.forward(np.zeros(5))
 
@@ -52,7 +52,7 @@ def test_forward_shape_mismatch_raises():
 def test_backward_linear_case():
     # single effective linear layer, loss = sum(outputs): dW = outer(x, 1)
     spec = MLPSpec(2, (3,), 3, activation="identity")
-    tree = ParamTree.zeros(spec)
+    tree = ParamTree(spec)
     tree.layers[0].w[...] = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]])
     tree.layers[1].w[...] = np.eye(3)
     x = np.array([[1.0, 2.0]])
@@ -63,7 +63,7 @@ def test_backward_linear_case():
 
 
 def test_backward_without_forward_raises():
-    tree = ParamTree.zeros(MLPSpec(2, (3,), 1))
+    tree = ParamTree(MLPSpec(2, (3,), 1))
     with pytest.raises(StateError):
         tree.backward(np.ones((1, 1)))
     tree.forward(np.zeros((1, 2)), record=True)
@@ -76,7 +76,7 @@ def test_zero_upstream_gives_zero_grads():
     tree = ParamTree.init(MLPSpec(3, (8,), 2), np.random.default_rng(1))
     tree.forward(np.random.default_rng(2).standard_normal((4, 3)), record=True)
     tree.backward(np.zeros((4, 2)))
-    assert np.all(tree.grad_flat() == 0.0)
+    assert np.all(tree.grads == 0.0)
 
 
 @pytest.mark.parametrize("spec", REPO_SPECS, ids=lambda s: s.canonical())
@@ -103,7 +103,7 @@ def test_input_gradient_matches_finite_differences():
     proj = rng.standard_normal(3)
     tree.forward(x, record=True)
     din = tree.backward(proj, accumulate=False)
-    assert np.all(tree.grad_flat() == 0.0)  # accumulate=False leaves grads alone
+    assert np.all(tree.grads == 0.0)  # accumulate=False leaves grads alone
     h = 1e-6
     for i in range(5):
         xp, xm = x.copy(), x.copy()
@@ -115,25 +115,25 @@ def test_input_gradient_matches_finite_differences():
 
 def test_adam_first_step_is_signed_lr():
     spec = MLPSpec(1, (1,), 1, activation="identity")
-    tree = ParamTree.zeros(spec)
+    tree = ParamTree(spec)
     tree.layers[0].gw[...] = 0.37
     tree.layers[1].gw[...] = -2.5
     tree.adam_step(lr=0.01)
     assert tree.layers[0].w[0, 0] == pytest.approx(-0.01, rel=1e-6)
     assert tree.layers[1].w[0, 0] == pytest.approx(0.01, rel=1e-6)
-    assert np.all(tree.grad_flat() == 0.0)  # zeroed after the step
+    assert np.all(tree.grads == 0.0)  # zeroed after the step
 
 
 def test_adam_zero_grad_keeps_params():
     tree = ParamTree.init(MLPSpec(2, (3,), 1), np.random.default_rng(0))
-    before = tree.get_flat()
+    before = tree.params.copy()
     tree.adam_step(lr=0.1)
-    np.testing.assert_array_equal(tree.get_flat(), before)
+    np.testing.assert_array_equal(tree.params, before)
 
 
 def test_adam_converges_on_quadratic():
     spec = MLPSpec(1, (1,), 1, activation="identity")
-    tree = ParamTree.zeros(spec)
+    tree = ParamTree(spec)
     # single scalar parameter path: y = w * 1; minimize (w - 3)^2
     tree.layers[1].w[...] = 1.0
     for _ in range(200):
@@ -186,7 +186,7 @@ def test_determinism_bit_identical():
             tree.forward(x, record=True)
             tree.backward(rng.standard_normal((8, 2)))
             tree.adam_step(lr=3e-4)
-        return tree.get_flat()
+        return tree.params.copy()
 
     a, b = run(), run()
     assert np.array_equal(a, b)
@@ -256,15 +256,12 @@ def test_layer_arrays_are_views_of_flat_buffers():
     tree.layers[1].w[2, 1] = 7.5
     assert tree.params[3 * 4 + 4 + 2 * 2 + 1] == 7.5
     tree.layers[0].gb[...] = 1.0
-    assert np.array_equal(tree.grad_flat()[12:16], np.ones(4))
+    assert np.array_equal(tree.grads[12:16], np.ones(4))
     for l in tree.layers:
         for bufname, names in (("params", "w b"), ("grads", "gw gb"),
                                ("m", "mw mb"), ("v", "vw vb")):
             for name in names.split():
                 assert np.shares_memory(getattr(l, name), getattr(tree, bufname))
-    flat = tree.get_flat()
-    flat[0] += 1.0
-    assert tree.params[0] != flat[0]  # get_flat hands out a copy
     clone = tree.copy()
     for a in (tree.params, tree.grads, tree.m, tree.v):
         for b in (clone.params, clone.grads, clone.m, clone.v):
@@ -388,7 +385,7 @@ def test_forward_matches_oracle_on_nonfinite_rows(spec):
 def test_activations_match_oracle_on_special_values(act, out_act):
     # 1-1-1 network with unit weights and -0.0 biases, so the special values
     # reach the hidden activation (the matmul turns a -0.0 input into +0.0)
-    tree = float64(ParamTree.zeros(MLPSpec(1, (1,), 1, activation=act,
+    tree = float64(ParamTree(MLPSpec(1, (1,), 1, activation=act,
                                            output_activation=out_act)))
     for l in tree.layers:
         l.w[...] = 1.0
@@ -494,9 +491,13 @@ def test_gaussian_sample_monte_carlo_mean():
     assert np.all(np.abs(s.mean(axis=0) - [0.4, -1.2]) < tol)
 
 
+def gaussian_kl_to_standard(d: GaussianDist) -> float:
+    return float(np.sum(d.kl_to_standard()))
+
+
 def test_kl_standard_cases():
-    assert nncore.gaussian_kl_to_standard(GaussianDist(np.zeros(3), np.zeros(3))) == 0.0
-    assert nncore.gaussian_kl_to_standard(
+    assert gaussian_kl_to_standard(GaussianDist(np.zeros(3), np.zeros(3))) == 0.0
+    assert gaussian_kl_to_standard(
         GaussianDist(np.array([1.0]), np.array([0.0]))
     ) == pytest.approx(0.5)
 
@@ -506,7 +507,7 @@ def test_kl_matches_monte_carlo():
     mean = rng.uniform(-1, 1, 3)
     log_std = rng.uniform(-0.8, 0.5, 3)
     d = GaussianDist(mean, log_std)
-    closed = nncore.gaussian_kl_to_standard(d)
+    closed = gaussian_kl_to_standard(d)
     n = 1_000_000
     z = rng.standard_normal((n, 3))
     x = mean + np.exp(log_std) * z
@@ -520,7 +521,7 @@ def test_kl_nonnegative_and_zero_iff_standard():
     rng = np.random.default_rng(3)
     for _ in range(200):
         d = GaussianDist(rng.uniform(-3, 3, 4), rng.uniform(-4, 1.5, 4))
-        kl = nncore.gaussian_kl_to_standard(d)
+        kl = gaussian_kl_to_standard(d)
         assert kl >= 0.0
         if kl == 0.0:
             assert np.allclose(d.mean, 0.0) and np.allclose(d.log_std, 0.0)
@@ -567,7 +568,7 @@ def test_tree_state_round_trip(tmp_path):
     save_tree(tmp_path / "a", tree)
     back = load_tree(tmp_path / "a", spec)
     assert back.step == tree.step
-    np.testing.assert_array_equal(back.get_flat(), tree.get_flat())
+    np.testing.assert_array_equal(back.params, tree.params)
     for la, lb in zip(tree.layers, back.layers):
         np.testing.assert_array_equal(la.mw, lb.mw)
         np.testing.assert_array_equal(la.vb, lb.vb)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lapal import oracle
+import oracle
 from lapal.errors import ConfigError
-from lapal.oracle import DiscreteDist, js, kl, optimal_gan_objective, pushforward
+from oracle import DiscreteDist, js, kl, optimal_gan_objective, pushforward
 
 # js((1/2,1/2), (1/4,3/4)) by direct high-precision summation:
 #   m = (3/8, 5/8)

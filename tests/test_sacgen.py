@@ -179,12 +179,12 @@ def test_polyak_extremes():
 
     agent = small_agent(7, cfg=SacConfig(tau=1.0, actor_hidden=(16, 16), critic_hidden=(16, 16)))
     critic_update(agent, s, u, s2, lambda st, uu: np.zeros(len(st)), rng)
-    np.testing.assert_array_equal(agent.target1.get_flat(), agent.critic1.get_flat())
+    np.testing.assert_array_equal(agent.target1.params, agent.critic1.params)
 
     agent = small_agent(7, cfg=SacConfig(tau=0.0, actor_hidden=(16, 16), critic_hidden=(16, 16)))
-    before = agent.target1.get_flat()
+    before = agent.target1.params.copy()
     critic_update(agent, s, u, s2, lambda st, uu: np.zeros(len(st)), rng)
-    np.testing.assert_array_equal(agent.target1.get_flat(), before)
+    np.testing.assert_array_equal(agent.target1.params, before)
 
 
 def test_polyak_gap_monotone():
@@ -195,7 +195,7 @@ def test_polyak_gap_monotone():
     gaps = []
     for _ in range(50):
         polyak_update(agent, 0.05)
-        gaps.append(np.linalg.norm(agent.target1.get_flat() - agent.critic1.get_flat()))
+        gaps.append(np.linalg.norm(agent.target1.params - agent.critic1.params))
     assert all(b < a for a, b in zip(gaps[:-1], gaps[1:]))
 
 
@@ -245,11 +245,11 @@ def test_actor_gradients_match_finite_differences():
 def test_actor_update_leaves_critic_params_alone():
     agent = small_agent(16)
     rng = np.random.default_rng(17)
-    before1 = agent.critic1.get_flat()
-    grads_before = agent.critic1.grad_flat()
+    before1 = agent.critic1.params.copy()
+    grads_before = agent.critic1.grads.copy()
     actor_update(agent, rng.standard_normal((8, 4)), rng)
-    np.testing.assert_array_equal(agent.critic1.get_flat(), before1)
-    np.testing.assert_array_equal(agent.critic1.grad_flat(), grads_before)
+    np.testing.assert_array_equal(agent.critic1.params, before1)
+    np.testing.assert_array_equal(agent.critic1.grads, grads_before)
 
 
 def test_constant_critic_update_is_entropy_ascent():
