@@ -6,8 +6,8 @@ action. Both networks see states only as features (`envsim.feature_map`):
 `encode` and `decode` take features, which callers compute once per state,
 and `train_codec` featurizes the demo states once before its epochs.
 
-Latent actions live in the open box (-1, 1)^d: the deterministic encoding
-is tanh of the posterior mean and sampled encodings squash the
+Latent actions live in the open box (-1, 1)^d: the encoding every network
+sees is tanh of the posterior mean, and training squashes the
 reparameterized draw, so the latent box matches what a squashed-Gaussian
 policy emits. The KL regularizer is computed on the pre-squash Gaussian
 against a standard-normal prior, which equals the KL between the squashed
@@ -50,7 +50,6 @@ class CVAEConfig:
     batch_size: int = 128
     lr: float = 1e-3
     holdout_fraction: float = 0.1
-    sample_encoding: bool = False      # ablation: sampled instead of mean encodes
 
     def __post_init__(self):
         if self.latent_dim < 1:
@@ -68,8 +67,7 @@ class CVAEConfig:
         return (
             f"cvae:d={self.latent_dim};beta={self.beta!r};"
             f"enc={','.join(map(str, self.encoder_hidden))};"
-            f"dec={','.join(map(str, self.decoder_hidden))};act={self.activation};"
-            f"sample={int(self.sample_encoding)}"
+            f"dec={','.join(map(str, self.decoder_hidden))};act={self.activation}"
         )
 
 
@@ -148,8 +146,8 @@ def encoder_input(feats, actions) -> np.ndarray:
 
 
 def encode(codec: ActionCodec, feats, actions, record: bool = False) -> GaussianDist:
-    """Posterior over the pre-squash latent; tanh of its samples/mean is the
-    latent action. `feats` are state features, not raw env states."""
+    """Posterior over the pre-squash latent; tanh of its mean is the latent
+    action. `feats` are state features, not raw env states."""
     dist, _ = gaussian_head(codec.encoder.forward(encoder_input(feats, actions), record=record))
     return dist
 
@@ -157,17 +155,6 @@ def encode(codec: ActionCodec, feats, actions, record: bool = False) -> Gaussian
 def encode_mean(codec: ActionCodec, feats, actions) -> np.ndarray:
     """Deterministic latent encoding: tanh of the posterior mean."""
     return np.tanh(encode(codec, feats, actions).mean)
-
-
-def encode_for_training(codec: ActionCodec, feats, actions, rng=None) -> np.ndarray:
-    """Latent actions fed to discriminators/critics; mean unless the
-    sampled-encoding ablation is enabled."""
-    if codec.config.sample_encoding:
-        if rng is None:
-            raise ConfigError("sampled encoding needs an rng")
-        dist = encode(codec, feats, actions)
-        return np.tanh(dist.sample(rng.standard_normal(dist.mean.shape)))
-    return encode_mean(codec, feats, actions)
 
 
 def decode(codec: ActionCodec, feats, latents, record: bool = False) -> np.ndarray:
@@ -289,7 +276,8 @@ def train_codec(demos: envsim.DemoBuffer, cfg: CVAEConfig, seed) -> tuple:
         history["holdout_recon"].append(holdout_reconstruction_mse(codec, S_ho, A_ho))
 
     baseline = float(np.mean(np.sum((A_ho - A_tr.mean(axis=0)) ** 2, axis=1)))
-    final = holdout_reconstruction_mse(codec, S_ho, A_ho)
+    final = (history["holdout_recon"][-1] if cfg.epochs > 0
+             else holdout_reconstruction_mse(codec, S_ho, A_ho))
     history["holdout_baseline"] = baseline
     history["holdout_final"] = final
     if cfg.epochs > 0 and final >= baseline:

@@ -320,11 +320,6 @@ class GaussianDist:
             raise ConfigError(f"noise shape {noise.shape} != mean shape {self.mean.shape}")
         return self.mean + self.std * noise
 
-    def log_prob(self, x: np.ndarray) -> np.ndarray:
-        z = (x - self.mean) / self.std
-        per_dim = -0.5 * z * z - self.log_std - 0.5 * np.log(2.0 * np.pi)
-        return per_dim.sum(axis=-1)
-
     def kl_to_standard(self) -> np.ndarray:
         """KL(N(mean, std) || N(0, I)), summed over dims; >= 0 always."""
         var = np.exp(2.0 * self.log_std)

@@ -24,10 +24,9 @@ state once, the replay buffer stores the features of s and s', and the demos
 are featurized once per run.
 
 Latent actions attached to stored transitions are re-encoded from the raw
-buffer action with the current encoder (never cached, unless
-`store_emitted_latents` keeps the emitted ones), so the task-aware mode with
-codec learning rates forced to zero walks exactly the task-agnostic update
-sequence - a differential test the suite pins down.
+buffer action with the current encoder (never cached), so the task-aware
+mode with codec learning rates forced to zero walks exactly the
+task-agnostic update sequence - a differential test the suite pins down.
 
 Rewards are recomputed from the current discriminator for every batch;
 nothing reward-like is ever stored. Normalized returns are gap-closed:
@@ -59,7 +58,7 @@ from .adversary import DiscComposition
 from .configio import format_float, read_checkpoint, write_checkpoint
 from .errors import CheckpointError, ConfigError, DivergenceError, OptimizerError
 from .latentact import ActionCodec, CVAEConfig
-from .nncore import LOG_STD_MAX, LOG_STD_MIN, MLPSpec, tree_from_state, tree_state
+from .nncore import MLPSpec, tree_from_state, tree_state
 from .sacgen import SacAgent, SacConfig
 
 ALGOS = ("gail", "lapal-agnostic", "lapal-aware")
@@ -85,7 +84,6 @@ class RunConfig:
     codec_disc_lr: float = 3e-5       # encoder step size in aware mode
     codec_gen_lr: float = 3e-5        # decoder step size in aware mode
     codec_warm_start: bool = True
-    store_emitted_latents: bool = False
     divergence_guard: bool = True
 
     def __post_init__(self):
@@ -100,10 +98,6 @@ class RunConfig:
             raise ConfigError("eval_every must be a multiple of steps_per_iteration")
         if not self.codec_warm_start and self.algo == "lapal-agnostic":
             raise ConfigError("lapal-agnostic freezes its codec, so it needs the warm start")
-        if self.store_emitted_latents and self.algo != "lapal-agnostic":
-            raise ConfigError(
-                "store_emitted_latents only applies to the frozen-codec mode"
-            )
 
     @property
     def latent(self) -> bool:
@@ -216,12 +210,12 @@ class PolicyBundle:
             return u * envsim.env_spec(self.env_id).action_high
         return latentact.decode(self.codec, feats, u)
 
-    def to_box(self, feats, actions, rng):
-        """Box points of env `actions` at state features `feats`; `rng` draws
-        the noise of the sampled-encoding ablation."""
+    def to_box(self, feats, actions):
+        """Box points of env `actions` at state features `feats`: divided by
+        the action bounds, or the codec's mean encoding."""
         if self.codec is None:
             return actions / envsim.env_spec(self.env_id).action_high
-        return latentact.encode_for_training(self.codec, feats, actions, rng)
+        return latentact.encode_mean(self.codec, feats, actions)
 
     def action(self, states):
         """Deterministic env actions for (N, state_dim) states."""
@@ -306,8 +300,7 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
     agent = SacAgent(feat_dim, u_dim, sac_cfg, np.random.default_rng(s_init))
     disc = adversary.make_discriminator(comp, cfg.disc_hidden,
                                         np.random.default_rng(s_disc_init))
-    buf = sacgen.ReplayBuffer(sac_cfg.buffer_capacity, feat_dim, spec.action_dim,
-                              u_dim if cfg.store_emitted_latents else 0)
+    buf = sacgen.ReplayBuffer(sac_cfg.buffer_capacity, feat_dim, spec.action_dim)
 
     eval_seed = _eval_seed(seed)
     references = [ExpertPolicy(cfg.env_id), RandomPolicy(cfg.env_id)]
@@ -339,12 +332,11 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
                 for _ in range(cfg.disc_updates_per_iteration):
                     ei = batch_rng.integers(0, demo_n, half)
                     dl = _disc_step(cfg, disc, bundle, demo_feats[ei], demos.actions[ei],
-                                    buf.sample(batch_rng, half), batch_rng)
+                                    buf.sample(batch_rng, half))
                 for _ in range(cfg.gen_updates_per_iteration):
                     b = buf.sample(batch_rng, sac_cfg.batch_size)
-                    u_batch = (b.latents if b.latents is not None
-                               else bundle.to_box(b.states, b.actions, batch_rng))
-                    closses = sacgen.critic_update(agent, b.states, u_batch,
+                    closses = sacgen.critic_update(agent, b.states,
+                                                   bundle.to_box(b.states, b.actions),
                                                    b.next_states, reward_fn, batch_rng)
                     alosses = sacgen.actor_update(agent, b.states, batch_rng)
                     if cfg.algo == "lapal-aware":
@@ -422,17 +414,17 @@ def _collect(bundle, agent, buf, state, ep_t, n, rng):
     S = np.stack(starts[:k])[order]
     F = np.empty((k, cells.shape[1] + 1, envsim.feature_dim(env_id)))
     A = np.empty(cells.shape + (spec.action_dim,))
-    U = np.empty(cells.shape + (agent.u_dim,))
-    U[cells[order]] = np.concatenate([noise[i] for i in order])   # noise, then the action
+    E = np.empty(cells.shape + (agent.u_dim,))                     # each cell's actor noise
+    E[cells[order]] = np.concatenate([noise[i] for i in order])
     F[:, 0] = envsim.feature_map(env_id, S)
     for t, m in enumerate(cells.sum(axis=0)):
         f = F[:m, t]
-        U[:m, t] = u = sacgen.act(agent, f, deterministic=False, noise=U[:m, t])
+        u = sacgen.act(agent, f, deterministic=False, noise=E[:m, t])
         A[:m, t] = a = bundle.to_env(f, u)
         S[:m], _ = envsim.step_batch(env_id, S[:m], a)
         F[:m, t + 1] = envsim.feature_map(env_id, S[:m])
     back = np.argsort(order)
-    buf.push(F[back, :-1][cells], A[back][cells], F[back, 1:][cells], U[back][cells])
+    buf.push(F[back, :-1][cells], A[back][cells], F[back, 1:][cells])
     return (starts[k] if len(starts) > k else S[back[-1]]), ep_t
 
 
@@ -441,43 +433,26 @@ def _recon_probe(feats, actions, rng, n=512):
     return feats[idx], actions[idx]
 
 
-def _disc_step(cfg, disc, bundle, se, ea, b, rng=None):
-    """One discriminator minibatch of expert (features, actions) against
-    agent batch `b`, both in `bundle`'s action box; chains into the encoder
-    in aware mode."""
-    sa, n_e = b.states, len(se)
+def _disc_step(cfg, disc, bundle, se, ea, b):
+    """One discriminator minibatch of expert (features, actions) against agent
+    batch `b`, both halves encoded into `bundle`'s action box in one pass. In
+    aware mode that pass is a recorded encoder pass, and the discriminator's
+    input gradient steps the encoder through the mean; the log-std half of
+    the encoder head gets no gradient."""
+    n_e = len(se)
+    feats, actions = np.concatenate([se, b.states]), np.concatenate([ea, b.actions])
     if cfg.algo == "lapal-aware":
-        codec = bundle.codec
-        # both expectation terms flow through the encoder, so encode the two
-        # halves in one recorded pass and step the encoder with the combined
-        # input gradient. The sampled-encoding ablation draws the noise that
-        # `encode_for_training` would and chains into the log-std head too
-        post = latentact.encode(codec, np.concatenate([se, sa]),
-                                np.concatenate([ea, b.actions]), record=True)
-        sampled = codec.config.sample_encoding
-        if sampled:
-            noise = rng.standard_normal(post.mean.shape)
-            abar = np.tanh(post.sample(noise))
-        else:
-            abar = np.tanh(post.mean)
+        encoder = bundle.codec.encoder
+        u = np.tanh(latentact.encode(bundle.codec, feats, actions, record=True).mean)
         loss, g_e, g_a = adversary.disc_loss_and_grad(
-            disc, (se, abar[:n_e]), (sa, abar[n_e:]), want_input_grads=True)
-        d_abar = np.concatenate([g_e, g_a])[:, se.shape[1]:]
-        d_mean = d_abar * (1.0 - abar * abar)
-        if sampled:
-            # log-std clamp subgradient: zero where the head output was clipped
-            ls_ok = (post.log_std > LOG_STD_MIN) & (post.log_std < LOG_STD_MAX)
-            d_log_std = d_mean * post.std * noise * ls_ok
-        else:
-            d_log_std = np.zeros_like(d_mean)
-        codec.encoder.backward(np.concatenate([d_mean, d_log_std], axis=1), input_grad=False)
-        codec.encoder.adam_step(cfg.codec_disc_lr)
-    elif b.latents is None:
-        u = bundle.to_box(np.concatenate([se, sa]), np.concatenate([ea, b.actions]), rng)
-        loss = adversary.disc_loss_and_grad(disc, (se, u[:n_e]), (sa, u[n_e:]))
+            disc, (se, u[:n_e]), (b.states, u[n_e:]), want_input_grads=True)
+        d_mean = np.concatenate([g_e, g_a])[:, se.shape[1]:] * (1.0 - u * u)
+        encoder.backward(np.concatenate([d_mean, np.zeros_like(d_mean)], axis=1),
+                         input_grad=False)
+        encoder.adam_step(cfg.codec_disc_lr)
     else:
-        loss = adversary.disc_loss_and_grad(disc, (se, bundle.to_box(se, ea, rng)),
-                                            (sa, b.latents))
+        u = bundle.to_box(feats, actions)
+        loss = adversary.disc_loss_and_grad(disc, (se, u[:n_e]), (b.states, u[n_e:]))
     disc.tree.adam_step(cfg.disc_lr)
     return loss
 

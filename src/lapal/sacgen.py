@@ -9,8 +9,7 @@ only at the time limit, so TD targets always bootstrap.
 
 Every network here consumes state features (`envsim.feature_map`), never
 raw env states. The replay buffer holds the features of s and s', computed
-once when the transition is collected, with the raw env action (and, if
-asked, the emitted latent). Rewards are never stored: critic updates
+once when the transition is collected, with the raw env action. Rewards are never stored: critic updates
 recompute them through a callable, which keeps the discriminator-induced
 reward current as the adversary trains.
 
@@ -45,8 +44,7 @@ def squash(z):
     return np.minimum(np.maximum(np.tanh(z), -TANH_CAP), TANH_CAP)
 
 
-# `latents` is None unless the buffer keeps emitted latents
-BufferBatch = namedtuple("BufferBatch", ["states", "actions", "next_states", "latents"])
+BufferBatch = namedtuple("BufferBatch", ["states", "actions", "next_states"])
 
 
 @dataclass(frozen=True)
@@ -142,34 +140,31 @@ def sample_with_log_prob(agent: SacAgent, states, rng, record: bool = False):
 class ReplayBuffer:
     """FIFO ring over (features, raw action, next features); no rewards.
 
-    With `latent_dim` > 0 it also keeps the latent the policy emitted.
     Collection writes each iteration's transitions in one `push`.
     """
 
-    def __init__(self, capacity: int, feat_dim: int, action_dim: int, latent_dim: int = 0):
+    def __init__(self, capacity: int, feat_dim: int, action_dim: int):
         if capacity < 1:
             raise ConfigError("capacity must be positive")
         self.capacity = capacity
         self.states = np.empty((capacity, feat_dim))
         self.actions = np.empty((capacity, action_dim))
         self.next_states = np.empty((capacity, feat_dim))
-        self.latents = np.empty((capacity, latent_dim)) if latent_dim else None
         self.size = 0
         self.cursor = 0
 
     def __len__(self):
         return self.size
 
-    def push(self, feats, actions, next_feats, latents=None) -> None:
+    def push(self, feats, actions, next_feats) -> None:
         """Append one transition, or k as (k, d) rows in order; the ring keeps
         the last `capacity` rows, as k one-row pushes would."""
         k = len(np.atleast_2d(feats))
         kept = min(k, self.capacity)
         idx = (self.cursor + k - kept + np.arange(kept)) % self.capacity
         for col, rows in ((self.states, feats), (self.actions, actions),
-                          (self.next_states, next_feats), (self.latents, latents)):
-            if col is not None:
-                col[idx] = np.atleast_2d(rows)[k - kept:]
+                          (self.next_states, next_feats)):
+            col[idx] = np.atleast_2d(rows)[k - kept:]
         self.cursor = (self.cursor + k) % self.capacity
         self.size = min(self.size + k, self.capacity)
 
@@ -177,11 +172,8 @@ class ReplayBuffer:
         if self.size == 0:
             raise StateError("cannot sample from an empty replay buffer")
         idx = rng.integers(0, self.size, size=n)
-        return BufferBatch(
-            states=self.states[idx], actions=self.actions[idx],
-            next_states=self.next_states[idx],
-            latents=None if self.latents is None else self.latents[idx],
-        )
+        return BufferBatch(states=self.states[idx], actions=self.actions[idx],
+                           next_states=self.next_states[idx])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ after. Run from the repository root:
 
 It prints a digest of the demos of every env family at fixed seeds, of a
 short `train_codec` run (weights and history) and of a small `run_training`
-in each mode (per-iteration digests and the curve). pytest does not collect
+in each mode (per-iteration digests and the curve). The `params` lines
+hash only parameter buffers and numbers, never a config string, so they stay
+comparable across a change to how a config prints. pytest does not collect
 this file.
 """
 
@@ -34,6 +36,14 @@ def demo_digest(demos) -> str:
                   demos.rewards, demos.episode_boundaries)
 
 
+RECORD_KEYS = ("iteration", "env_steps", "actor_digest", "critic_digest", "disc_digest",
+               "alpha", "buffer_size")
+
+
+def codec_params(codec) -> list:
+    return [] if codec is None else [codec.encoder.params, codec.decoder.params]
+
+
 def main():
     warnings.simplefilter("ignore")
     for env_id in ENVS:
@@ -41,22 +51,30 @@ def main():
             demos = envsim.collect_demos(env_id, n, seed, min_success_rate=0.0)
             print(f"demos {env_id} n={n} seed={seed}: {demo_digest(demos)}")
 
-    demos = envsim.collect_demos("arm3", 16, 5)
     cfg = latentact.CVAEConfig(latent_dim=2, epochs=4)
-    codec, history = latentact.train_codec(demos, cfg, 7)
-    print(f"train_codec arm3: {digest(codec.digest(), sorted(history.items()))}")
+    for env_id in ("arm3", "pointmass"):
+        demos = envsim.collect_demos(env_id, 16, 5)
+        codec, history = latentact.train_codec(demos, cfg, 7)
+        if env_id == "arm3":
+            print(f"train_codec arm3: {digest(codec.digest(), sorted(history.items()))}")
+        print(f"codec params {env_id}: "
+              f"{digest(*codec_params(codec), sorted(history.items()))}")
 
-    for algo in orchestrator.ALGOS:
-        run = orchestrator.RunConfig(
-            algo=algo, env_id="arm3", total_env_steps=500, steps_per_iteration=250,
-            disc_updates_per_iteration=10, gen_updates_per_iteration=20, eval_every=250,
-            eval_episodes=4, divergence_guard=False)
-        records = []
-        res = orchestrator.run_training(run, sacgen.SacConfig(), demos,
-                                        codec if run.latent else None, seed=3,
-                                        on_iteration=records.append)
-        curve = [astuple(row) for row in res.curve]
-        print(f"run_training {algo}: {digest(records, curve, res.bundle.digest())}")
+        for algo in orchestrator.ALGOS:
+            run = orchestrator.RunConfig(
+                algo=algo, env_id=env_id, total_env_steps=500, steps_per_iteration=250,
+                disc_updates_per_iteration=10, gen_updates_per_iteration=20,
+                eval_every=250, eval_episodes=4, divergence_guard=False)
+            records = []
+            res = orchestrator.run_training(run, sacgen.SacConfig(), demos,
+                                            codec if run.latent else None, seed=3,
+                                            on_iteration=records.append)
+            curve = [astuple(row) for row in res.curve]
+            if env_id == "arm3":
+                print(f"run_training {algo}: {digest(records, curve, res.bundle.digest())}")
+            numbers = [tuple(r[k] for k in RECORD_KEYS) for r in records]
+            params = digest(numbers, curve, res.bundle.actor.params, *codec_params(res.codec))
+            print(f"run params {env_id} {algo}: {params}")
 
 
 if __name__ == "__main__":

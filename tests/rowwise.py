@@ -203,7 +203,7 @@ def collect(env_id, agent, codec, buf, state, ep_t, n, rng):
                   else u * spec.action_high)
         state, _ = envsim.env_step(env_id, state, action)
         next_feats = envsim.feature_map(env_id, state)
-        buf.push(feats, action, next_feats, u)
+        buf.push(feats, action, next_feats)
         feats = next_feats
         ep_t += 1
         if ep_t >= spec.horizon:

@@ -138,6 +138,8 @@ def test_wrong_env_digest_raises(kind, tmp_path):
     ("codec", {"config": {"latent_dim": 0}}),
     ("codec", {"config": {"latent_dim": 2, "epochs": -1}}),
     ("codec", {"encoder": None}),
+    ("codec", {"config": {"latent_dim": 1, "encoder_hidden": [3], "decoder_hidden": [3],
+                          "sample_encoding": False}}),
     ("disc", {"hidden": "3"}),
     ("disc", {"composition": {"env_id": "pointmass", "input_kind": "pixels",
                               "state_dim": FEAT, "u_dim": 1}}),
@@ -145,6 +147,8 @@ def test_wrong_env_digest_raises(kind, tmp_path):
     ("policy", {"policy_kind": "pixels"}),
     ("policy", {"actor": {"spec": "mlp", "step": 0}}),
     ("policy", {"codec.encoder": {"step": 0}}),
+    ("policy", {"codec.config": {"latent_dim": 1, "encoder_hidden": [3], "decoder_hidden": [3],
+                                 "sample_encoding": False}}),
 ])
 def test_bad_header_field_raises(kind, changes, saved):
     raw, path = saved[kind]

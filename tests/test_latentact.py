@@ -200,6 +200,15 @@ def test_train_codec_rejects_non_finite_demos(pm_demos, epochs):
             train_codec(demos, CVAEConfig(latent_dim=2, epochs=epochs), seed=0)
 
 
+def test_config_string_names_the_architecture_only():
+    """The config string that codec digests and files hash names the
+    architecture; training-only settings leave it alone."""
+    cfg = CVAEConfig(latent_dim=3, beta=0.5, encoder_hidden=(8, 4), decoder_hidden=(6,))
+    assert cfg.canonical() == "cvae:d=3;beta=0.5;enc=8,4;dec=6;act=leaky_relu"
+    trained = dataclasses.replace(cfg, epochs=1, batch_size=3, lr=0.1, holdout_fraction=0.5)
+    assert trained.canonical() == cfg.canonical()
+
+
 def test_train_epochs_zero_returns_init(pm_demos):
     cfg = CVAEConfig(latent_dim=2, epochs=0)
     codec, history = train_codec(pm_demos, cfg, seed=3)
@@ -207,6 +216,19 @@ def test_train_epochs_zero_returns_init(pm_demos):
                        np.random.default_rng(np.random.SeedSequence(3).spawn(2)[0]))
     assert codec.encoder.digest() == fresh.encoder.digest()
     assert history["loss"] == []
+
+
+@pytest.mark.parametrize("epochs", [0, 1, 3])
+def test_holdout_reconstruction_runs_once_per_epoch(pm_demos, monkeypatch, epochs):
+    """The final held-out error is the last epoch's; with no epochs it is the
+    untrained codec's, computed once."""
+    calls, mse = [], latentact.holdout_reconstruction_mse
+    monkeypatch.setattr(latentact, "holdout_reconstruction_mse",
+                        lambda *args: calls.append(mse(*args)) or calls[-1])
+    _, history = train_codec(pm_demos, CVAEConfig(latent_dim=2, epochs=epochs), seed=9)
+    assert len(calls) == max(epochs, 1)
+    assert history["holdout_final"] == calls[-1]
+    assert history["holdout_recon"] == calls[:epochs]
 
 
 @pytest.fixture(scope="module")

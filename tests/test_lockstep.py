@@ -483,7 +483,7 @@ COLLECTIONS = {
 }
 
 
-def collection_pair(env_id, kind, case, emitted=False, f64=True):
+def collection_pair(env_id, kind, case, f64=True):
     """Lockstep and per-row collection of the same transitions from the same
     state, agent and random stream: (buffer, state, ep_t, rng state) each."""
     spec = env_spec(env_id)
@@ -504,11 +504,11 @@ def collection_pair(env_id, kind, case, emitted=False, f64=True):
     collectors = (lambda *a: orchestrator._collect(bundle, agent, *a),
                   lambda *a: rowwise.collect(env_id, agent, codec, *a))
     for collect in collectors:
-        buf = ReplayBuffer(capacity, feat_dim, spec.action_dim, u_dim if emitted else 0)
+        buf = ReplayBuffer(capacity, feat_dim, spec.action_dim)
         prefill = np.random.default_rng(23)
         for _ in range(filled):
             buf.push(*(prefill.standard_normal(d)
-                       for d in (feat_dim, spec.action_dim, feat_dim, u_dim)))
+                       for d in (feat_dim, spec.action_dim, feat_dim)))
         rng = np.random.default_rng(24)
         out.append((buf, *collect(buf, state[0], ep_t, n, rng),
                     rng.bit_generator.state))
@@ -516,9 +516,8 @@ def collection_pair(env_id, kind, case, emitted=False, f64=True):
 
 
 def buffer_arrays(buf):
-    names = ("states", "actions", "next_states") + (("latents",) if buf.latents is not None
-                                                    else ())
-    return {name: getattr(buf, name)[: buf.size] for name in names}
+    return {name: getattr(buf, name)[: buf.size]
+            for name in ("states", "actions", "next_states")}
 
 
 def assert_collections_match(pair, close):
@@ -544,13 +543,6 @@ def f32_close(x, y):
 @pytest.mark.parametrize("env_id", ["pointmass", "arm3"])
 def test_lockstep_collection_matches_per_row_oracle(env_id, kind, case):
     assert_collections_match(collection_pair(env_id, kind, case), f64_close)
-
-
-@pytest.mark.parametrize("env_id", ["pointmass", "arm3"])
-def test_lockstep_collection_keeps_emitted_latents(env_id):
-    pair = collection_pair(env_id, "latent", "ragged-both-ends", emitted=True)
-    assert pair[0][0].latents is not None
-    assert_collections_match(pair, f64_close)
 
 
 @pytest.mark.parametrize("kind", ["raw", "latent"])

@@ -151,12 +151,6 @@ def test_aware_from_scratch_trains_on_arm3(env_inputs):
     assert warm.bundle.digest() != first[1]
 
 
-def test_emitted_latents_flag_scoped():
-    with pytest.raises(ConfigError):
-        small_run_cfg("gail", store_emitted_latents=True)
-    small_run_cfg("lapal-agnostic", store_emitted_latents=True)
-
-
 @pytest.mark.parametrize("env_id", ENVS)
 @pytest.mark.parametrize("algo", ALGOS)
 def test_smoke_runs_and_buffer_hygiene(algo, env_id, env_inputs):
@@ -186,21 +180,11 @@ def test_aware_run_moves_codec(pm_demos, pm_codec):
     assert res.codec.digest() != pm_codec.digest()
 
 
-def sampled(codec):
-    """The codec with the sampled-encoding ablation switched on."""
-    return dataclasses.replace(
-        codec, config=dataclasses.replace(codec.config, sample_encoding=True))
-
-
-@pytest.mark.parametrize("env_id,sample_encoding", [
-    pytest.param(e, s, id=e + ("-sampled" if s else "")) for s in (False, True) for e in ENVS])
-def test_mode_boundary_differential(env_id, sample_encoding, env_inputs):
+@pytest.mark.parametrize("env_id", ENVS)
+def test_mode_boundary_differential(env_id, env_inputs):
     """lapal-aware with codec learning rates forced to zero must walk the
-    task-agnostic update sequence bit-identically, with mean encodings and
-    with the sampled-encoding ablation."""
+    task-agnostic update sequence bit-identically."""
     demos, codec = env_inputs(env_id)
-    if sample_encoding:
-        codec = sampled(codec)
     traces = {}
     for algo, lrs in (("lapal-agnostic", None), ("lapal-aware", 0.0)):
         kw = {} if lrs is None else {"codec_disc_lr": 0.0, "codec_gen_lr": 0.0}
@@ -359,11 +343,10 @@ def test_transfer_identity_and_validation(pm_demos, pm_codec):
         transfer_policy(raw.bundle, pm_demos, cfg2, seed=0)
 
 
-def check_aware_encoder_gradient_on_arm_features(sample_encoding):
+def test_aware_disc_step_encoder_gradient_on_arm_features():
     """Encoder gradient that the aware discriminator step chains through the
     discriminator's input gradient, on arm3's 15 feature columns."""
-    cvae_cfg = CVAEConfig(latent_dim=2, encoder_hidden=(12, 12), decoder_hidden=(12, 12),
-                          sample_encoding=sample_encoding)
+    cvae_cfg = CVAEConfig(latent_dim=2, encoder_hidden=(12, 12), decoder_hidden=(12, 12))
     codec = float64(latentact.make_codec("arm3", cvae_cfg, 50))
     disc = float64(adversary.make_discriminator(
         adversary.DiscComposition("arm3", "latent", 15, 2, codec.digest()), (12, 12), 51))
@@ -372,19 +355,18 @@ def check_aware_encoder_gradient_on_arm_features(sample_encoding):
                                                  for i in range(8)]))
     actions = rng.uniform(-1.0, 1.0, (8, 3))
     se, ea = feats[:4], actions[:4]
-    agent = sacgen.BufferBatch(feats[4:], actions[4:], feats[4:], None)
+    agent = sacgen.BufferBatch(feats[4:], actions[4:], feats[4:])
     codec.encoder.adam_step = lambda lr: None  # keep the accumulated gradient
     disc.tree.adam_step = lambda lr: None
     cfg = small_run_cfg("lapal-aware", env_id="arm3")
     actor = ParamTree.init(MLPSpec(15, (4,), 4), np.random.default_rng(54))
-    orchestrator._disc_step(cfg, disc, PolicyBundle("arm3", actor, codec), se, ea, agent,
-                            np.random.default_rng(53))
-    # the log-std half of the encoder head gets a gradient only when sampling
-    assert np.all(codec.encoder.layers[-1].gb[2:] != 0.0) == sample_encoding
+    orchestrator._disc_step(cfg, disc, PolicyBundle("arm3", actor, codec), se, ea, agent)
+    # the mean encoding leaves the log-std half of the encoder head untouched
+    head = codec.encoder.layers[-1]
+    assert np.all(head.gw[:, 2:] == 0.0) and np.all(head.gb[2:] == 0.0)
 
     def loss_fn():
-        # the same noise as the step drew, for the encodings of both halves
-        u = latentact.encode_for_training(codec, feats, actions, np.random.default_rng(53))
+        u = latentact.encode_mean(codec, feats, actions)
         return adversary.disc_loss(disc, (se, u[:4]), (agent.states, u[4:]))
 
     _, fd, analytic = fd_loss_gradient(loss_fn, codec.encoder, n_probes=100, seed=53)
@@ -392,12 +374,95 @@ def check_aware_encoder_gradient_on_arm_features(sample_encoding):
     assert_grads_close(fd, analytic, rtol=1e-4)
 
 
-def test_aware_disc_step_encoder_gradient_on_arm_features():
-    check_aware_encoder_gradient_on_arm_features(sample_encoding=False)
+def disc_step_inputs(env_id, env_inputs, n=8):
+    """A float64 latent bundle over a mutable copy of `env_id`'s codec, a
+    discriminator in its box, and n expert rows from the demos against n
+    agent rows with uniform actions."""
+    demos, codec = env_inputs(env_id)
+    codec = float64(codec.copy(frozen=False))
+    feat_dim, spec = envsim.feature_dim(env_id), envsim.env_spec(env_id)
+    disc = float64(adversary.make_discriminator(
+        adversary.DiscComposition(env_id, "latent", feat_dim, codec.latent_dim,
+                                  codec.digest()), (12,), 60))
+    actor = ParamTree.init(MLPSpec(feat_dim, (4,), 2 * codec.latent_dim),
+                           np.random.default_rng(61))
+    rng = np.random.default_rng(62)
+    rows = rng.integers(0, len(demos.states), 2 * n)
+    feats = envsim.feature_map(env_id, demos.states[rows])
+    se, ea = feats[:n], demos.actions[rows[:n]]
+    agent = sacgen.BufferBatch(feats[n:], rng.uniform(-1.0, 1.0, (n, spec.action_dim))
+                               * spec.action_high, feats[n:])
+    return PolicyBundle(env_id, actor, codec), disc, se, ea, agent
 
 
-def test_sampled_aware_disc_step_encoder_gradient_on_arm_features():
-    check_aware_encoder_gradient_on_arm_features(sample_encoding=True)
+@pytest.mark.parametrize("env_id", ENVS)
+def test_to_box_is_the_current_mean_encoding(env_id, env_inputs):
+    """A latent bundle's box points are tanh of the current encoder's mean:
+    no randomness, and nothing cached, so moving the encoder moves them."""
+    bundle, _, se, ea, _ = disc_step_inputs(env_id, env_inputs)
+    u = bundle.to_box(se, ea)
+    assert u.tobytes() == np.tanh(latentact.encode(bundle.codec, se, ea).mean).tobytes()
+    assert bundle.to_box(se, ea).tobytes() == u.tobytes()
+    assert np.all(np.abs(u) <= 1.0)
+    bundle.codec.encoder.layers[-1].b[-1] += 0.25   # a log-std bias: the mean stays
+    assert bundle.to_box(se, ea).tobytes() == u.tobytes()
+    bundle.codec.encoder.params += 0.01
+    moved = bundle.to_box(se, ea)
+    assert moved.tobytes() != u.tobytes()
+    assert moved.tobytes() == latentact.encode_mean(bundle.codec, se, ea).tobytes()
+
+
+@pytest.mark.parametrize("env_id", ENVS)
+def test_raw_bundle_to_box_divides_by_the_action_bounds(env_id):
+    """Without a codec the box is the env's action box: `to_box` divides by
+    `action_high` whatever the features, and undoes `to_env`."""
+    spec, feat_dim = envsim.env_spec(env_id), envsim.feature_dim(env_id)
+    actor = ParamTree.init(MLPSpec(feat_dim, (4,), 2 * spec.action_dim),
+                           np.random.default_rng(63))
+    bundle = PolicyBundle(env_id, actor)
+    rng = np.random.default_rng(64)
+    feats, u = rng.standard_normal((6, feat_dim)), rng.uniform(-1.0, 1.0, (6, spec.action_dim))
+    actions = u * spec.action_high
+    assert bundle.to_box(feats, actions).tobytes() == (actions / spec.action_high).tobytes()
+    assert bundle.to_box(feats, actions).tobytes() == bundle.to_box(0 * feats, actions).tobytes()
+    np.testing.assert_allclose(bundle.to_box(feats, bundle.to_env(feats, u)), u,
+                               rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("env_id", ENVS)
+@pytest.mark.parametrize("algo", ["lapal-agnostic", "lapal-aware"])
+def test_disc_step_loss_is_on_pre_step_mean_encodings(algo, env_id, env_inputs):
+    """Both modes score the discriminator on the mean encodings of both halves
+    under the encoder as it was before the step, then step the discriminator;
+    only the aware mode steps the encoder, and neither touches the decoder."""
+    bundle, disc, se, ea, b = disc_step_inputs(env_id, env_inputs)
+    codec = bundle.codec
+    enc, dec, d = codec.encoder.params.copy(), codec.decoder.params.copy(), disc.tree.params.copy()
+    u = latentact.encode_mean(codec, np.concatenate([se, b.states]),
+                              np.concatenate([ea, b.actions]))
+    want = adversary.disc_loss(disc, (se, u[:len(se)]), (b.states, u[len(se):]))
+    cfg = small_run_cfg(algo, env_id=env_id)
+    loss = orchestrator._disc_step(cfg, disc, bundle, se, ea, b)
+    assert np.isclose(loss, want, rtol=1e-12, atol=0.0)
+    assert disc.tree.params.tobytes() != d.tobytes()
+    assert codec.decoder.params.tobytes() == dec.tobytes()
+    assert (codec.encoder.params.tobytes() != enc.tobytes()) == (algo == "lapal-aware")
+
+
+@pytest.mark.parametrize("env_id", ENVS)
+def test_aware_disc_step_at_zero_encoder_lr_is_the_agnostic_step(env_id, env_inputs):
+    """One discriminator step of the mode boundary: aware at encoder learning
+    rate 0 returns the agnostic loss and leaves the same discriminator and
+    encoder, bit for bit."""
+    out = {}
+    for algo, kw in (("lapal-agnostic", {}), ("lapal-aware", {"codec_disc_lr": 0.0})):
+        bundle, disc, se, ea, b = disc_step_inputs(env_id, env_inputs)
+        enc = bundle.codec.encoder.params.tobytes()
+        loss = orchestrator._disc_step(small_run_cfg(algo, env_id=env_id, **kw),
+                                       disc, bundle, se, ea, b)
+        assert bundle.codec.encoder.params.tobytes() == enc
+        out[algo] = loss, disc.tree.params.tobytes(), disc.tree.m.tobytes()
+    assert out["lapal-aware"] == out["lapal-agnostic"]
 
 
 def test_buffer_holds_features_of_stepped_states(monkeypatch, env_inputs):
@@ -414,9 +479,9 @@ def test_buffer_holds_features_of_stepped_states(monkeypatch, env_inputs):
             stepped.extend(zip(np.copy(states), nxt))
         return nxt, rewards
 
-    def recording_push(buf, feats, actions, next_feats, latents=None):
+    def recording_push(buf, feats, actions, next_feats):
         pushed.extend(zip(np.copy(feats), np.copy(next_feats)))
-        push(buf, feats, actions, next_feats, latents)
+        push(buf, feats, actions, next_feats)
 
     def flagged_evaluate(*args, **kwargs):
         evaluating.append(True)
@@ -461,35 +526,6 @@ def test_one_rollout_per_evaluation_point(monkeypatch, env_inputs, env_id):
     eval_seed = orchestrator._eval_seed(3)
     for policy, ret in ((ExpertPolicy, res.expert_return), (RandomPolicy, res.random_return)):
         assert ret == evaluate_policy(policy(env_id), env_id, cfg.eval_episodes, eval_seed)[0]
-
-
-def test_emitted_latents_train_on_arm3(env_inputs):
-    demos, codec = env_inputs("arm3")
-
-    def run(emitted):
-        res = run_training(env_run_cfg("lapal-agnostic", "arm3",
-                                       store_emitted_latents=emitted),
-                           SMALL_SAC, demos, codec=codec, seed=15)
-        assert all(np.isfinite(r.mean_eval_return) for r in res.curve)
-        return curve_to_csv(res.curve), res.bundle.digest()
-
-    first = run(True)
-    assert run(True) == first
-    assert run(False)[1] != first[1]  # the stored latents are what trained
-
-
-@pytest.mark.parametrize("algo", ["lapal-agnostic", "lapal-aware"])
-def test_sampled_encoding_trains_on_arm3(algo, env_inputs):
-    demos, codec = env_inputs("arm3")
-
-    def run(c):
-        res = run_training(env_run_cfg(algo, "arm3"), SMALL_SAC, demos, codec=c, seed=20)
-        assert all(np.isfinite(r.mean_eval_return) for r in res.curve)
-        return curve_to_csv(res.curve), res.bundle.digest()
-
-    first = run(sampled(codec))
-    assert run(sampled(codec)) == first
-    assert run(codec)[0] != first[0]  # the sampled latents are what trained
 
 
 def test_transfer_arm3_to_perturbed_end_to_end(tmp_path, env_inputs):

@@ -119,11 +119,10 @@ def test_buffer_fifo_eviction():
     pytest.param(16, 16, 16, id="full-ring"),
     pytest.param(16, 5, 37, id="k-over-capacity"),
 ])
-@pytest.mark.parametrize("latent_dim", [0, 2])
-def test_batch_push_equals_one_row_pushes(capacity, filled, k, latent_dim):
+def test_batch_push_equals_one_row_pushes(capacity, filled, k):
     rng = np.random.default_rng(capacity + filled + k)
-    rows = [rng.standard_normal((filled + k, d)) for d in (3, 2, 3, latent_dim or 1)]
-    one, batch = (ReplayBuffer(capacity, 3, 2, latent_dim) for _ in range(2))
+    rows = [rng.standard_normal((filled + k, d)) for d in (3, 2, 3)]
+    one, batch = (ReplayBuffer(capacity, 3, 2) for _ in range(2))
     for buf in (one, batch):
         for i in range(filled):
             buf.push(*[r[i] for r in rows])
@@ -132,7 +131,7 @@ def test_batch_push_equals_one_row_pushes(capacity, filled, k, latent_dim):
     batch.push(*[r[filled:] for r in rows])
     assert (batch.cursor, batch.size) == (one.cursor, one.size)
     assert one.size == min(filled + k, capacity)
-    for name in ("states", "actions", "next_states") + (("latents",) if latent_dim else ()):
+    for name in ("states", "actions", "next_states"):
         got, want = getattr(batch, name)[: one.size], getattr(one, name)[: one.size]
         assert got.tobytes() == want.tobytes(), name
     if k >= capacity:  # the last `capacity` rows survive
