@@ -97,10 +97,10 @@ def disc_loss_and_grad(d: Discriminator, expert_batch, agent_batch,
                        want_input_grads: bool = False):
     """Accumulate discriminator gradients for one balanced minibatch.
 
-    Expert rows are labeled 1, agent rows 0. With want_input_grads the
-    per-row gradients of the loss w.r.t. the expert and agent (state, u)
-    inputs are returned as well, which is what chains the loss into an
-    action encoder when the latent space itself is being trained.
+    Expert rows are labeled 1, agent rows 0. With want_input_grads it returns
+    (loss, d_in): the per-row gradients of the loss w.r.t. the (state, u)
+    inputs, expert rows first, which is what chains the loss into an action
+    encoder when the latent space itself is being trained.
     """
     se, ue = expert_batch
     sa, ua = agent_batch
@@ -117,9 +117,7 @@ def disc_loss_and_grad(d: Discriminator, expert_batch, agent_batch,
     upstream[:ne, 0] = (sigmoid(le) - 1.0) / ne
     upstream[ne:, 0] = sigmoid(la) / na
     d_in = d.tree.backward(upstream, input_grad=want_input_grads)
-    if want_input_grads:
-        return loss, d_in[:ne], d_in[ne:]
-    return loss
+    return (loss, d_in) if want_input_grads else loss
 
 
 # ---------------------------------------------------------------------------

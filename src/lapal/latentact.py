@@ -152,9 +152,19 @@ def encode(codec: ActionCodec, feats, actions, record: bool = False) -> Gaussian
     return dist
 
 
-def encode_mean(codec: ActionCodec, feats, actions) -> np.ndarray:
+def encode_mean(codec: ActionCodec, feats, actions, record: bool = False) -> np.ndarray:
     """Deterministic latent encoding: tanh of the posterior mean."""
-    return np.tanh(encode(codec, feats, actions).mean)
+    return np.tanh(encode(codec, feats, actions, record=record).mean)
+
+
+def encode_mean_backward(codec: ActionCodec, u, d_u, accumulate: bool = True):
+    """Backward pass of the recorded `encode_mean` that returned `u`, from
+    d loss / d u: chains through tanh into the mean half of the encoder head
+    (the log-std half gets none). Accumulates the encoder's gradients, or
+    without `accumulate` returns d loss / d encoder input instead."""
+    d_mean = d_u * (1.0 - u * u)
+    return codec.encoder.backward(np.concatenate([d_mean, np.zeros_like(d_mean)], axis=1),
+                                  accumulate=accumulate, input_grad=not accumulate)
 
 
 def decode(codec: ActionCodec, feats, latents, record: bool = False) -> np.ndarray:
@@ -186,12 +196,7 @@ def cvae_loss(codec: ActionCodec, x, noise) -> tuple:
 
 def _cvae_forward(codec, x, noise, record):
     dist, ls_ok = gaussian_head(codec.encoder.forward(x, record=record))
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != dist.mean.shape:
-        raise ConfigError(f"noise shape {noise.shape} != mean shape {dist.mean.shape}")
-    sigma = dist.std
-    z = dist.mean + sigma * noise
-    abar = np.tanh(z)
+    abar = np.tanh(dist.sample(noise))
     n_act = codec.action_high.size
     S, A = x[:, :-n_act], x[:, -n_act:]
     recon = decode(codec, S, abar, record=record)
@@ -200,14 +205,15 @@ def _cvae_forward(codec, x, noise, record):
     recon_term = float(np.add.reduce(np.add.reduce(err * err, 1))) / B
     kl_term = float(np.add.reduce(dist.kl_to_standard())) / B
     loss = recon_term + codec.config.beta * kl_term
-    cache = (dist, sigma, ls_ok, abar, err)
+    cache = (dist, ls_ok, abar, err)
     return loss, {"recon": recon_term, "kl": kl_term}, cache
 
 
 def cvae_loss_and_grad(codec: ActionCodec, x, noise) -> tuple:
     """As cvae_loss, but also accumulates encoder/decoder gradients."""
     loss, parts, cache = _cvae_forward(codec, x, noise, record=True)
-    dist, sigma, ls_ok, abar, err = cache
+    dist, ls_ok, abar, err = cache
+    sigma = dist.std
     B = x.shape[0]
     beta = codec.config.beta
     # reconstruction path: d/d(decoder output before bound scaling)

@@ -16,7 +16,7 @@ action bounds, or decoded through the codec) and `to_box` maps env actions
 back (divided, or encoded). Collection, the critic and discriminator inputs
 and evaluation all go through these two maps. Aware mode adds the encoder
 step in `_disc_step` and `sacgen.decoder_adversarial_step` after each actor
-step.
+step; both go through `latentact.encode_mean` and its backward pass.
 
 Raw env states stop at the env boundary: every network consumes state
 features, and each state is featurized once. Collection featurizes each new
@@ -128,9 +128,6 @@ class RunResult:
     random_return: float
     env_steps: int
 
-    def normalized(self, raw_return: float) -> float:
-        return _normalize(raw_return, self.expert_return, self.random_return)
-
 
 def _normalize(value, expert, random):
     span = expert - random
@@ -220,7 +217,7 @@ class PolicyBundle:
     def action(self, states):
         """Deterministic env actions for (N, state_dim) states."""
         feats = envsim.feature_map(self.env_id, states)
-        return self.to_env(feats, sacgen.squash(self.actor.forward(feats)[:, : self.u_dim]))
+        return self.to_env(feats, sacgen.act(self.actor, feats))
 
     def lockstep_actor(self, episode_seeds):
         return lambda states, t: self.action(states)
@@ -419,7 +416,7 @@ def _collect(bundle, agent, buf, state, ep_t, n, rng):
     F[:, 0] = envsim.feature_map(env_id, S)
     for t, m in enumerate(cells.sum(axis=0)):
         f = F[:m, t]
-        u = sacgen.act(agent, f, deterministic=False, noise=E[:m, t])
+        u = sacgen.act(agent.actor, f, E[:m, t])
         A[:m, t] = a = bundle.to_env(f, u)
         S[:m], _ = envsim.step_batch(env_id, S[:m], a)
         F[:m, t + 1] = envsim.feature_map(env_id, S[:m])
@@ -442,14 +439,11 @@ def _disc_step(cfg, disc, bundle, se, ea, b):
     n_e = len(se)
     feats, actions = np.concatenate([se, b.states]), np.concatenate([ea, b.actions])
     if cfg.algo == "lapal-aware":
-        encoder = bundle.codec.encoder
-        u = np.tanh(latentact.encode(bundle.codec, feats, actions, record=True).mean)
-        loss, g_e, g_a = adversary.disc_loss_and_grad(
+        u = latentact.encode_mean(bundle.codec, feats, actions, record=True)
+        loss, d_in = adversary.disc_loss_and_grad(
             disc, (se, u[:n_e]), (b.states, u[n_e:]), want_input_grads=True)
-        d_mean = np.concatenate([g_e, g_a])[:, se.shape[1]:] * (1.0 - u * u)
-        encoder.backward(np.concatenate([d_mean, np.zeros_like(d_mean)], axis=1),
-                         input_grad=False)
-        encoder.adam_step(cfg.codec_disc_lr)
+        latentact.encode_mean_backward(bundle.codec, u, d_in[:, se.shape[1]:])
+        bundle.codec.encoder.adam_step(cfg.codec_disc_lr)
     else:
         u = bundle.to_box(feats, actions)
         loss = adversary.disc_loss_and_grad(disc, (se, u[:n_e]), (b.states, u[n_e:]))

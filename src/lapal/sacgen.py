@@ -9,13 +9,16 @@ only at the time limit, so TD targets always bootstrap.
 
 Every network here consumes state features (`envsim.feature_map`), never
 raw env states. The replay buffer holds the features of s and s', computed
-once when the transition is collected, with the raw env action. Rewards are never stored: critic updates
-recompute them through a callable, which keeps the discriminator-induced
-reward current as the adversary trains.
+once when the transition is collected, with the raw env action. Rewards are
+never stored: critic updates recompute them through a callable, which keeps
+the discriminator-induced reward current as the adversary trains.
 
-Log-probabilities of squashed samples use the exact identity
-log(1 - tanh(z)^2) = 2(log 2 - z - softplus(-2z)); its z-derivative is
--2 tanh(z), which the hand-assembled actor gradient relies on.
+There is one policy draw: `GaussianDist.sample` reparameterizes the caller's
+standard-normal noise, collection (`act`) squashes it, and the learner
+(`sample_with_log_prob`) squashes it and adds the log-density, so both see
+the same u for the same noise. Log-probabilities of squashed samples use the
+exact identity log(1 - tanh(z)^2) = 2(log 2 - z - softplus(-2z)); its
+z-derivative is -2 tanh(z), which the hand-assembled actor gradient relies on.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ class SacConfig:
     alpha_lr: float = 3e-4
     init_alpha: float = 0.2
     auto_tune_alpha: bool = True
-    target_entropy: float | None = None    # default: -action_dim
     actor_hidden: tuple = (64, 64)
     critic_hidden: tuple = (64, 64)
 
@@ -85,9 +87,7 @@ class SacAgent:
         self.target1 = self.critic1.copy()
         self.target2 = self.critic2.copy()
         self.log_alpha = AdamScalar(float(np.log(cfg.init_alpha)))
-        self.target_entropy = (
-            cfg.target_entropy if cfg.target_entropy is not None else -float(u_dim)
-        )
+        self.target_entropy = -float(u_dim)
 
     @property
     def alpha(self) -> float:
@@ -101,36 +101,24 @@ class SacAgent:
         return h.hexdigest()
 
 
-def actor_dist(agent: SacAgent, states):
-    raw = agent.actor.forward(np.atleast_2d(states))
-    dist, _ = gaussian_head(raw)
-    return dist
+def act(actor: ParamTree, feats, noise=None) -> np.ndarray:
+    """Squashed actions for (N, feat_dim) feature rows: the mean action, or
+    the draw that reparameterizes standard-normal `noise`, one row each."""
+    raw = actor.forward(feats)
+    if noise is None:
+        return squash(raw[:, : raw.shape[1] // 2])
+    return squash(gaussian_head(raw)[0].sample(noise))
 
 
-def act(agent: SacAgent, feats, deterministic: bool, noise=None) -> np.ndarray:
-    """Squashed actions for one feature row or (N, feat_dim) rows; stochastic
-    ones reparameterize the caller's standard-normal `noise`, one row each."""
-    if not deterministic and noise is None:
-        raise ConfigError("stochastic action needs noise")
-    dist = actor_dist(agent, feats)
-    u = squash(dist.mean if deterministic else dist.sample(np.atleast_2d(noise)))
-    return u[0] if np.ndim(feats) == 1 else u
-
-
-def sample_with_log_prob(agent: SacAgent, states, rng, record: bool = False):
-    """Reparameterized squashed sample plus its log-density.
-
-    Returns (u, log_prob, cache); the cache carries what the actor update
-    needs to assemble gradients by hand.
-    """
-    raw = agent.actor.forward(states, record=record)
-    dist, clamp_mask = gaussian_head(raw)
-    eps = rng.standard_normal(dist.mean.shape)
-    z = dist.mean + dist.std * eps
-    u = squash(z)
+def sample_with_log_prob(agent: SacAgent, states, eps, record: bool = False):
+    """Reparameterized squashed sample at standard-normal `eps`, plus its
+    log-density. Returns (u, log_prob, dist, clamp_mask); the head's dist and
+    log-std clamp mask are what the actor gradient is assembled from."""
+    dist, clamp_mask = gaussian_head(agent.actor.forward(states, record=record))
+    z = dist.sample(eps)
     gauss = (-0.5 * eps * eps - dist.log_std - 0.5 * np.log(2 * np.pi)).sum(axis=1)
     log_prob = gauss - tanh_log_jacobian(z).sum(axis=1)
-    return u, log_prob, (dist, clamp_mask, eps, z, u)
+    return squash(z), log_prob, dist, clamp_mask
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +184,8 @@ def critic_update(agent: SacAgent, states, u, next_states, reward_fn, rng) -> di
     so there is no environment-terminal state to zero out.
     """
     rewards = np.asarray(reward_fn(states, u), dtype=np.float64)
-    u2, logp2, _ = sample_with_log_prob(agent, next_states, rng)
+    eps = rng.standard_normal((next_states.shape[0], agent.u_dim))
+    u2, logp2, _, _ = sample_with_log_prob(agent, next_states, eps)
     q1t = _q(agent.target1, next_states, u2)
     q2t = _q(agent.target2, next_states, u2)
     soft_value = np.minimum(q1t, q2t) - agent.alpha * logp2
@@ -216,12 +205,7 @@ def critic_update(agent: SacAgent, states, u, next_states, reward_fn, rng) -> di
 
 def actor_loss(agent: SacAgent, states, eps) -> float:
     """The actor objective at fixed reparameterization noise (no gradients)."""
-    raw = agent.actor.forward(states)
-    dist, _ = gaussian_head(raw)
-    z = dist.mean + dist.std * eps
-    u = squash(z)
-    gauss = (-0.5 * eps * eps - dist.log_std - 0.5 * np.log(2 * np.pi)).sum(axis=1)
-    log_prob = gauss - tanh_log_jacobian(z).sum(axis=1)
+    u, log_prob, _, _ = sample_with_log_prob(agent, states, eps)
     qmin = np.minimum(_q(agent.critic1, states, u), _q(agent.critic2, states, u))
     return float((agent.alpha * log_prob - qmin).sum()) / states.shape[0]
 
@@ -233,12 +217,7 @@ def actor_loss_and_grad(agent: SacAgent, states, eps):
     backward pass only transports the input gradient).
     """
     b = states.shape[0]
-    raw = agent.actor.forward(states, record=True)
-    dist, clamp_mask = gaussian_head(raw)
-    z = dist.mean + dist.std * eps
-    u = squash(z)
-    gauss = (-0.5 * eps * eps - dist.log_std - 0.5 * np.log(2 * np.pi)).sum(axis=1)
-    log_prob = gauss - tanh_log_jacobian(z).sum(axis=1)
+    u, log_prob, dist, clamp_mask = sample_with_log_prob(agent, states, eps, record=True)
     q1 = _q(agent.critic1, states, u, record=True)
     q2 = _q(agent.critic2, states, u, record=True)
     qmin = np.minimum(q1, q2)
@@ -271,8 +250,7 @@ def actor_update(agent: SacAgent, states, rng) -> dict:
     eps = rng.standard_normal((b, agent.u_dim))
     loss, u, log_prob = actor_loss_and_grad(agent, states, eps)
     agent.actor.adam_step(agent.cfg.actor_lr)
-    out = {"actor": loss, "entropy": float((-log_prob).sum()) / b, "alpha": agent.alpha,
-           "u": u}
+    out = {"actor": loss, "entropy": float((-log_prob).sum()) / b, "u": u}
     if agent.cfg.auto_tune_alpha:
         grad = -float((log_prob + agent.target_entropy).sum()) / b
         agent.log_alpha.update(grad, agent.cfg.alpha_lr)
@@ -292,17 +270,13 @@ def decoder_adversarial_step(codec, discriminator, lr: float, features, u) -> fl
     codec.require_mutable()
     b = np.atleast_2d(features).shape[0]
     actions = latentact.decode(codec, features, u, record=True)
-    post = latentact.encode(codec, features, actions, record=True)
-    abar = np.tanh(post.mean)
+    abar = latentact.encode_mean(codec, features, actions, record=True)
     logits = adversary.disc_logit(discriminator, features, abar, record=True)
     loss = float((-softplus(logits)).sum()) / b
     d_logit = (-sigmoid(logits) / b)[:, None]
     din_disc = discriminator.tree.backward(d_logit, accumulate=False)
-    d_abar = din_disc[:, features.shape[1]:]
-    d_mean = d_abar * (1.0 - abar * abar)
-    enc_upstream = np.concatenate([d_mean, np.zeros_like(d_mean)], axis=1)
-    din_enc = codec.encoder.backward(enc_upstream, accumulate=False)
-    d_actions = din_enc[:, codec.feat_dim:]
-    codec.decoder.backward(d_actions * codec.action_high, input_grad=False)
+    din_enc = latentact.encode_mean_backward(codec, abar, din_disc[:, features.shape[1]:],
+                                             accumulate=False)
+    codec.decoder.backward(din_enc[:, codec.feat_dim:] * codec.action_high, input_grad=False)
     codec.decoder.adam_step(lr)
     return loss

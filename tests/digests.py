@@ -7,8 +7,9 @@ after. Run from the repository root:
 
 It prints a digest of the demos of every env family at fixed seeds, of a
 short `train_codec` run (weights and history) and of a small `run_training`
-in each mode (per-iteration digests and the curve). The `params` lines
-hash only parameter buffers and numbers, never a config string, so they stay
+in each mode (per-iteration digests and the curve), and of 20 float64 SAC
+learner steps on arm3 features. The `params` and `learner` lines hash only
+parameter buffers and numbers, never a config string, so they stay
 comparable across a change to how a config prints. pytest does not collect
 this file.
 """
@@ -19,6 +20,7 @@ from dataclasses import astuple
 
 import numpy as np
 
+from conftest import float64
 from lapal import envsim, latentact, orchestrator, sacgen
 
 ENVS = ["pointmass", "arm1", "arm2", "arm3", "arm6", "arm3-perturbed", "arm6-perturbed"]
@@ -42,6 +44,23 @@ RECORD_KEYS = ("iteration", "env_steps", "actor_digest", "critic_digest", "disc_
 
 def codec_params(codec) -> list:
     return [] if codec is None else [codec.encoder.params, codec.decoder.params]
+
+
+def learner_digest() -> str:
+    """20 critic and actor updates of a float64 arm3 agent on one fixed batch
+    of demo transitions, with a constant reward: the params and the losses."""
+    demos = envsim.collect_demos("arm3", 2, 5, min_success_rate=0.0)
+    s, s2 = (envsim.feature_map("arm3", x[:64]) for x in (demos.states, demos.next_states))
+    u = demos.actions[:64] / envsim.env_spec("arm3").action_high
+    agent = float64(sacgen.SacAgent(s.shape[1], u.shape[1], sacgen.SacConfig(), 0))
+    rng = np.random.default_rng(1)
+    losses = []
+    for _ in range(20):
+        c = sacgen.critic_update(agent, s, u, s2, lambda st, uu: np.full(len(st), 0.5), rng)
+        a = sacgen.actor_update(agent, s, rng)
+        losses.append((c["critic1"], c["critic2"], c["q_mean"], a["actor"], a["entropy"]))
+    trees = (agent.actor, agent.critic1, agent.critic2, agent.target1, agent.target2)
+    return digest(*[t.params for t in trees], agent.log_alpha.value, losses, a["u"])
 
 
 def main():
@@ -75,6 +94,7 @@ def main():
             numbers = [tuple(r[k] for k in RECORD_KEYS) for r in records]
             params = digest(numbers, curve, res.bundle.actor.params, *codec_params(res.codec))
             print(f"run params {env_id} {algo}: {params}")
+    print(f"learner float64: {learner_digest()}")
 
 
 if __name__ == "__main__":

@@ -197,7 +197,7 @@ def collect(env_id, agent, codec, buf, state, ep_t, n, rng):
     spec = envsim.env_spec(env_id)
     feats = envsim.feature_map(env_id, state)
     for _ in range(n):
-        dist = sacgen.actor_dist(agent, feats)
+        dist, _ = gaussian_head(agent.actor.forward(np.atleast_2d(feats)))
         u = sacgen.squash(dist.sample(rng.standard_normal(dist.mean.shape)))[0]
         action = (latentact.decode(codec, feats, u) if codec is not None
                   else u * spec.action_high)

@@ -5,12 +5,12 @@ import scipy.stats
 from conftest import assert_grads_close, fd_loss_gradient, float64
 from lapal import envsim, latentact, sacgen
 from lapal.errors import ConfigError, StateError
+from lapal.nncore import gaussian_head
 from lapal.sacgen import (
     ReplayBuffer,
     SacAgent,
     SacConfig,
     act,
-    actor_dist,
     actor_loss,
     actor_loss_and_grad,
     actor_update,
@@ -42,7 +42,7 @@ def test_zero_actor_deterministic_action_is_zero():
     for layer in agent.actor.layers:
         layer.w[...] = 0.0
         layer.b[...] = 0.0
-    np.testing.assert_array_equal(act(agent, np.ones(4), deterministic=True), np.zeros(2))
+    np.testing.assert_array_equal(act(agent.actor, np.ones((1, 4))), np.zeros((1, 2)))
 
 
 def test_actions_strictly_inside_box_fuzz():
@@ -50,9 +50,9 @@ def test_actions_strictly_inside_box_fuzz():
     agent.actor.layers[-1].w *= 30.0  # saturate the squash
     rng = np.random.default_rng(2)
     states = rng.standard_normal((100_000, 4)) * 5
-    u, _, _ = sample_with_log_prob(agent, states, rng)
+    u, _, _, _ = sample_with_log_prob(agent, states, rng.standard_normal((100_000, 2)))
     assert np.all(u > -1.0) and np.all(u < 1.0)
-    det = np.stack([act(agent, s, deterministic=True) for s in states[:100]])
+    det = act(agent.actor, states[:100])
     assert np.all(det > -1.0) and np.all(det < 1.0)
 
 
@@ -60,17 +60,34 @@ def test_act_rows_match_one_row_calls():
     agent = float64(small_agent(8))
     rng = np.random.default_rng(9)
     feats, noise = rng.standard_normal((6, 4)), rng.standard_normal((6, 2))
-    for deterministic in (True, False):
-        rows = act(agent, feats, deterministic, noise)
+    for eps in (None, noise):
+        rows = act(agent.actor, feats, eps)
         assert rows.shape == (6, 2)
         for i in range(6):
-            np.testing.assert_allclose(rows[i], act(agent, feats[i], deterministic, noise[i]),
-                                       rtol=0, atol=1e-12)
-    dist = actor_dist(agent, feats)
-    np.testing.assert_array_equal(act(agent, feats, False, noise),
+            one = act(agent.actor, feats[i:i + 1], None if eps is None else eps[i:i + 1])
+            np.testing.assert_allclose(rows[i:i + 1], one, rtol=0, atol=1e-12)
+    dist = gaussian_head(agent.actor.forward(feats))[0]
+    np.testing.assert_array_equal(act(agent.actor, feats, noise),
                                   sacgen.squash(dist.mean + dist.std * noise))
     with pytest.raises(ConfigError, match="noise"):
-        act(agent, feats, False)
+        act(agent.actor, feats, noise[:, :1])
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_collection_and_learner_draw_the_same_u(precision):
+    """On arm3 features, `act` with noise is the learner's sample bit for bit,
+    and without it the squashed mean half of the actor head."""
+    feat_dim = envsim.feature_dim("arm3")
+    agent = SacAgent(feat_dim, 3, SMALL, 30)
+    if precision == "float64":
+        float64(agent)
+    f = envsim.feature_map("arm3", np.stack([envsim.env_reset("arm3", i) for i in range(7)]))
+    noise = np.random.default_rng(31).standard_normal((7, 3))
+    u = act(agent.actor, f, noise)
+    assert u.tobytes() == sample_with_log_prob(agent, f, noise)[0].tobytes()
+    mean = act(agent.actor, f)
+    assert mean.tobytes() == sacgen.squash(agent.actor.forward(f)[:, :3]).tobytes()
+    assert u.shape == mean.shape == (7, 3) and mean.tobytes() != u.tobytes()
 
 
 def test_log_prob_matches_cdf_difference_oracle():
@@ -79,8 +96,8 @@ def test_log_prob_matches_cdf_difference_oracle():
     agent = small_agent(3, state_dim=3, u_dim=1)
     rng = np.random.default_rng(4)
     states = rng.standard_normal((64, 3))
-    u, log_prob, _ = sample_with_log_prob(agent, states, rng)
-    dist = actor_dist(agent, states)
+    u, log_prob, _, _ = sample_with_log_prob(agent, states, rng.standard_normal((64, 1)))
+    dist = gaussian_head(agent.actor.forward(states))[0]
     h = 1e-6
     for i in range(0, 64, 7):
         mu, sd = dist.mean[i, 0], dist.std[i, 0]
@@ -92,7 +109,7 @@ def test_log_prob_matches_cdf_difference_oracle():
 def test_log_prob_integrates_to_one():
     agent = small_agent(5, state_dim=2, u_dim=1)
     state = np.tile(np.array([[0.3, -0.2]]), (1, 1))
-    dist = actor_dist(agent, state)
+    dist = gaussian_head(agent.actor.forward(state))[0]
     mu, sd = dist.mean[0, 0], dist.std[0, 0]
     grid = np.linspace(-1 + 1e-9, 1 - 1e-9, 200_001)
     z = np.arctanh(grid)
@@ -211,12 +228,12 @@ def test_critic_fixed_point_matches_scalar_oracle():
     rng = np.random.default_rng(11)
     s = rng.standard_normal(4)
     S = np.tile(s, (32, 1))
-    U = np.tile(act(agent, s, deterministic=True), (32, 1))
+    U = np.tile(act(agent.actor, s[None]), (32, 1))
     r0 = 1.7
     for _ in range(1500):
         critic_update(agent, S, U, S, lambda st, uu: np.full(len(st), r0), rng)
-    _, logp, _ = sample_with_log_prob(agent, np.tile(s, (20_000, 1)),
-                                      np.random.default_rng(12))
+    _, logp, _, _ = sample_with_log_prob(agent, np.tile(s, (20_000, 1)),
+                                         np.random.default_rng(12).standard_normal((20_000, 2)))
     e_logp = float(np.mean(logp))
     q_star = (r0 - cfg.gamma * cfg.init_alpha * e_logp) / (1.0 - cfg.gamma)
     q = sacgen._q(agent.critic1, S[:1], U[:1])[0]
@@ -261,10 +278,10 @@ def test_constant_critic_update_is_entropy_ascent():
             layer.b[...] = 0.0
     rng = np.random.default_rng(19)
     states = rng.standard_normal((32, 4))
-    before = float(np.mean(actor_dist(agent, states).log_std))
+    before = float(np.mean(gaussian_head(agent.actor.forward(states))[0].log_std))
     for _ in range(100):
         actor_update(agent, states, rng)
-    after = float(np.mean(actor_dist(agent, states).log_std))
+    after = float(np.mean(gaussian_head(agent.actor.forward(states))[0].log_std))
     assert after > before + 0.1
 
 
