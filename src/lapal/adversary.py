@@ -62,8 +62,8 @@ class Discriminator:
 def make_discriminator(composition: DiscComposition, hidden, seed) -> Discriminator:
     spec = MLPSpec(composition.state_dim + composition.u_dim, tuple(hidden), 1,
                    activation="tanh")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return Discriminator(tree=ParamTree.init(spec, rng), composition=composition)
+    return Discriminator(tree=ParamTree.init(spec, np.random.default_rng(seed)),
+                         composition=composition)
 
 
 def _stack(states, actions):

@@ -1,4 +1,4 @@
-"""File plumbing: the one checkpoint container, atomic writes, float text.
+"""File plumbing: the one checkpoint container and atomic writes.
 
 Demo buffers, action codecs, discriminators and policies are all saved in
 one container, laid out after safetensors
@@ -117,8 +117,3 @@ def read_checkpoint(path, kind: str, build):
         return build(header, arrays)
     except (KeyError, TypeError, ValueError, AttributeError, struct.error) as exc:
         raise CheckpointError(f"{path}: bad {kind} checkpoint: {exc!r}") from exc
-
-
-def format_float(x: float) -> str:
-    """Shortest round-trip decimal form; deterministic across runs."""
-    return repr(float(x))

@@ -125,7 +125,7 @@ def make_codec(env_id: str, cfg: CVAEConfig, seed) -> ActionCodec:
             f"{env_id}: the action abstraction is vacuous",
             RuntimeWarning,
         )
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     feat = envsim.feature_dim(env_id)
     return ActionCodec(encoder=ParamTree.init(encoder_spec(feat, spec.action_dim, cfg), rng),
                        decoder=ParamTree.init(decoder_spec(feat, spec.action_dim, cfg), rng),
@@ -299,11 +299,6 @@ def holdout_reconstruction_mse(codec: ActionCodec, feats, actions) -> float:
     abar = encode_mean(codec, feats, actions)
     recon = decode(codec, feats, abar)
     return float(np.mean(np.sum((recon - actions) ** 2, axis=1)))
-
-
-def freeze(codec: ActionCodec) -> ActionCodec:
-    codec.frozen = True
-    return codec
 
 
 # ---------------------------------------------------------------------------

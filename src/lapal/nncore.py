@@ -105,9 +105,6 @@ class MLPSpec:
             f"out={self.output_dim};act={self.activation};outact={self.output_activation}"
         )
 
-    def digest(self) -> bytes:
-        return hashlib.sha256(self.canonical().encode()).digest()
-
 
 class DenseLayer:
     """One layer's slices of its tree's flat buffers, as (in, out) and (out,) views."""

@@ -55,19 +55,13 @@ import numpy as np
 
 from . import adversary, envsim, latentact, sacgen
 from .adversary import DiscComposition
-from .configio import format_float, read_checkpoint, write_checkpoint
+from .configio import read_checkpoint, write_checkpoint
 from .errors import CheckpointError, ConfigError, DivergenceError, OptimizerError
 from .latentact import ActionCodec, CVAEConfig
 from .nncore import MLPSpec, tree_from_state, tree_state
 from .sacgen import SacAgent, SacConfig
 
 ALGOS = ("gail", "lapal-agnostic", "lapal-aware")
-
-CURVE_COLUMNS = (
-    "env_steps", "mean_eval_return", "std_eval_return", "norm_eval_return",
-    "disc_loss", "actor_loss", "critic_loss", "alpha", "entropy", "recon_mse",
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -123,10 +117,8 @@ class RunResult:
     curve: list
     bundle: "PolicyBundle"
     discriminator: adversary.Discriminator
-    codec: ActionCodec | None
     expert_return: float
     random_return: float
-    env_steps: int
 
 
 def _normalize(value, expert, random):
@@ -386,8 +378,7 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
             })
 
     return RunResult(curve=curve, bundle=bundle, discriminator=disc,
-                     codec=run_codec, expert_return=expert_ret,
-                     random_return=random_ret, env_steps=steps)
+                     expert_return=expert_ret, random_return=random_ret)
 
 
 def _collect(bundle, agent, buf, state, ep_t, n, rng):
@@ -470,37 +461,12 @@ def transfer_policy(source: PolicyBundle, target_demos: envsim.DemoBuffer,
             f"target codec config says {cvae_cfg.latent_dim}"
         )
     new_codec, history = latentact.train_codec(target_demos, cvae_cfg, seed)
-    latentact.freeze(new_codec)
+    new_codec.frozen = True
     return PolicyBundle(target_demos.env_id, source.actor.copy(), new_codec), history
 
 
 # ---------------------------------------------------------------------------
-# curve and checkpoint serialization
-
-
-def curve_to_csv(curve) -> str:
-    lines = [",".join(CURVE_COLUMNS)]
-    for row in curve:
-        lines.append(",".join([str(row.env_steps)] + [
-            format_float(getattr(row, c)) for c in CURVE_COLUMNS[1:]
-        ]))
-    return "\n".join(lines) + "\n"
-
-
-def curve_from_csv(text: str) -> list:
-    lines = [l for l in text.strip().splitlines() if l]
-    if not lines or lines[0] != ",".join(CURVE_COLUMNS):
-        raise CheckpointError("unrecognized curve CSV header")
-    rows = []
-    for line in lines[1:]:
-        vals = line.split(",")
-        if len(vals) != len(CURVE_COLUMNS):
-            raise CheckpointError(f"curve CSV row {line!r} has {len(vals)} fields")
-        try:
-            rows.append(CurveRow(int(vals[0]), *[float(v) for v in vals[1:]]))
-        except ValueError as exc:
-            raise CheckpointError(f"bad curve CSV row {line!r}: {exc}") from exc
-    return rows
+# curves and checkpoints
 
 
 def aggregate_curves(curves) -> list:

@@ -58,9 +58,8 @@ class SacConfig:
     buffer_capacity: int = 100_000
     actor_lr: float = 3e-4
     critic_lr: float = 3e-4
-    alpha_lr: float = 3e-4
+    alpha_lr: float = 3e-4          # 0.0 keeps the temperature at init_alpha
     init_alpha: float = 0.2
-    auto_tune_alpha: bool = True
     actor_hidden: tuple = (64, 64)
     critic_hidden: tuple = (64, 64)
 
@@ -74,7 +73,7 @@ class SacConfig:
 
 class SacAgent:
     def __init__(self, state_dim: int, u_dim: int, cfg: SacConfig, seed):
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         self.state_dim = state_dim
         self.u_dim = u_dim
         self.cfg = cfg
@@ -250,11 +249,9 @@ def actor_update(agent: SacAgent, states, rng) -> dict:
     eps = rng.standard_normal((b, agent.u_dim))
     loss, u, log_prob = actor_loss_and_grad(agent, states, eps)
     agent.actor.adam_step(agent.cfg.actor_lr)
-    out = {"actor": loss, "entropy": float((-log_prob).sum()) / b, "u": u}
-    if agent.cfg.auto_tune_alpha:
-        grad = -float((log_prob + agent.target_entropy).sum()) / b
-        agent.log_alpha.update(grad, agent.cfg.alpha_lr)
-    return out
+    agent.log_alpha.update(-float((log_prob + agent.target_entropy).sum()) / b,
+                           agent.cfg.alpha_lr)
+    return {"actor": loss, "entropy": float((-log_prob).sum()) / b, "u": u}
 
 
 def decoder_adversarial_step(codec, discriminator, lr: float, features, u) -> float:

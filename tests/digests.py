@@ -92,7 +92,8 @@ def main():
             if env_id == "arm3":
                 print(f"run_training {algo}: {digest(records, curve, res.bundle.digest())}")
             numbers = [tuple(r[k] for k in RECORD_KEYS) for r in records]
-            params = digest(numbers, curve, res.bundle.actor.params, *codec_params(res.codec))
+            params = digest(numbers, curve, res.bundle.actor.params,
+                            *codec_params(res.bundle.codec))
             print(f"run params {env_id} {algo}: {params}")
     print(f"learner float64: {learner_digest()}")
 

@@ -276,7 +276,7 @@ def test_beta_monotone_holdout_kl(pm_demos):
 def test_frozen_codec_immutable(pm_demos):
     cfg = CVAEConfig(latent_dim=2, epochs=2)
     codec, _ = train_codec(pm_demos, cfg, seed=1)
-    latentact.freeze(codec)
+    codec.frozen = True
     before = codec.digest()
     with pytest.raises(Exception):
         codec.require_mutable()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -220,7 +222,7 @@ def test_critic_fixed_point_matches_scalar_oracle():
     # Q(s, u*) must converge to the scalar soft-Bellman fixed point
     # q* = (r0 - gamma * alpha * E[log pi]) / (1 - gamma)
     cfg = SacConfig(gamma=0.9, tau=0.1, critic_lr=5e-3, actor_hidden=(16, 16),
-                    critic_hidden=(16, 16), auto_tune_alpha=False, init_alpha=0.2)
+                    critic_hidden=(16, 16), alpha_lr=0.0, init_alpha=0.2)
     agent = small_agent(10, cfg=cfg)
     # pin the policy noise so the bootstrap action equals the stored action
     agent.actor.layers[-1].w[:, 2:] = 0.0
@@ -270,7 +272,7 @@ def test_actor_update_leaves_critic_params_alone():
 
 def test_constant_critic_update_is_entropy_ascent():
     cfg = SacConfig(actor_hidden=(16, 16), critic_hidden=(16, 16),
-                    auto_tune_alpha=False, init_alpha=0.5, actor_lr=3e-3)
+                    alpha_lr=0.0, init_alpha=0.5, actor_lr=3e-3)
     agent = small_agent(18, cfg=cfg)
     for critic in (agent.critic1, agent.critic2):
         for layer in critic.layers:
@@ -298,6 +300,22 @@ def test_alpha_gradient_sign_flips_at_target_entropy():
 
     assert run(+1.0) < 0.0   # entropy above target: temperature decreases
     assert run(-5.0) > 0.0   # entropy below target: temperature increases
+
+
+def test_zero_alpha_lr_keeps_temperature_fixed():
+    # SAC's fixed temperature is alpha_lr=0.0; the default step moves it
+    def alphas(alpha_lr):
+        agent = small_agent(22, cfg=dataclasses.replace(SMALL, alpha_lr=alpha_lr))
+        rng = np.random.default_rng(23)
+        states = rng.standard_normal((16, 4))
+        before = agent.alpha
+        for _ in range(5):
+            actor_update(agent, states, rng)
+        return before, agent.alpha
+
+    fixed, moved = alphas(0.0), alphas(SMALL.alpha_lr)
+    assert fixed[1] == fixed[0]
+    assert moved[1] != moved[0]
 
 
 def test_updates_deterministic():
@@ -349,13 +367,13 @@ def test_decoder_path_respects_frozen_codec():
     import warnings
 
     from lapal import adversary
-    from lapal.latentact import CVAEConfig, freeze, train_codec
+    from lapal.latentact import CVAEConfig, train_codec
 
     demos = envsim.collect_demos("pointmass", n_episodes=4, seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         codec, _ = train_codec(demos, CVAEConfig(latent_dim=2, epochs=1), seed=0)
-    freeze(codec)
+    codec.frozen = True
     disc = adversary.make_discriminator(
         adversary.DiscComposition("pointmass", "latent", 4, 2, codec.digest()),
         (8,), 1)
