@@ -6,26 +6,28 @@ backward pass consumes. Gradients accumulate across backward calls until an
 optimizer step zeroes them, which is what lets a loss with several
 expectation terms sum its pieces before updating.
 
-A ParamTree keeps four contiguous float64 vectors, `params`, `grads`, `m`
-and `v`, each laid out layer by layer (weights row-major, then biases).
-Every DenseLayer array (`w`, `b`, `gw`, `gb`, `mw`, `vw`, `mb`, `vb`) is a
-view into one of them, so the forward and backward passes work per layer
-while Adam and Polyak averaging are a few whole-vector ops, and checkpoints
-save whole vectors. Those ops are elementwise, so they give the same bits as
-a loop over the layer arrays.
+A ParamTree keeps four contiguous vectors, `params`, `grads`, `m` and `v`,
+each laid out layer by layer (weights row-major, then biases). Every
+DenseLayer array (`w`, `b`, `gw`, `gb`, `mw`, `vw`, `mb`, `vb`) is a view
+into one of them, so the forward and backward passes work per layer while
+Adam and Polyak averaging are a few whole-vector ops, and checkpoints save
+whole vectors. Those ops are elementwise, so they give the same bits as a
+loop over the layer arrays.
 
-Precision is split: these buffers and checkpoints are float64, while the
-passes run matmuls and hidden activations in the tree's `dtype` (float32 by
-default) on a copy of `params` cast at every forward, into a fresh copy if a
-tape is pending, so backward uses exactly its forward's weights. The output
-layer's bias and activation run in float64, since TANH_CAP = 1 - 1e-12
-rounds to 1.0 in float32, and both passes take and return float64. Float64
-trees run the same code: the reference that finite-difference tests check.
+One precision per tree: the four vectors are in the tree's `dtype`, float32
+for every tree the lab builds, and the passes, gradient accumulation, Adam
+and Polyak averaging run in it on the layer views themselves. Both passes
+take and return float64, and the output layer's activation runs in float64
+after its bias, since TANH_CAP = 1 - 1e-12 rounds to 1.0 in float32. A
+backward must see the weights of its own forward, so `adam_step` refuses to
+run while a tape is pending. Float64 trees run the same code: the reference
+that finite-difference tests check. Checkpoints store float64, which holds a
+float32 tree exactly; loading refuses a value the tree's dtype cannot hold.
 
 A layer's forward pass writes its bias and activation into its own matmul
 output, and the backward pass multiplies activation derivatives into its
-running gradient in place. Arrays on the tape (the input, every layer output
-and the weights) are never written after they are recorded.
+running gradient in place. Arrays on the tape (the input and every layer
+output) are never written after they are recorded.
 """
 
 from __future__ import annotations
@@ -110,14 +112,9 @@ class DenseLayer:
     """One layer's slices of its tree's flat buffers, as (in, out) and (out,) views."""
 
     def __init__(self, buffers, start: int, fan_in: int, fan_out: int):
-        self.start, self.shape = start, (fan_in, fan_out)
+        mid = start + fan_in * fan_out
         (self.w, self.b), (self.gw, self.gb), (self.mw, self.mb), (self.vw, self.vb) = (
-            self.views(x) for x in buffers)
-
-    def views(self, flat):
-        """This layer's (weights, bias) in a flat vector laid out like `params`."""
-        mid = self.start + self.shape[0] * self.shape[1]
-        return flat[self.start:mid].reshape(self.shape), flat[mid : mid + self.shape[1]]
+            (x[start:mid].reshape(fan_in, fan_out), x[mid : mid + fan_out]) for x in buffers)
 
 
 class ParamTree:
@@ -131,15 +128,15 @@ class ParamTree:
         dims = spec.dims()
         n = sum(i * o + o for i, o in zip(dims[:-1], dims[1:]))
         self.spec = spec
-        self.params, self.grads, self.m, self.v = (np.zeros(n) for _ in range(4))
+        self.dtype = np.dtype(dtype)
+        self.params, self.grads, self.m, self.v = (np.zeros(n, self.dtype) for _ in range(4))
         bufs = (self.params, self.grads, self.m, self.v)
         self.layers, start = [], 0
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             self.layers.append(DenseLayer(bufs, start, fan_in, fan_out))
             start += fan_in * fan_out + fan_out
         self.step = step
-        self.dtype = np.dtype(dtype)
-        self._tape = self._cast = None
+        self._tape = None
 
     @classmethod
     def init(cls, spec: MLPSpec, rng: np.random.Generator) -> "ParamTree":
@@ -147,10 +144,9 @@ class ParamTree:
         for l in tree.layers:
             fan_in, fan_out = l.w.shape
             bound = np.sqrt(6.0 / (fan_in + fan_out))
-            # rng.uniform(-bound, bound) drawn in place: it is -bound + 2 * bound * U
-            rng.random(out=l.w)
-            l.w *= 2.0 * bound
-            l.w -= bound
+            # rng.uniform(-bound, bound), -bound + 2 * bound * U, drawn in float64
+            # and cast, so the generator moves as it would for a float64 tree
+            l.w[...] = rng.random(l.w.shape) * (2.0 * bound) - bound
         return tree
 
     def copy(self) -> "ParamTree":
@@ -166,16 +162,6 @@ class ParamTree:
 
     # -- forward / backward --------------------------------------------------
 
-    def _weights(self):
-        """(w, b) of every layer in `dtype`, cast from `params` now."""
-        if self.dtype == np.float64:
-            return [(l.w, l.b) for l in self.layers]
-        if self._tape is not None or self._cast is None:
-            flat = np.empty(self.params.size, self.dtype)
-            self._cast = flat, [l.views(flat) for l in self.layers]
-        np.copyto(self._cast[0], self.params, casting="same_kind")
-        return self._cast[1]
-
     def forward(self, x: np.ndarray, record: bool = False) -> np.ndarray:
         squeeze = np.ndim(x) == 1
         a = np.atleast_2d(np.asarray(x, dtype=self.dtype))
@@ -183,14 +169,13 @@ class ParamTree:
             raise ConfigError(
                 f"input width {a.shape[1]} does not match spec input_dim {self.spec.input_dim}"
             )
-        weights = self._weights()
         inputs = [a] if record else None
         last = len(self.layers) - 1
-        for i, (w, b) in enumerate(weights):
-            a = a @ w
-            if i == last:  # output bias and activation in float64, see TANH_CAP
-                a, b = a.astype(np.float64, copy=False), self.layers[i].b
-            a += b
+        for i, l in enumerate(self.layers):
+            a = a @ l.w
+            a += l.b
+            if i == last:  # output activation in float64, see TANH_CAP
+                a = a.astype(np.float64, copy=False)
             act = self.spec.output_activation if i == last else self.spec.activation
             if act == "relu":
                 np.maximum(a, 0.0, out=a)
@@ -203,7 +188,7 @@ class ParamTree:
             if record and i < last:
                 inputs.append(a)
         if record:
-            self._tape = (inputs, a, [w for w, _ in weights])
+            self._tape = (inputs, a)
         return a[0] if squeeze else a
 
     def backward(self, upstream: np.ndarray, accumulate: bool = True,
@@ -212,7 +197,7 @@ class ParamTree:
         `input_grad` False the first layer skips it and None is returned."""
         if self._tape is None:
             raise StateError("backward called without a recorded forward pass")
-        inputs, out, weights = self._tape
+        inputs, out = self._tape
         self._tape = None
         d = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
         if d.shape != out.shape:
@@ -234,8 +219,7 @@ class ParamTree:
                 return None
             # for a width-1 layer `d @ w.T` runs matmul's slow non-BLAS loop: form the
             # same products, plus the +0.0 its zeroed sum adds (-0.0 becomes 0.0)
-            w = weights[i]
-            d = d * w[:, 0] + 0.0 if w.shape[1] == 1 else d @ w.T
+            d = d * l.w[:, 0] + 0.0 if l.w.shape[1] == 1 else d @ l.w.T
             if i > 0 and act == "relu":
                 d *= inputs[i] > 0.0
             elif i > 0 and act == "leaky_relu":
@@ -250,6 +234,10 @@ class ParamTree:
 
     def adam_step(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                   eps: float = 1e-8) -> None:
+        """One Adam step in the tree's dtype, zeroing the gradients; changes
+        nothing if a tape is pending (`StateError`) or a gradient is not finite."""
+        if self._tape is not None:
+            raise StateError("adam_step called while a recorded forward awaits its backward")
         g, m, v = self.grads, self.m, self.v
         if not np.isfinite(g).all():
             k, l = next((k, l) for k, l in enumerate(self.layers)
@@ -355,7 +343,8 @@ def tree_state(tree: ParamTree, name: str) -> tuple:
 
 def tree_from_state(spec: MLPSpec, header: dict, arrays: dict, name: str) -> ParamTree:
     """The tree `tree_state` saved under `name`; it must have been written
-    for `spec`. Its layers view its own copies of the loaded buffers."""
+    for `spec`, and every saved value must cast to the tree's dtype exactly.
+    Its layers view its own copies of the loaded buffers."""
     entry = header[name]
     if entry["spec"] != spec.canonical():
         raise CheckpointError(f"{name} was written for {entry['spec']}, not {spec.canonical()}")
@@ -364,5 +353,8 @@ def tree_from_state(spec: MLPSpec, header: dict, arrays: dict, name: str) -> Par
         buf, saved = getattr(tree, b), arrays[f"{name}.{b}"]
         if saved.shape != buf.shape:
             raise CheckpointError(f"{name}.{b} has shape {saved.shape}, not {buf.shape}")
-        buf[...] = saved
+        with np.errstate(over="ignore"):
+            buf[...] = saved
+        if not np.array_equal(buf, saved, equal_nan=True):
+            raise CheckpointError(f"{name}.{b} holds values that {tree.dtype} cannot hold exactly")
     return tree

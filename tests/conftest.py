@@ -5,19 +5,31 @@ import numpy as np
 
 from lapal import nncore
 
+BUFFERS = ("params", "grads", "m", "v")
 
-def float64(obj):
-    """Run every ParamTree in `obj` in float64, the reference precision that
-    finite differences and float64 oracles check to tight tolerances.
 
-    `obj` is a tree or a lab object holding trees (an agent, codec,
-    discriminator or policy bundle). Returns `obj`.
-    """
+def trees_in(obj):
+    """Every ParamTree in `obj`: a tree, or a lab object holding trees (an
+    agent, codec, discriminator, policy bundle or run result)."""
     if isinstance(obj, nncore.ParamTree):
-        obj.dtype = np.dtype(np.float64)
+        yield obj
     elif type(obj).__module__.startswith("lapal."):
         for value in vars(obj).values():
-            float64(value)
+            yield from trees_in(value)
+
+
+def float64(obj):
+    """Run every ParamTree in `obj` (see `trees_in`) in float64, the
+    reference precision that finite differences and float64 oracles check to
+    tight tolerances. Each tree's four buffers are converted (exactly) and its
+    layers rebound to views of the new ones; a pending tape is dropped.
+    Returns `obj`.
+    """
+    for tree in trees_in(obj):
+        ref = nncore.ParamTree(tree.spec, step=tree.step, dtype=np.float64)
+        for name in BUFFERS:
+            getattr(ref, name)[...] = getattr(tree, name)
+        vars(tree).update(vars(ref))
     return obj
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import float64
+from conftest import BUFFERS, float64, trees_in
 from lapal import adversary, configio, envsim, latentact, orchestrator
 from lapal.errors import CheckpointError
 from lapal.latentact import CVAEConfig
@@ -205,3 +205,34 @@ def test_saved_trees_load_float32_with_the_same_bytes_and_passes(tmp_path):
     assert back.encoder.dtype == back.decoder.dtype == np.float32
     x = np.random.default_rng(3).standard_normal((5, codec.encoder.spec.input_dim))
     assert back.encoder.forward(x).tobytes() == codec.encoder.forward(x).tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_trained_round_trip_keeps_digest_and_adam_state(kind, tmp_path):
+    obj, save, load, digest = small_artifacts()[kind]
+    rng = np.random.default_rng(4)
+    for tree in trees_in(obj):
+        for _ in range(3):
+            tree.grads[...] = rng.standard_normal(tree.grads.size)
+            tree.adam_step(lr=1e-2)
+    save(tmp_path / "a", obj)
+    back = load(tmp_path / "a")
+    assert digest(back) == digest(obj)
+    pairs = list(zip(trees_in(obj), trees_in(back), strict=True))
+    assert len(pairs) == {"demo": 0, "disc": 1, "codec": 2, "policy": 3}[kind]
+    for tree, loaded in pairs:
+        assert loaded.step == tree.step == 3 and loaded.dtype == np.float32
+        for name in BUFFERS[:1] + BUFFERS[2:]:
+            assert getattr(loaded, name).tobytes() == getattr(tree, name).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["codec", "disc", "policy"])
+def test_float64_master_weights_checkpoint_raises(kind, tmp_path):
+    # a file written with float64 master weights: the float32 trees the lab
+    # loads cannot hold them, so the loader refuses it instead of rounding
+    obj, save, load, _ = small_artifacts()[kind]
+    tree = next(trees_in(float64(obj)))
+    tree.params += 1e-9 * np.random.default_rng(5).standard_normal(tree.params.size)
+    save(tmp_path / "a", obj)
+    with pytest.raises(CheckpointError, match="cannot hold exactly"):
+        load(tmp_path / "a")

@@ -177,6 +177,18 @@ def test_adam_moments_stay_finite():
         assert np.all(np.isfinite(l.w))
 
 
+def test_init_casts_float64_draws_and_moves_the_rng_as_float64_would():
+    spec = MLPSpec(5, (7, 6), 3)
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    tree = ParamTree.init(spec, rng)
+    for l in tree.layers:
+        bound = np.sqrt(6.0 / sum(l.w.shape))
+        want = ref.uniform(-bound, bound, l.w.shape)  # the float64 weights of a float64 init
+        assert l.w.dtype == np.float32 and _same(l.w, want.astype(np.float32))
+        assert not l.b.any()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_determinism_bit_identical():
     def run():
         tree = ParamTree.init(MLPSpec(3, (16, 16), 2), np.random.default_rng(42))
@@ -346,7 +358,7 @@ def test_skipped_input_gradient_keeps_parameter_gradients(spec, batch, precision
 def test_width_one_layer_backward_equals_matmul(hidden, batch, precision):
     # a critic or discriminator head (and, with hidden width 1, a first layer
     # whose broadcast gradient is the returned input gradient) against
-    # `d @ w.T` on the tree's cast weights, bit for bit, -0.0 included
+    # `d @ w.T` in the tree's dtype, bit for bit, -0.0 included
     tree, x, up = _kernel_case(MLPSpec(8, hidden, 1, activation="relu"), batch, seed=6)
     if precision == "float64":
         float64(tree)
@@ -362,7 +374,7 @@ def test_width_one_layer_backward_equals_matmul(hidden, batch, precision):
             d = d * (hs[i] > 0.0)
     tree.forward(x, record=True)
     assert _same(tree.backward(up), d.astype(np.float64))
-    assert _same(tree.grads, np.concatenate([g.astype(np.float64).ravel() for g in grads]))
+    assert _same(tree.grads, np.concatenate([g.ravel() for g in grads]))
 
 
 @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: s.canonical())
@@ -417,7 +429,7 @@ def test_kernels_leave_inputs_and_tape_alone(spec):
 # float32 passes against the float64 reference: every entry of the output,
 # the input gradient and the accumulated parameter gradients lies within
 # F32_RTOL of the float64 value, relative to the largest magnitude in its array
-# (measured: at most 5e-7)
+# (measured: at most 5.3e-7)
 F32_RTOL = 1e-4
 
 
@@ -439,21 +451,35 @@ def test_float32_passes_match_float64_reference(case, batch):
     up = rng.standard_normal((batch, tree.spec.output_dim))
     y, y_ref = tree.forward(x, record=True), ref.forward(x, record=True)
     dx, dx_ref = tree.backward(up), ref.backward(up)
-    assert y.dtype == dx.dtype == tree.grads.dtype == np.float64
+    assert y.dtype == dx.dtype == np.float64 and tree.grads.dtype == np.float32
     for got, want in ((y, y_ref), (dx, dx_ref), (tree.grads, ref.grads)):
         _scaled_close(got, want)
-    assert tree.params.tobytes() == ref.params.tobytes()
+    assert tree.params.astype(np.float64).tobytes() == ref.params.tobytes()
 
 
-def test_float32_backward_uses_the_weights_of_its_forward():
+def test_adam_step_refuses_a_pending_tape():
+    # a backward must run on the weights of its own forward, so no step may
+    # move them in between; the refused step changes nothing
     tree = ParamTree.init(MLPSpec(3, (8,), 2), np.random.default_rng(0))
     twin = tree.copy()
     x, up = np.ones((4, 3)), np.ones((4, 2))
+    for t in (tree, twin):
+        t.forward(x, record=True)
+        t.backward(up)
+        t.adam_step(lr=1e-2)
     tree.forward(x, record=True)
-    tree.params *= 2.0  # a write between the passes (an Adam or Polyak step),
-    tree.forward(x)  # then a forward on the new weights while the tape is pending
+    tree.grads[...] = 1.0
+    before = [b.tobytes() for b in (tree.params, tree.grads, tree.m, tree.v)]
+    with pytest.raises(StateError, match="awaits its backward"):
+        tree.adam_step(lr=1e-2)
+    assert [b.tobytes() for b in (tree.params, tree.grads, tree.m, tree.v)] == before
+    assert tree.step == 1
+    tree.grads[...] = 0.0
     twin.forward(x, record=True)
     assert _same(tree.backward(up), twin.backward(up)) and _same(tree.grads, twin.grads)
+    tree.adam_step(lr=1e-2)
+    twin.adam_step(lr=1e-2)
+    assert _same(tree.params, twin.params) and tree.step == twin.step == 2
 
 
 def test_forward_backward_accept_array_likes():
@@ -579,6 +605,22 @@ def test_tree_state_round_trip(tmp_path):
     # byte determinism
     save_tree(tmp_path / "b", tree)
     assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+
+@pytest.mark.parametrize("buffer", ["params", "m", "v"])
+@pytest.mark.parametrize("value", [0.1, 1e300, -1e-300, 2.0 ** -150])
+def test_tree_state_rejects_values_the_dtype_cannot_hold(tmp_path, buffer, value):
+    # float64 trees save what they hold; a float32 tree refuses to round it,
+    # so a file written with float64 master weights does not load
+    spec = MLPSpec(3, (8,), 2)
+    tree = float64(ParamTree.init(spec, np.random.default_rng(0)))
+    save_tree(tmp_path / "a", tree)
+    assert load_tree(tmp_path / "a", spec).digest() == ParamTree.init(
+        spec, np.random.default_rng(0)).digest()
+    getattr(tree, buffer)[5] = value
+    save_tree(tmp_path / "b", tree)
+    with pytest.raises(CheckpointError, match=rf"net\.{buffer} holds values that float32"):
+        load_tree(tmp_path / "b", spec)
 
 
 def test_tree_state_rejects_wrong_spec(tmp_path):

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import assert_grads_close, fd_loss_gradient, float64
+from conftest import BUFFERS, assert_grads_close, fd_loss_gradient, float64, trees_in
 from lapal import adversary, envsim, latentact, orchestrator, sacgen
 from lapal.errors import ConfigError, DivergenceError
 from lapal.latentact import CVAEConfig, train_codec
@@ -260,6 +260,29 @@ def test_raw_policy_checkpoint(tmp_path, pm_demos):
     assert back.codec is None
     assert evaluate_policy(back, "pointmass", 3, 0) == evaluate_policy(
         res.bundle, "pointmass", 3, 0)
+
+
+def test_every_tree_the_lab_builds_copies_or_loads_is_one_precision(tmp_path, pm_demos,
+                                                                     pm_codec):
+    agent = sacgen.SacAgent(envsim.feature_dim("pointmass"), 2, SMALL_SAC, 0)
+    res = run_training(small_run_cfg("lapal-aware", total_env_steps=200), SMALL_SAC,
+                       pm_demos, pm_codec, seed=0)
+    moved, _ = transfer_policy(res.bundle, pm_demos, CVAEConfig(latent_dim=2, epochs=1))
+    save_policy(tmp_path / "p", res.bundle)
+    latentact.save_codec(tmp_path / "c", pm_codec)
+    adversary.save_discriminator(tmp_path / "d", res.discriminator)
+    built = [agent, pm_codec, pm_codec.copy(), res, moved, load_policy(tmp_path / "p"),
+             latentact.load_codec(tmp_path / "c"), adversary.load_discriminator(tmp_path / "d")]
+    trees = [t for obj in built for t in trees_in(obj)]
+    assert len(trees) == 5 + 2 + 2 + 4 + 3 + 3 + 2 + 1
+    assert res.bundle.actor.step > 0 and res.bundle.codec.decoder.step > 0
+    for tree in trees:
+        assert tree.dtype == np.float32
+        for name in BUFFERS:
+            assert getattr(tree, name).dtype == tree.dtype
+        for l in tree.layers:
+            assert {a.dtype for a in (l.w, l.b, l.gw, l.gb, l.mw, l.mb, l.vw, l.vb)} == {tree.dtype}
+            assert np.shares_memory(l.w, tree.params) and np.shares_memory(l.vb, tree.v)
 
 
 def test_bundle_rejects_actor_that_does_not_fit_its_action_box():
