@@ -50,6 +50,8 @@ LOG_STD_MAX = 2.0
 # strictly inside the open interval are capped just inside it
 TANH_CAP = 1.0 - 1e-12
 
+FLUSH_EVERY = 100  # Adam steps between flushes of subnormal moments to 0
+
 
 # ---------------------------------------------------------------------------
 # numerics helpers shared across modules
@@ -235,7 +237,9 @@ class ParamTree:
     def adam_step(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                   eps: float = 1e-8) -> None:
         """One Adam step in the tree's dtype, zeroing the gradients; changes
-        nothing if a tape is pending (`StateError`) or a gradient is not finite."""
+        nothing if a tape is pending (`StateError`) or a gradient is not finite.
+        A moment whose gradient stays 0 sticks at a subnormal (0.9 times a few
+        ulps rounds to itself), which slows every step, so these are set to 0."""
         if self._tape is not None:
             raise StateError("adam_step called while a recorded forward awaits its backward")
         g, m, v = self.grads, self.m, self.v
@@ -254,6 +258,9 @@ class ParamTree:
         m += (1.0 - beta1) * g
         v *= beta2
         v += (1.0 - beta2) * g * g
+        if self.step % FLUSH_EVERY == 0:
+            m[np.abs(m) < np.finfo(self.dtype).tiny] = 0.0
+            v[v < np.finfo(self.dtype).tiny] = 0.0
         self.params -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
         g[...] = 0.0
 

@@ -482,6 +482,32 @@ def test_adam_step_refuses_a_pending_tape():
     assert _same(tree.params, twin.params) and tree.step == twin.step == 2
 
 
+def test_adam_step_flushes_moments_stuck_at_subnormals(monkeypatch):
+    # a moment whose gradient stays 0 decays to a few ulps above 0 and stays
+    # there (0.9 and 0.999 times 3 ulps round back to 3 ulps); every
+    # FLUSH_EVERY-th step sets those to 0 and leaves the rest as it was
+    tree = ParamTree.init(MLPSpec(3, (8,), 2), np.random.default_rng(0))
+    stuck = np.float32(3 * 2.0 ** -149)
+    tree.m[:5] = stuck * np.array([1, -1, 1, 1, -1], np.float32)
+    tree.v[:5] = stuck
+    twin = tree.copy()
+    grads = np.random.default_rng(1).standard_normal((nncore.FLUSH_EVERY, tree.params.size))
+    grads[:, :5] = 0.0
+    with monkeypatch.context() as mp:
+        mp.setattr(nncore, "FLUSH_EVERY", 10 ** 9)
+        for g in grads:
+            twin.grads[...] = g
+            twin.adam_step(lr=1e-2)
+    for g in grads:
+        assert _same(tree.m[:5], twin.m[:5]) and _same(tree.v[:5], twin.v[:5])
+        tree.grads[...] = g
+        tree.adam_step(lr=1e-2)
+    assert tree.step == nncore.FLUSH_EVERY and np.all(twin.m[:5] != 0)
+    assert not tree.m[:5].any() and not tree.v[:5].any()
+    assert _same(tree.m[5:], twin.m[5:]) and _same(tree.v[5:], twin.v[5:])
+    assert _same(tree.params, twin.params)
+
+
 def test_forward_backward_accept_array_likes():
     tree = ParamTree.init(MLPSpec(2, (4,), 1), np.random.default_rng(0))
     twin = tree.copy()
