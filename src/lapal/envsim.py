@@ -210,30 +210,11 @@ def forward_kinematics(lengths, angles) -> np.ndarray:
     return np.add.reduce(_link_vectors(lengths, angles), -1)
 
 
-def arm_jacobian(lengths, angles) -> np.ndarray:
-    """2 x K Jacobian of the end-effector position w.r.t. joint angles.
-
-    (N, 2, K) for (N, K) angles.
-    """
-    return _jacobian(_link_vectors(lengths, angles))
-
-
-def nullspace_direction(lengths, angles) -> np.ndarray:
-    """Unit torque direction that produces no end-effector motion.
-
-    Projects a fixed alternating pattern through I - J^T (J J^T)^-1 J; zero
-    for arms without redundant joints. (k,) or (N, k) angles.
-    """
-    angles = np.asarray(angles, dtype=np.float64)
-    if angles.shape[-1] <= 2:
-        return np.zeros(angles.shape)
-    return _nullspace(arm_jacobian(lengths, angles))
-
-
 def _nullspace(jac) -> np.ndarray:
-    """`nullspace_direction` from the (..., 2, k) Jacobian, k > 2. A stretched
-    arm makes J J^T singular: then each row is solved alone, and a singular
-    row gets zero."""
+    """Unit torque directions that produce no end-effector motion, from the
+    (..., 2, k) Jacobian, k > 2: a fixed alternating pattern projected through
+    I - J^T (J J^T)^-1 J. A stretched arm makes J J^T singular: then each row
+    is solved alone, and a singular row gets zero."""
     k = jac.shape[-1]
     jac_t = jac.swapaxes(-1, -2)
     pattern = np.where(np.arange(k) % 2, -1.0, 1.0)

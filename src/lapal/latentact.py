@@ -14,7 +14,12 @@ against a standard-normal prior, which equals the KL between the squashed
 distributions exactly (KL is invariant under the shared bijection).
 
 Training minimizes  ||a - decode(s, sample)||^2 + beta * KL  per pair with a
-single reparameterized sample, on expert demonstrations only.
+single reparameterized sample, on expert demonstrations only. `train_codec`
+trains both networks from a fresh init. `retrain_decoder` moves a codec to
+another env with the same feature and action widths: it retrains only the
+decoder, against the source encoder, which stays frozen and runs once over
+the target demos before the first epoch, so the latents the policy learned
+in keep their meaning.
 """
 
 from __future__ import annotations
@@ -198,15 +203,27 @@ def _cvae_forward(codec, x, noise, record):
     dist, ls_ok = gaussian_head(codec.encoder.forward(x, record=record))
     abar = np.tanh(dist.sample(noise))
     n_act = codec.action_high.size
-    S, A = x[:, :-n_act], x[:, -n_act:]
-    recon = decode(codec, S, abar, record=record)
-    err = recon - A
-    B = x.shape[0]
-    recon_term = float(np.add.reduce(np.add.reduce(err * err, 1))) / B
-    kl_term = float(np.add.reduce(dist.kl_to_standard())) / B
+    recon_term, err = _recon_error(codec, x[:, :-n_act], x[:, -n_act:], abar, record)
+    kl_term = float(np.add.reduce(dist.kl_to_standard())) / x.shape[0]
     loss = recon_term + codec.config.beta * kl_term
     cache = (dist, ls_ok, abar, err)
     return loss, {"recon": recon_term, "kl": kl_term}, cache
+
+
+def _recon_error(codec, feats, actions, latents, record):
+    """The batch mean of ||decode(feats, latents) - actions||^2, and the
+    error rows."""
+    err = decode(codec, feats, latents, record=record) - actions
+    return float(np.add.reduce(np.add.reduce(err * err, 1))) / len(err), err
+
+
+def _decoder_backward(codec, err, input_grad=True):
+    """Backward pass of the recorded decode behind `_recon_error`'s `err`:
+    accumulates the decoder's gradients of the batch-mean squared error and
+    returns d loss / d decoder input, or None without `input_grad`."""
+    # d/d(decoder output before bound scaling)
+    return codec.decoder.backward((2.0 / len(err)) * err * codec.action_high,
+                                  input_grad=input_grad)
 
 
 def cvae_loss_and_grad(codec: ActionCodec, x, noise) -> tuple:
@@ -216,9 +233,7 @@ def cvae_loss_and_grad(codec: ActionCodec, x, noise) -> tuple:
     sigma = dist.std
     B = x.shape[0]
     beta = codec.config.beta
-    # reconstruction path: d/d(decoder output before bound scaling)
-    d_dec_out = (2.0 / B) * err * codec.action_high
-    d_in = codec.decoder.backward(d_dec_out)
+    d_in = _decoder_backward(codec, err)
     d_abar = d_in[:, codec.feat_dim:]
     d_z = d_abar * (1.0 - abar * abar)
     d_mean = d_z + (beta / B) * dist.mean
@@ -245,33 +260,113 @@ def train_codec(demos: envsim.DemoBuffer, cfg: CVAEConfig, seed) -> tuple:
     init_rng, batch_rng = (np.random.default_rng(s) for s in seq.spawn(2))
     codec = make_codec(demos.env_id, cfg, init_rng)
 
-    slices = demos.episode_slices()
-    n_hold = max(1, int(round(cfg.holdout_fraction * len(slices)))) if len(slices) > 1 else 0
-    hold_slices = slices[len(slices) - n_hold:]
-    train_slices = slices[: len(slices) - n_hold] or slices
-    tr_idx = np.concatenate([np.arange(s.start, s.stop) for s in train_slices])
-    ho_idx = (np.concatenate([np.arange(s.start, s.stop) for s in hold_slices])
-              if hold_slices else tr_idx)
+    tr_idx, ho_idx = _split_episodes(demos, cfg.holdout_fraction)
     x = encoder_input(envsim.feature_map(demos.env_id, demos.states), demos.actions)
     X_tr, S_ho = x[tr_idx], x[ho_idx, : codec.feat_dim]
     A_tr, A_ho = demos.actions[tr_idx], demos.actions[ho_idx]
     del x  # the epochs keep only the train split's copy
 
+    def step(idx, noise):
+        return cvae_loss_and_grad(codec, X_tr[idx], noise)
+
+    history = _fit(cfg, batch_rng, step, (codec.encoder, codec.decoder),
+                   lambda: holdout_reconstruction_mse(codec, S_ho, A_ho), A_tr, A_ho)
+    return codec, history
+
+
+def retrain_decoder(source: ActionCodec, demos: envsim.DemoBuffer, cfg: CVAEConfig,
+                    seed) -> tuple:
+    """Decoder retraining: minibatch Adam on the CVAE loss over `demos` for
+    the decoder of a copy of `source`, relabelled to `demos.env_id`. The
+    encoder is the source's, bit for bit, so latents keep their meaning.
+
+    Returns (codec, history) with `train_codec`'s episode split, history and
+    quality gate. The fixed encoder runs once, before the first epoch, over
+    the train and held-out rows in `cfg.batch_size`-row chunks; each
+    minibatch then draws its latents from the stored posterior means and
+    stds and decodes them, and its KL term is the fixed encoder's. `ConfigError` unless `cfg` is the
+    source's architecture and the demos' env has the source env's feature and
+    action widths.
+    """
+    if cfg.canonical() != source.config.canonical():
+        raise ConfigError(f"codec config {cfg.canonical()!r} is not the source codec's "
+                          f"{source.config.canonical()!r}")
+    widths = {env_id: (envsim.feature_dim(env_id), envsim.env_spec(env_id).action_dim)
+              for env_id in (source.env_id, demos.env_id)}
+    if widths[source.env_id] != widths[demos.env_id]:
+        raise ConfigError(f"a {source.env_id} codec has (feature, action) widths "
+                          f"{widths[source.env_id]}; {demos.env_id} has {widths[demos.env_id]}")
+    codec = ActionCodec(source.encoder.copy(), source.decoder.copy(), source.config,
+                        demos.env_id)
+    batch_rng = np.random.default_rng(seed)
+
+    tr_idx, ho_idx = _split_episodes(demos, cfg.holdout_fraction)
+    feats = envsim.feature_map(demos.env_id, demos.states)
+    F_tr, S_ho = feats[tr_idx], feats[ho_idx]
+    A_tr, A_ho = demos.actions[tr_idx], demos.actions[ho_idx]
+    del feats  # the epochs keep only the splits' copies
+    d = cfg.latent_dim
+    P_tr = _posteriors(codec, F_tr, A_tr, cfg.batch_size)
+    U_ho = np.tanh(_posteriors(codec, S_ho, A_ho, cfg.batch_size)[:, :d])
+
+    def step(idx, noise):
+        p = P_tr[idx]
+        recon, err = _recon_error(codec, F_tr[idx], A_tr[idx],
+                                  np.tanh(p[:, :d] + p[:, d : 2 * d] * noise), record=True)
+        _decoder_backward(codec, err, input_grad=False)
+        kl_term = float(np.add.reduce(p[:, -1])) / len(idx)
+        return recon + cfg.beta * kl_term, {"recon": recon, "kl": kl_term}
+
+    history = _fit(cfg, batch_rng, step, (codec.decoder,),
+                   lambda: _decode_mse(codec, S_ho, U_ho, A_ho), A_tr, A_ho)
+    return codec, history
+
+
+def _posteriors(codec: ActionCodec, feats, actions, chunk: int) -> np.ndarray:
+    """Each row's posterior mean, std and KL under the encoder, as (N, 2d + 1)
+    rows; the encoder runs on `chunk` rows at a time."""
+    out = np.empty((len(feats), 2 * codec.latent_dim + 1))
+    for i in range(0, len(feats), chunk):
+        dist = encode(codec, feats[i : i + chunk], actions[i : i + chunk])
+        out[i : i + chunk] = np.column_stack([dist.mean, dist.std, dist.kl_to_standard()])
+    return out
+
+
+def _split_episodes(demos: envsim.DemoBuffer, holdout_fraction: float) -> tuple:
+    """Row indices of the train and held-out episodes: the last
+    `holdout_fraction` of the episodes, at least one, are held out; a single
+    episode is both."""
+    slices = demos.episode_slices()
+    n_hold = max(1, int(round(holdout_fraction * len(slices)))) if len(slices) > 1 else 0
+    hold_slices = slices[len(slices) - n_hold:]
+    train_slices = slices[: len(slices) - n_hold] or slices
+    tr_idx = np.concatenate([np.arange(s.start, s.stop) for s in train_slices])
+    ho_idx = (np.concatenate([np.arange(s.start, s.stop) for s in hold_slices])
+              if hold_slices else tr_idx)
+    return tr_idx, ho_idx
+
+
+def _fit(cfg: CVAEConfig, rng, step, trees, holdout, A_tr, A_ho) -> dict:
+    """`cfg.epochs` epochs of minibatch Adam over the train split's rows;
+    returns the history. `step(idx, noise)` accumulates the gradients of the
+    rows' loss and returns (loss, {"recon", "kl"}), then each of `trees` takes
+    an Adam step. `holdout()` is the held-out reconstruction MSE, which must
+    beat predicting the train split's mean action `A_tr` on `A_ho`."""
     history = {"loss": [], "recon": [], "kl": [], "holdout_recon": []}
-    n = len(tr_idx)
+    n = len(A_tr)
     for _ in range(cfg.epochs):
-        order = batch_rng.permutation(n)
+        order = rng.permutation(n)
         ep_loss, ep_recon, ep_kl, n_batches = 0.0, 0.0, 0.0, 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            noise = batch_rng.standard_normal((len(idx), cfg.latent_dim))
-            loss, parts = cvae_loss_and_grad(codec, X_tr[idx], noise)
+            noise = rng.standard_normal((len(idx), cfg.latent_dim))
+            loss, parts = step(idx, noise)
             if not np.isfinite(loss):
                 raise QualityGateError(
                     f"CVAE loss became non-finite (recon={parts['recon']}, kl={parts['kl']})"
                 )
-            codec.encoder.adam_step(cfg.lr)
-            codec.decoder.adam_step(cfg.lr)
+            for tree in trees:
+                tree.adam_step(cfg.lr)
             ep_loss += loss
             ep_recon += parts["recon"]
             ep_kl += parts["kl"]
@@ -279,11 +374,10 @@ def train_codec(demos: envsim.DemoBuffer, cfg: CVAEConfig, seed) -> tuple:
         history["loss"].append(ep_loss / n_batches)
         history["recon"].append(ep_recon / n_batches)
         history["kl"].append(ep_kl / n_batches)
-        history["holdout_recon"].append(holdout_reconstruction_mse(codec, S_ho, A_ho))
+        history["holdout_recon"].append(holdout())
 
     baseline = float(np.mean(np.sum((A_ho - A_tr.mean(axis=0)) ** 2, axis=1)))
-    final = (history["holdout_recon"][-1] if cfg.epochs > 0
-             else holdout_reconstruction_mse(codec, S_ho, A_ho))
+    final = history["holdout_recon"][-1] if cfg.epochs > 0 else holdout()
     history["holdout_baseline"] = baseline
     history["holdout_final"] = final
     if cfg.epochs > 0 and final >= baseline:
@@ -291,13 +385,16 @@ def train_codec(demos: envsim.DemoBuffer, cfg: CVAEConfig, seed) -> tuple:
             f"codec rejected: held-out reconstruction {final:.6f} does not beat "
             f"the corpus-mean baseline {baseline:.6f}"
         )
-    return codec, history
+    return history
 
 
 def holdout_reconstruction_mse(codec: ActionCodec, feats, actions) -> float:
     """Mean squared reconstruction error of the deterministic round trip."""
-    abar = encode_mean(codec, feats, actions)
-    recon = decode(codec, feats, abar)
+    return _decode_mse(codec, feats, encode_mean(codec, feats, actions), actions)
+
+
+def _decode_mse(codec: ActionCodec, feats, latents, actions) -> float:
+    recon = decode(codec, feats, latents)
     return float(np.mean(np.sum((recon - actions) ** 2, axis=1)))
 
 

@@ -33,6 +33,11 @@ nothing reward-like is ever stored. Normalized returns are gap-closed:
 (R - R_random) / (R_expert - R_random) against expert and random references
 evaluated on the same episodes.
 
+`transfer_policy` moves a latent policy to another env by decoder
+retraining: the actor stays as it is and keeps acting in its codec's latent
+space, and only the decoder, the map from latents to the new env's actions,
+is retrained on target demos against the frozen source encoder.
+
 Evaluation rolls its episodes in lockstep through `envsim.rollout_episodes`:
 at each timestep the feature map, actor forward, decode and env step each run
 once on the rows of all episodes; `run_training` rolls the references with
@@ -449,21 +454,21 @@ def _disc_step(cfg, disc, bundle, se, ea, b):
 
 def transfer_policy(source: PolicyBundle, target_demos: envsim.DemoBuffer,
                     cvae_cfg: CVAEConfig, seed: int = 0) -> tuple:
-    """Compose the source latent actor with a decoder retrained on target demos.
+    """Move a latent policy to the target demos' env by decoder retraining:
+    a copy of the source actor acts through a frozen copy of the source codec
+    whose decoder `latentact.retrain_decoder` retrained on the target demos
+    against the source encoder, which stays unchanged.
 
     Touches the target environment only through the provided demonstrations.
+    `ConfigError` for a raw policy, a `cvae_cfg` whose architecture is not the
+    source codec's, or a target env with other feature or action widths.
     Returns (bundle, codec_history).
     """
     if source.codec is None:
         raise ConfigError("only latent policies can be transferred by decoder retraining")
-    if cvae_cfg.latent_dim != source.u_dim:
-        raise ConfigError(
-            f"latent dim mismatch: source actor emits {source.u_dim}, "
-            f"target codec config says {cvae_cfg.latent_dim}"
-        )
-    new_codec, history = latentact.train_codec(target_demos, cvae_cfg, seed)
-    new_codec.frozen = True
-    return PolicyBundle(target_demos.env_id, source.actor.copy(), new_codec), history
+    codec, history = latentact.retrain_decoder(source.codec, target_demos, cvae_cfg, seed)
+    codec.frozen = True
+    return PolicyBundle(target_demos.env_id, source.actor.copy(), codec), history
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Claim check: does the learner learn, beyond the untrained policy's prior?
 
-Runs `gail` and `lapal-agnostic` on arm3 for 16k env steps at each seed and
-prints one JSON line. Run from the repository root (about 3 minutes for the
-3 seeds of 2 modes on two cores), then check a later version against that
-line:
+Runs `gail` and `lapal-agnostic` on arm3 for 16k env steps at each seed,
+moves each seed's agnostic policy to arm3-perturbed, and prints one JSON
+line. Run from the repository root (about 3 minutes for the 3 seeds of 2
+modes on two cores), then check a later version against that line:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 study/claim.py > before.json
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 study/claim.py --reference before.json
@@ -16,11 +16,20 @@ env steps, a 16-episode evaluation every 2000 steps) with the divergence
 guard off. A mode's `prior` is the normalized return of its untrained actor
 on the same evaluation episodes: the same run with zero updates.
 
+Transfer: each seed's agnostic policy moves to arm3-perturbed through
+`orchestrator.transfer_policy` on the demos `collect_demos("arm3-perturbed",
+16, seed=3)`, with the codec's `CVAEConfig`. Its baseline is no retraining:
+the same actor acting through the source codec, relabelled to
+arm3-perturbed. Both are normalized against the expert and random policies
+on the same EVAL_EPISODES arm3-perturbed episodes.
+
 Curves are aggregated across seeds with `orchestrator.aggregate_curves`. The
 check passes when, over the seeds,
   - agnostic's final mean normalized return is at least AGNOSTIC_FLOOR,
   - it is above gail's final mean,
   - each mode's final mean is above the mean of its prior,
+  - the transferred policies' mean normalized return is above no
+    retraining's,
 and, when `--reference` gives an earlier output line, each mode's final mean
 is within TOLERANCE[mode] of the reference's. The thresholds come from a
 first run on seeds 0-2 (agnostic 0.889, seeds 0.845-0.929; gail 0.498, seeds
@@ -33,6 +42,7 @@ This script is not part of the test suite.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -46,6 +56,8 @@ TOLERANCE = {"gail": 0.3, "lapal-agnostic": 0.1}
 # the thresholds above were set from a run at exactly these seeds and steps
 SEEDS = (0, 1, 2)
 STEPS = 16000
+TARGET = "arm3-perturbed"
+EVAL_EPISODES = 16
 
 
 def run(algo, demos, codec, seed, steps, updates=True):
@@ -57,6 +69,25 @@ def run(algo, demos, codec, seed, steps, updates=True):
                                      codec if cfg.latent else None, seed=seed)
 
 
+def transfer(bundles, cvae):
+    """Normalized returns on TARGET of each source bundle moved by
+    `transfer_policy`, and of the same actor through its source codec."""
+    target = envsim.collect_demos(TARGET, 16, seed=3)
+    refs = [orchestrator.ExpertPolicy(TARGET), orchestrator.RandomPolicy(TARGET)]
+    by_seed = {"transferred": [], "no_retraining": []}
+    for seed, bundle in zip(SEEDS, bundles):
+        moved, _ = orchestrator.transfer_policy(bundle, target, cvae, seed=seed)
+        kept = orchestrator.PolicyBundle(
+            TARGET, bundle.actor, dataclasses.replace(bundle.codec, env_id=TARGET))
+        (moved_r, _), (kept_r, _), (expert, _), (rand, _) = orchestrator.evaluate_policies(
+            [moved, kept] + refs, TARGET, EVAL_EPISODES, seed)
+        by_seed["transferred"].append((moved_r - rand) / (expert - rand))
+        by_seed["no_retraining"].append((kept_r - rand) / (expert - rand))
+    out = {name: sum(v) / len(v) for name, v in by_seed.items()}
+    out.update({f"{name}_by_seed": v for name, v in by_seed.items()})
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--reference", help="an earlier output line of this script (a file)")
@@ -64,15 +95,19 @@ def main(argv=None):
     warnings.simplefilter("ignore")
     t0 = time.perf_counter()
     demos = envsim.collect_demos("arm3", 16, seed=3)
-    codec, _ = latentact.train_codec(demos, latentact.CVAEConfig(latent_dim=2, epochs=30),
-                                     seed=1)
+    cvae = latentact.CVAEConfig(latent_dim=2, epochs=30)
+    codec, _ = latentact.train_codec(demos, cvae, seed=1)
     out = {"seeds": list(SEEDS), "steps": STEPS, "modes": {}}
+    bundles = []
     for algo in MODES:
         curves, priors = [], []
         for seed in SEEDS:
             priors.append(run(algo, demos, codec, seed, 2000, updates=False)
                           .curve[0].norm_eval_return)
-            curves.append(run(algo, demos, codec, seed, STEPS).curve)
+            res = run(algo, demos, codec, seed, STEPS)
+            curves.append(res.curve)
+            if algo == "lapal-agnostic":
+                bundles.append(res.bundle)
         agg = orchestrator.aggregate_curves(curves)
         out["modes"][algo] = {
             "prior": sum(priors) / len(priors),
@@ -81,11 +116,14 @@ def main(argv=None):
             "final_by_seed": [c[-1].norm_eval_return for c in curves],
             "curve": [round(r["mean_norm_return"], 4) for r in agg],
         }
+    out["transfer"] = transfer(bundles, cvae)
     gail, agn = out["modes"]["gail"], out["modes"]["lapal-agnostic"]
     checks = {
         "agnostic_floor": agn["final"] >= AGNOSTIC_FLOOR,
         "agnostic_above_gail": agn["final"] > gail["final"],
         "above_prior": all(m["final"] > m["prior"] for m in out["modes"].values()),
+        "transfer_above_no_retraining":
+            out["transfer"]["transferred"] > out["transfer"]["no_retraining"],
     }
     if args.reference:
         with open(args.reference) as f:

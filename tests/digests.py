@@ -6,12 +6,13 @@ after. Run from the repository root:
     PYTHONPATH=src python tests/digests.py
 
 It prints a digest of the demos of every env family at fixed seeds, of a
-short `train_codec` run (weights and history) and of a small `run_training`
-in each mode (per-iteration digests and the curve), and of 20 float64 SAC
-learner steps on arm3 features. The `params` and `learner` lines hash only
-parameter buffers and numbers, never a config string, so they stay
-comparable across a change to how a config prints. pytest does not collect
-this file.
+short `train_codec` run (weights and history), of a small `run_training`
+in each mode (per-iteration digests and the curve), of a short transfer of
+the arm3 agnostic policy to arm3-perturbed (codec weights and history) and
+of 20 float64 SAC learner steps on arm3 features. The `params`, `transfer`
+and `learner` lines hash only parameter buffers and numbers, never a config
+string, so they stay comparable across a change to how a config prints.
+pytest does not collect this file.
 """
 
 import hashlib
@@ -95,6 +96,13 @@ def main():
             params = digest(numbers, curve, res.bundle.actor.params,
                             *codec_params(res.bundle.codec))
             print(f"run params {env_id} {algo}: {params}")
+            if env_id == "arm3" and algo == "lapal-agnostic":
+                source = res.bundle
+
+    target = envsim.collect_demos("arm3-perturbed", 16, 5)
+    moved, history = orchestrator.transfer_policy(source, target, cfg, 7)
+    print(f"transfer arm3-perturbed: "
+          f"{digest(*codec_params(moved.codec), sorted(history.items()))}")
     print(f"learner float64: {learner_digest()}")
 
 

@@ -48,6 +48,28 @@ def nullspace_direction(lengths, angles):
     return proj / norm if norm > 1e-9 else np.zeros(k)
 
 
+# The lab's own kinematics kernels, which the demo path calls as
+# `envsim._jacobian` and `envsim._nullspace`, behind the signatures of the
+# per-row references above: (k,) or (N, k) angles.
+
+
+def kernel_arm_jacobian(lengths, angles):
+    """2 x K Jacobian of the end-effector position w.r.t. joint angles.
+
+    (N, 2, K) for (N, K) angles.
+    """
+    return envsim._jacobian(envsim._link_vectors(lengths, angles))
+
+
+def kernel_nullspace_direction(lengths, angles):
+    """Unit torque direction that produces no end-effector motion; zero for
+    arms without redundant joints."""
+    angles = np.asarray(angles, dtype=np.float64)
+    if angles.shape[-1] <= 2:
+        return np.zeros(angles.shape)
+    return envsim._nullspace(kernel_arm_jacobian(lengths, angles))
+
+
 def split(env, state):
     k = env.params.n_joints
     return state[:k], state[k : 2 * k], state[2 * k :]

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+import rowwise
 from lapal import configio, envsim
 from lapal.envsim import (
     DemoBuffer,
     JitterConfig,
-    arm_jacobian,
     collect_demos,
     env_def,
     env_reset,
@@ -75,7 +75,7 @@ def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(1)
     lengths = rng.uniform(0.2, 1.0, 5)
     angles = rng.uniform(-2, 2, 5)
-    jac = arm_jacobian(lengths, angles)
+    jac = rowwise.kernel_arm_jacobian(lengths, angles)
     h = 1e-7
     for j in range(5):
         up, dn = angles.copy(), angles.copy()

@@ -231,6 +231,32 @@ def test_holdout_reconstruction_runs_once_per_epoch(pm_demos, monkeypatch, epoch
     assert history["holdout_recon"] == calls[:epochs]
 
 
+def test_retrain_decoder_epoch_is_the_decoder_half_of_the_cvae_step():
+    """One retraining epoch in one minibatch is `cvae_loss_and_grad` on the
+    source codec, relabelled, over the train split in the epoch's order with
+    its noise, then an Adam step of the decoder alone (float64, to 1e-12)."""
+    source_demos = envsim.collect_demos("arm3", n_episodes=16, seed=1)
+    target = envsim.collect_demos("arm3-perturbed", n_episodes=8, seed=2)
+    cfg = CVAEConfig(latent_dim=2, epochs=1, batch_size=2048)
+    source = float64(train_codec(source_demos, CVAEConfig(latent_dim=2, epochs=30), seed=0)[0])
+    codec, history = latentact.retrain_decoder(source, target, cfg, seed=5)
+
+    tr_idx, _ = latentact._split_episodes(target, cfg.holdout_fraction)
+    rng = np.random.default_rng(5)
+    order = rng.permutation(len(tr_idx))
+    assert len(order) <= cfg.batch_size
+    noise = rng.standard_normal((len(order), 2))
+    ref = dataclasses.replace(source.copy(), env_id="arm3-perturbed")
+    x = encoder_input(envsim.feature_map("arm3-perturbed", target.states), target.actions)
+    loss, parts = cvae_loss_and_grad(ref, x[tr_idx][order], noise)
+    ref.decoder.adam_step(cfg.lr)
+    np.testing.assert_allclose([history["loss"][0], history["recon"][0], history["kl"][0]],
+                               [loss, parts["recon"], parts["kl"]], rtol=1e-12)
+    np.testing.assert_allclose(codec.decoder.params, ref.decoder.params, rtol=0, atol=1e-12)
+    assert codec.encoder.params.tobytes() == source.encoder.params.tobytes()
+    assert codec.env_id == "arm3-perturbed" and source.env_id == "arm3"
+
+
 @pytest.fixture(scope="module")
 def pm_codec(pm_demos):
     cfg = CVAEConfig(latent_dim=2, epochs=100, encoder_hidden=(32, 32),

@@ -107,11 +107,12 @@ def test_kinematics_and_expert_rows_match_per_row(env_id):
         return
     angles = S[:, : env.params.n_joints]
     lengths = env.params.lengths
-    fk, jac = envsim.forward_kinematics(lengths, angles), envsim.arm_jacobian(lengths, angles)
-    null = envsim.nullspace_direction(lengths, angles)
+    fk = envsim.forward_kinematics(lengths, angles)
+    jac = rowwise.kernel_arm_jacobian(lengths, angles)
+    null = rowwise.kernel_nullspace_direction(lengths, angles)
     for i, a in enumerate(angles):
         np.testing.assert_array_equal(fk[i], envsim.forward_kinematics(lengths, a))
-        np.testing.assert_array_equal(jac[i], envsim.arm_jacobian(lengths, a))
+        np.testing.assert_array_equal(jac[i], rowwise.kernel_arm_jacobian(lengths, a))
         np.testing.assert_allclose(fk[i], rowwise.forward_kinematics(lengths, a), rtol=0, atol=TOL)
         np.testing.assert_allclose(jac[i], rowwise.arm_jacobian(lengths, a), rtol=0, atol=TOL)
         np.testing.assert_allclose(null[i], rowwise.nullspace_direction(lengths, a),
@@ -134,7 +135,7 @@ def test_shared_link_vectors_match_batched_oracle(env_id):
     for a in (angles, angles[0], angles[6]):
         assert bits(envsim.forward_kinematics(lengths, a)) == bits(
             rowwise.batched_forward_kinematics(lengths, a))
-        assert bits(envsim.arm_jacobian(lengths, a)) == bits(
+        assert bits(rowwise.kernel_arm_jacobian(lengths, a)) == bits(
             rowwise.batched_arm_jacobian(lengths, a))
     kp = np.linspace(0.75, 1.25, len(S))
     bias = np.random.default_rng(8).normal(size=(len(S), 2))
@@ -233,9 +234,9 @@ def test_step_kernels_match_earlier_batched_forms(env_id, n, case):
     for angles in (S[:, :k], nxt[:, :k], S[0, :k]):
         assert same(envsim.forward_kinematics(lengths, angles),
                     rowwise.batched_forward_kinematics(lengths, angles))
-        assert same(envsim.arm_jacobian(lengths, angles),
+        assert same(rowwise.kernel_arm_jacobian(lengths, angles),
                     rowwise.batched_arm_jacobian(lengths, angles))
-        assert same(envsim.nullspace_direction(lengths, angles),
+        assert same(rowwise.kernel_nullspace_direction(lengths, angles),
                     rowwise.batched_nullspace_direction(lengths, angles))
 
 
@@ -439,7 +440,7 @@ def stretched_batch(env_id, n):
     S, _ = random_batch(env_id, max(n, 2), seed=n + 40)
     if env.kind == "arm":
         S[1, : env.params.n_joints] = 0.0
-        jac = envsim.arm_jacobian(env.params.lengths, S[1, : env.params.n_joints])
+        jac = rowwise.kernel_arm_jacobian(env.params.lengths, S[1, : env.params.n_joints])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(jac @ jac.T, jac[:, 0])
     return S[1:2] if n == 1 else S[:n]
@@ -459,9 +460,10 @@ def test_demo_step_matches_public_functions(env_id, n):
         assert same(ours, rowwise.batched_demo_action(
             env_id, jitter, S, kp, noise, null, goal_distance=envsim.goal_distance,
             scripted_expert=envsim.scripted_expert,
-            nullspace_direction=envsim.nullspace_direction))
+            nullspace_direction=rowwise.kernel_nullspace_direction))
     if k > 2:  # the stretched row has no nullspace direction
-        assert not envsim.nullspace_direction(env.params.lengths, S[min(n - 1, 1), :k]).any()
+        assert not rowwise.kernel_nullspace_direction(env.params.lengths,
+                                                      S[min(n - 1, 1), :k]).any()
 
 
 def test_quality_gate_verdict_matches_per_row_oracle():

@@ -544,18 +544,69 @@ def test_one_rollout_per_evaluation_point(monkeypatch, env_inputs, env_id):
         assert ret == evaluate_policy(policy(env_id), env_id, cfg.eval_episodes, eval_seed)[0]
 
 
-def test_transfer_arm3_to_perturbed_end_to_end(tmp_path, env_inputs):
+@pytest.fixture(scope="module")
+def arm3_agnostic(env_inputs):
+    """A small agnostic arm3 run's policy, the source of the transfer tests."""
     demos, codec = env_inputs("arm3")
-    res = run_training(env_run_cfg("lapal-agnostic", "arm3"), SMALL_SAC, demos,
-                       codec=codec, seed=16)
-    target = envsim.collect_demos("arm3-perturbed", n_episodes=8, seed=17)
-    bundle, history = transfer_policy(res.bundle, target,
-                                      CVAEConfig(latent_dim=2, epochs=20), seed=18)
+    return run_training(env_run_cfg("lapal-agnostic", "arm3"), SMALL_SAC, demos,
+                        codec=codec, seed=16).bundle
+
+
+@pytest.fixture(scope="module")
+def perturbed_demos():
+    return envsim.collect_demos("arm3-perturbed", n_episodes=8, seed=17)
+
+
+def test_transfer_arm3_to_perturbed_end_to_end(tmp_path, arm3_agnostic, perturbed_demos):
+    cfg = CVAEConfig(latent_dim=2, epochs=20)
+    bundle, history = transfer_policy(arm3_agnostic, perturbed_demos, cfg, seed=18)
     assert bundle.env_id == "arm3-perturbed" and bundle.codec.env_id == "arm3-perturbed"
     assert history["holdout_final"] < history["holdout_baseline"]
+    _, untrained = transfer_policy(arm3_agnostic, perturbed_demos,
+                                   dataclasses.replace(cfg, epochs=0), seed=18)
+    assert history["holdout_final"] < untrained["holdout_final"]
     returns = evaluate_policy(bundle, "arm3-perturbed", 4, seed=19)
     assert all(np.isfinite(returns))
     save_policy(tmp_path / "moved.ckpt", bundle)
     back = load_policy(tmp_path / "moved.ckpt")
     assert back.digest() == bundle.digest()
     assert evaluate_policy(back, "arm3-perturbed", 4, seed=19) == returns
+
+
+def test_transfer_without_epochs_keeps_the_source_bytes(arm3_agnostic, perturbed_demos):
+    moved, history = transfer_policy(arm3_agnostic, perturbed_demos,
+                                     CVAEConfig(latent_dim=2, epochs=0), seed=1)
+    for name in ("encoder", "decoder"):
+        assert (getattr(moved.codec, name).params.tobytes()
+                == getattr(arm3_agnostic.codec, name).params.tobytes())
+    assert moved.actor.params.tobytes() == arm3_agnostic.actor.params.tobytes()
+    assert moved.codec.frozen and history["loss"] == [] and history["holdout_recon"] == []
+    assert np.isfinite(history["holdout_final"])
+
+
+def test_transfer_retrains_only_the_decoder_of_a_copy(arm3_agnostic, perturbed_demos):
+    source_digest = arm3_agnostic.digest()
+    moved, history = transfer_policy(arm3_agnostic, perturbed_demos,
+                                     CVAEConfig(latent_dim=2, epochs=3), seed=2)
+    src = arm3_agnostic.codec
+    assert moved.codec.encoder.params.tobytes() == src.encoder.params.tobytes()
+    assert moved.codec.encoder.step == src.encoder.step
+    assert not np.array_equal(moved.codec.decoder.params, src.decoder.params)
+    assert moved.codec.decoder.step > src.decoder.step
+    assert arm3_agnostic.digest() == source_digest
+    assert len(history["loss"]) == len(history["holdout_recon"]) == 3
+    for ours in trees_in(moved):
+        for theirs in trees_in(arm3_agnostic):
+            for a in BUFFERS:
+                for b in BUFFERS:
+                    assert not np.shares_memory(getattr(ours, a), getattr(theirs, b))
+
+
+def test_transfer_needs_the_source_codec_architecture_and_widths(arm3_agnostic,
+                                                                 perturbed_demos):
+    arm6 = envsim.collect_demos("arm6", n_episodes=2, seed=0, min_success_rate=0.0)
+    with pytest.raises(ConfigError, match="widths"):
+        transfer_policy(arm3_agnostic, arm6, CVAEConfig(latent_dim=2, epochs=1))
+    with pytest.raises(ConfigError, match="source codec"):
+        transfer_policy(arm3_agnostic, perturbed_demos,
+                        CVAEConfig(latent_dim=2, decoder_hidden=(32, 32), epochs=1))
