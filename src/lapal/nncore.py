@@ -216,7 +216,7 @@ class ParamTree:
             l = self.layers[i]
             if accumulate:
                 l.gw += inputs[i].T @ d
-                l.gb += d.sum(axis=0)
+                l.gb += np.add.reduce(d, 0)
             if i == 0 and not input_grad:
                 return None
             # for a width-1 layer `d @ w.T` runs matmul's slow non-BLAS loop: form the
@@ -263,6 +263,21 @@ class ParamTree:
             v[v < np.finfo(self.dtype).tiny] = 0.0
         self.params -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
         g[...] = 0.0
+
+
+def chunked_rows(fn, chunk: int, *arrays) -> np.ndarray:
+    """`fn(*arrays)` run on `chunk` rows at a time, the last chunk padded with
+    zero rows whose outputs are dropped. A float32 matmul may round a row
+    differently with another row count, as BLAS picks its kernel by shape; at
+    exactly `chunk` rows each row gets the bits of a `chunk`-row minibatch."""
+    out = []
+    for i in range(0, len(arrays[0]), chunk):
+        rows = [a[i : i + chunk] for a in arrays]
+        pad = chunk - len(rows[0])
+        rows = [np.concatenate([r, np.zeros((pad,) + r.shape[1:], r.dtype)]) if pad else r
+                for r in rows]
+        out.append(fn(*rows)[: chunk - pad])
+    return np.concatenate(out)
 
 
 class AdamScalar:

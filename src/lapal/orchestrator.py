@@ -23,13 +23,14 @@ features, and each state is featurized once. Collection featurizes each new
 state once, the replay buffer stores the features of s and s', and the demos
 are featurized once per run.
 
-Latent actions attached to stored transitions are re-encoded from the raw
-buffer action with the current encoder (never cached), so the task-aware
-mode with codec learning rates forced to zero walks exactly the
-task-agnostic update sequence - a differential test the suite pins down.
-
-Rewards are recomputed from the current discriminator for every batch;
-nothing reward-like is ever stored. Normalized returns are gap-closed:
+The buffer stores raw env actions and no rewards. Each phase boxes the
+filled buffer and scores it once, and the demos are boxed once per run: the
+encoder and discriminator hold still within a phase, except that aware
+mode's encoder steps with, and so encodes, each discriminator minibatch. The
+passes run in minibatch-sized `nncore.chunked_rows` chunks, which keep the
+bits of per-minibatch passes, so aware mode at codec learning rates 0 walks
+the agnostic update sequence exactly - a differential test the suite pins
+down. Normalized returns are gap-closed:
 (R - R_random) / (R_expert - R_random) against expert and random references
 evaluated on the same episodes.
 
@@ -64,7 +65,7 @@ from .adversary import DiscComposition
 from .configio import read_checkpoint, write_checkpoint
 from .errors import CheckpointError, ConfigError, DivergenceError, OptimizerError
 from .latentact import ActionCodec, CVAEConfig
-from .nncore import MLPSpec, tree_from_state, tree_state
+from .nncore import MLPSpec, chunked_rows, tree_from_state, tree_state
 from .sacgen import SacAgent, SacConfig
 
 ALGOS = ("gail", "lapal-agnostic", "lapal-aware")
@@ -265,7 +266,12 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
                  codec: ActionCodec | None = None, seed: int = 0,
                  on_iteration=None) -> RunResult:
     """Train `cfg.algo` on `demos`. The expert and random references roll with
-    the first evaluation, which raises `ConfigError` if the expert loses."""
+    the first evaluation, which raises `ConfigError` if the expert loses.
+
+    Each iteration boxes and scores the filled replay buffer once, in
+    ceil(size / batch_size) chunk passes; these cost more than the
+    per-update passes they replace only when a phase runs fewer updates than
+    that."""
     spec = envsim.env_spec(cfg.env_id)
     if demos.env_digest != spec.digest():
         raise ConfigError(f"demos were generated for a different {cfg.env_id}")
@@ -303,11 +309,9 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
     demo_feats = envsim.feature_map(cfg.env_id, demos.states)
     recon_probe = _recon_probe(demo_feats, demos.actions, batch_rng) if cfg.latent else None
 
-    def reward_fn(states, u):
-        return adversary.disc_reward(disc, states, u)
-
-    demo_n = len(demos)
-    half = max(1, sac_cfg.batch_size // 2)
+    aware, chunk = cfg.algo == "lapal-aware", sac_cfg.batch_size
+    demo_u = None if aware else chunked_rows(bundle.to_box, chunk, demo_feats, demos.actions)
+    half = max(1, chunk // 2)
 
     curve: list = []
     state = envsim.env_reset(cfg.env_id, act_rng)
@@ -321,22 +325,31 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
         state, ep_t = _collect(bundle, agent, buf, state, ep_t, n, act_rng)
         steps += n
 
-        if len(buf) >= sac_cfg.batch_size:
+        if len(buf) >= chunk:
+            S, A, S2 = (x[: len(buf)] for x in (buf.states, buf.actions, buf.next_states))
+            U = None if aware else chunked_rows(bundle.to_box, chunk, S, A)
             dl = al = cl = en = 0.0
             try:
                 for _ in range(cfg.disc_updates_per_iteration):
-                    ei = batch_rng.integers(0, demo_n, half)
-                    dl = _disc_step(cfg, disc, bundle, demo_feats[ei], demos.actions[ei],
-                                    buf.sample(batch_rng, half))
+                    ei, bi = batch_rng.integers(0, len(demos), half), buf.sample(batch_rng, half)
+                    if aware:
+                        dl = _disc_step(cfg, disc, run_codec, demo_feats[ei], demos.actions[ei],
+                                        S[bi], A[bi])
+                    else:
+                        dl = adversary.disc_loss_and_grad(disc, (demo_feats[ei], demo_u[ei]),
+                                                          (S[bi], U[bi]))
+                        disc.tree.adam_step(cfg.disc_lr)
+                if aware:
+                    U = chunked_rows(bundle.to_box, chunk, S, A)
+                R = chunked_rows(lambda f, u: adversary.disc_reward(disc, f, u), chunk, S, U)
                 for _ in range(cfg.gen_updates_per_iteration):
-                    b = buf.sample(batch_rng, sac_cfg.batch_size)
-                    closses = sacgen.critic_update(agent, b.states,
-                                                   bundle.to_box(b.states, b.actions),
-                                                   b.next_states, reward_fn, batch_rng)
-                    alosses = sacgen.actor_update(agent, b.states, batch_rng)
-                    if cfg.algo == "lapal-aware":
+                    i = buf.sample(batch_rng, chunk)
+                    s = S[i]
+                    closses = sacgen.critic_update(agent, s, U[i], S2[i], R[i], batch_rng)
+                    alosses = sacgen.actor_update(agent, s, batch_rng)
+                    if aware:
                         sacgen.decoder_adversarial_step(run_codec, disc, cfg.codec_gen_lr,
-                                                        b.states, alosses["u"])
+                                                        s, alosses["u"])
                     cl, al, en = (closses["critic1"], alosses["actor"],
                                   alosses["entropy"])
             except OptimizerError as exc:
@@ -427,23 +440,17 @@ def _recon_probe(feats, actions, rng, n=512):
     return feats[idx], actions[idx]
 
 
-def _disc_step(cfg, disc, bundle, se, ea, b):
-    """One discriminator minibatch of expert (features, actions) against agent
-    batch `b`, both halves encoded into `bundle`'s action box in one pass. In
-    aware mode that pass is a recorded encoder pass, and the discriminator's
-    input gradient steps the encoder through the mean; the log-std half of
-    the encoder head gets no gradient."""
+def _disc_step(cfg, disc, codec, se, ea, sa, aa):
+    """One aware discriminator minibatch of expert (features, actions) rows
+    against agent rows, encoded in one recorded pass; the discriminator's input
+    gradient steps the encoder through the mean, not the log-std half."""
     n_e = len(se)
-    feats, actions = np.concatenate([se, b.states]), np.concatenate([ea, b.actions])
-    if cfg.algo == "lapal-aware":
-        u = latentact.encode_mean(bundle.codec, feats, actions, record=True)
-        loss, d_in = adversary.disc_loss_and_grad(
-            disc, (se, u[:n_e]), (b.states, u[n_e:]), want_input_grads=True)
-        latentact.encode_mean_backward(bundle.codec, u, d_in[:, se.shape[1]:])
-        bundle.codec.encoder.adam_step(cfg.codec_disc_lr)
-    else:
-        u = bundle.to_box(feats, actions)
-        loss = adversary.disc_loss_and_grad(disc, (se, u[:n_e]), (b.states, u[n_e:]))
+    u = latentact.encode_mean(codec, np.concatenate([se, sa]), np.concatenate([ea, aa]),
+                              record=True)
+    loss, d_in = adversary.disc_loss_and_grad(disc, (se, u[:n_e]), (sa, u[n_e:]),
+                                              want_input_grads=True)
+    latentact.encode_mean_backward(codec, u, d_in[:, se.shape[1]:])
+    codec.encoder.adam_step(cfg.codec_disc_lr)
     disc.tree.adam_step(cfg.disc_lr)
     return loss
 

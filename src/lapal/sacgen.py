@@ -9,9 +9,9 @@ only at the time limit, so TD targets always bootstrap.
 
 Every network here consumes state features (`envsim.feature_map`), never
 raw env states. The replay buffer holds the features of s and s', computed
-once when the transition is collected, with the raw env action. Rewards are
-never stored: critic updates recompute them through a callable, which keeps
-the discriminator-induced reward current as the adversary trains.
+once when the transition is collected, with the raw env action, and no
+reward: the discriminator that induces rewards keeps training, so the caller
+computes them from it and hands each critic update its batch's rewards.
 
 There is one policy draw: `GaussianDist.sample` reparameterizes the caller's
 standard-normal noise, collection (`act`) squashes it, and the learner
@@ -24,7 +24,6 @@ z-derivative is -2 tanh(z), which the hand-assembled actor gradient relies on.
 from __future__ import annotations
 
 import hashlib
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +44,6 @@ from .nncore import (
 def squash(z):
     """Capped tanh: emitted actions stay strictly inside the open box."""
     return np.minimum(np.maximum(np.tanh(z), -TANH_CAP), TANH_CAP)
-
-
-BufferBatch = namedtuple("BufferBatch", ["states", "actions", "next_states"])
 
 
 @dataclass(frozen=True)
@@ -155,12 +151,11 @@ class ReplayBuffer:
         self.cursor = (self.cursor + k) % self.capacity
         self.size = min(self.size + k, self.capacity)
 
-    def sample(self, rng: np.random.Generator, n: int) -> BufferBatch:
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Row indices of `n` uniform draws with replacement from the filled rows."""
         if self.size == 0:
             raise StateError("cannot sample from an empty replay buffer")
-        idx = rng.integers(0, self.size, size=n)
-        return BufferBatch(states=self.states[idx], actions=self.actions[idx],
-                           next_states=self.next_states[idx])
+        return rng.integers(0, self.size, size=n)
 
 
 # ---------------------------------------------------------------------------
@@ -172,27 +167,29 @@ def polyak_update(agent: SacAgent, tau: float) -> None:
         target.params += tau * (critic.params - target.params)
 
 
-def _q(tree: ParamTree, states, u, record=False):
-    return tree.forward(np.concatenate([states, u], axis=1), record=record)[:, 0]
+def _twin_q(pair, states, u, record=False):
+    """Q values of both networks of a twin `pair` at (state, action-box) rows,
+    which are concatenated and cast to the networks' dtype once for both."""
+    x = np.concatenate([states, u], axis=1, dtype=pair[0].dtype)
+    return [tree.forward(x, record=record)[:, 0] for tree in pair]
 
 
-def critic_update(agent: SacAgent, states, u, next_states, reward_fn, rng) -> dict:
-    """Twin-critic TD(0) step; rewards recomputed through reward_fn.
+def critic_update(agent: SacAgent, states, u, next_states, rewards, rng) -> dict:
+    """Twin-critic TD(0) step on (s, u, s') rows and their float64 `rewards`.
 
     Targets bootstrap unconditionally: episodes end only at the time limit,
     so there is no environment-terminal state to zero out.
     """
-    rewards = np.asarray(reward_fn(states, u), dtype=np.float64)
     eps = rng.standard_normal((next_states.shape[0], agent.u_dim))
     u2, logp2, _, _ = sample_with_log_prob(agent, next_states, eps)
-    q1t = _q(agent.target1, next_states, u2)
-    q2t = _q(agent.target2, next_states, u2)
-    soft_value = np.minimum(q1t, q2t) - agent.alpha * logp2
+    soft_value = (np.minimum(*_twin_q((agent.target1, agent.target2), next_states, u2))
+                  - agent.alpha * logp2)
     y = rewards + agent.cfg.gamma * soft_value
     losses = {}
     b = states.shape[0]
-    for name, critic in (("critic1", agent.critic1), ("critic2", agent.critic2)):
-        q = _q(critic, states, u, record=True)
+    critics = (agent.critic1, agent.critic2)
+    for name, critic, q in zip(("critic1", "critic2"), critics,
+                               _twin_q(critics, states, u, record=True)):
         err = q - y
         losses[name] = float((err * err).sum()) / b
         critic.backward(((2.0 / b) * err)[:, None], input_grad=False)
@@ -205,7 +202,7 @@ def critic_update(agent: SacAgent, states, u, next_states, reward_fn, rng) -> di
 def actor_loss(agent: SacAgent, states, eps) -> float:
     """The actor objective at fixed reparameterization noise (no gradients)."""
     u, log_prob, _, _ = sample_with_log_prob(agent, states, eps)
-    qmin = np.minimum(_q(agent.critic1, states, u), _q(agent.critic2, states, u))
+    qmin = np.minimum(*_twin_q((agent.critic1, agent.critic2), states, u))
     return float((agent.alpha * log_prob - qmin).sum()) / states.shape[0]
 
 
@@ -217,8 +214,7 @@ def actor_loss_and_grad(agent: SacAgent, states, eps):
     """
     b = states.shape[0]
     u, log_prob, dist, clamp_mask = sample_with_log_prob(agent, states, eps, record=True)
-    q1 = _q(agent.critic1, states, u, record=True)
-    q2 = _q(agent.critic2, states, u, record=True)
+    q1, q2 = _twin_q((agent.critic1, agent.critic2), states, u, record=True)
     qmin = np.minimum(q1, q2)
     alpha = agent.alpha
     loss = float((alpha * log_prob - qmin).sum()) / b

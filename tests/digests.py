@@ -7,7 +7,8 @@ after. Run from the repository root:
 
 It prints a digest of the demos of every env family at fixed seeds, of a
 short `train_codec` run (weights and history), of a small `run_training`
-in each mode (per-iteration digests and the curve), of a short transfer of
+in each mode (per-iteration digests and the curve), of the same arm3 runs
+with a 300-row replay buffer, which wraps, of a short transfer of
 the arm3 agnostic policy to arm3-perturbed (codec weights and history) and
 of 20 float64 SAC learner steps on arm3 features. The `params`, `transfer`
 and `learner` lines hash only parameter buffers and numbers, never a config
@@ -57,11 +58,26 @@ def learner_digest() -> str:
     rng = np.random.default_rng(1)
     losses = []
     for _ in range(20):
-        c = sacgen.critic_update(agent, s, u, s2, lambda st, uu: np.full(len(st), 0.5), rng)
+        c = sacgen.critic_update(agent, s, u, s2, np.full(len(s), 0.5), rng)
         a = sacgen.actor_update(agent, s, rng)
         losses.append((c["critic1"], c["critic2"], c["q_mean"], a["actor"], a["entropy"]))
     trees = (agent.actor, agent.critic1, agent.critic2, agent.target1, agent.target2)
     return digest(*[t.params for t in trees], agent.log_alpha.value, losses, a["u"])
+
+
+def small_run(algo, env_id):
+    return orchestrator.RunConfig(
+        algo=algo, env_id=env_id, total_env_steps=500, steps_per_iteration=250,
+        disc_updates_per_iteration=10, gen_updates_per_iteration=20,
+        eval_every=250, eval_episodes=4, divergence_guard=False)
+
+
+def run_with_records(run, sac_cfg, demos, codec):
+    """The run's result and the per-iteration records it reported."""
+    records = []
+    res = orchestrator.run_training(run, sac_cfg, demos, codec if run.latent else None,
+                                    seed=3, on_iteration=records.append)
+    return res, records
 
 
 def main():
@@ -81,14 +97,8 @@ def main():
               f"{digest(*codec_params(codec), sorted(history.items()))}")
 
         for algo in orchestrator.ALGOS:
-            run = orchestrator.RunConfig(
-                algo=algo, env_id=env_id, total_env_steps=500, steps_per_iteration=250,
-                disc_updates_per_iteration=10, gen_updates_per_iteration=20,
-                eval_every=250, eval_episodes=4, divergence_guard=False)
-            records = []
-            res = orchestrator.run_training(run, sacgen.SacConfig(), demos,
-                                            codec if run.latent else None, seed=3,
-                                            on_iteration=records.append)
+            run = small_run(algo, env_id)
+            res, records = run_with_records(run, sacgen.SacConfig(), demos, codec)
             curve = [astuple(row) for row in res.curve]
             if env_id == "arm3":
                 print(f"run_training {algo}: {digest(records, curve, res.bundle.digest())}")
@@ -98,6 +108,13 @@ def main():
             print(f"run params {env_id} {algo}: {params}")
             if env_id == "arm3" and algo == "lapal-agnostic":
                 source = res.bundle
+        if env_id == "arm3":
+            wrapped = []
+            for algo in orchestrator.ALGOS:
+                res, records = run_with_records(small_run(algo, env_id),
+                                          sacgen.SacConfig(buffer_capacity=300), demos, codec)
+                wrapped += [records, [astuple(row) for row in res.curve], res.bundle.digest()]
+            print(f"run_training wrap arm3: {digest(*wrapped)}")
 
     target = envsim.collect_demos("arm3-perturbed", 16, 5)
     moved, history = orchestrator.transfer_policy(source, target, cfg, 7)

@@ -213,6 +213,21 @@ def test_tanh_output_strictly_bounded():
     assert np.all(y > -1.0) and np.all(y < 1.0)
 
 
+@pytest.mark.parametrize("n", [1, 4, 5, 8])
+def test_chunked_rows_runs_full_chunks_and_drops_the_padding(n):
+    seen = []
+
+    def fn(x, y):
+        seen.append(x.copy())
+        return x[:, 0] * y
+
+    x, y = np.arange(1.0, 2 * n + 1).reshape(n, 2), np.arange(1.0, n + 1)
+    out = nncore.chunked_rows(fn, 4, x, y)
+    assert out.tobytes() == (x[:, 0] * y).tobytes()
+    assert [len(rows) for rows in seen] == [4] * -(-n // 4)
+    assert np.all(seen[-1][n - 4 * (len(seen) - 1):] == 0.0)
+
+
 # -- flat buffers ------------------------------------------------------------
 
 

@@ -9,7 +9,7 @@ from conftest import BUFFERS, assert_grads_close, fd_loss_gradient, float64, tre
 from lapal import adversary, envsim, latentact, orchestrator, sacgen
 from lapal.errors import ConfigError, DivergenceError
 from lapal.latentact import CVAEConfig, train_codec
-from lapal.nncore import MLPSpec, ParamTree
+from lapal.nncore import MLPSpec, ParamTree, chunked_rows
 from lapal.orchestrator import (
     ALGOS,
     ExpertPolicy,
@@ -370,20 +370,18 @@ def test_aware_disc_step_encoder_gradient_on_arm_features():
     feats = envsim.feature_map("arm3", np.stack([envsim.env_reset("arm3", i)
                                                  for i in range(8)]))
     actions = rng.uniform(-1.0, 1.0, (8, 3))
-    se, ea = feats[:4], actions[:4]
-    agent = sacgen.BufferBatch(feats[4:], actions[4:], feats[4:])
+    se, ea, sa, aa = feats[:4], actions[:4], feats[4:], actions[4:]
     codec.encoder.adam_step = lambda lr: None  # keep the accumulated gradient
     disc.tree.adam_step = lambda lr: None
     cfg = small_run_cfg("lapal-aware", env_id="arm3")
-    actor = ParamTree.init(MLPSpec(15, (4,), 4), np.random.default_rng(54))
-    orchestrator._disc_step(cfg, disc, PolicyBundle("arm3", actor, codec), se, ea, agent)
+    orchestrator._disc_step(cfg, disc, codec, se, ea, sa, aa)
     # the mean encoding leaves the log-std half of the encoder head untouched
     head = codec.encoder.layers[-1]
     assert np.all(head.gw[:, 2:] == 0.0) and np.all(head.gb[2:] == 0.0)
 
     def loss_fn():
         u = latentact.encode_mean(codec, feats, actions)
-        return adversary.disc_loss(disc, (se, u[:4]), (agent.states, u[4:]))
+        return adversary.disc_loss(disc, (se, u[:4]), (sa, u[4:]))
 
     _, fd, analytic = fd_loss_gradient(loss_fn, codec.encoder, n_probes=100, seed=53)
     assert np.any(analytic != 0.0)
@@ -392,8 +390,8 @@ def test_aware_disc_step_encoder_gradient_on_arm_features():
 
 def disc_step_inputs(env_id, env_inputs, n=8):
     """A float64 latent bundle over a mutable copy of `env_id`'s codec, a
-    discriminator in its box, and n expert rows from the demos against n
-    agent rows with uniform actions."""
+    discriminator in its box, and n expert (features, actions) rows from the
+    demos against n agent rows with uniform actions."""
     demos, codec = env_inputs(env_id)
     codec = float64(codec.copy(frozen=False))
     feat_dim, spec = envsim.feature_dim(env_id), envsim.env_spec(env_id)
@@ -406,16 +404,15 @@ def disc_step_inputs(env_id, env_inputs, n=8):
     rows = rng.integers(0, len(demos.states), 2 * n)
     feats = envsim.feature_map(env_id, demos.states[rows])
     se, ea = feats[:n], demos.actions[rows[:n]]
-    agent = sacgen.BufferBatch(feats[n:], rng.uniform(-1.0, 1.0, (n, spec.action_dim))
-                               * spec.action_high, feats[n:])
-    return PolicyBundle(env_id, actor, codec), disc, se, ea, agent
+    sa, aa = feats[n:], rng.uniform(-1.0, 1.0, (n, spec.action_dim)) * spec.action_high
+    return PolicyBundle(env_id, actor, codec), disc, (se, ea, sa, aa)
 
 
 @pytest.mark.parametrize("env_id", ENVS)
 def test_to_box_is_the_current_mean_encoding(env_id, env_inputs):
     """A latent bundle's box points are tanh of the current encoder's mean:
     no randomness, and nothing cached, so moving the encoder moves them."""
-    bundle, _, se, ea, _ = disc_step_inputs(env_id, env_inputs)
+    bundle, _, (se, ea, _, _) = disc_step_inputs(env_id, env_inputs)
     u = bundle.to_box(se, ea)
     assert u.tobytes() == np.tanh(latentact.encode(bundle.codec, se, ea).mean).tobytes()
     assert bundle.to_box(se, ea).tobytes() == u.tobytes()
@@ -446,39 +443,97 @@ def test_raw_bundle_to_box_divides_by_the_action_bounds(env_id):
 
 
 @pytest.mark.parametrize("env_id", ENVS)
-@pytest.mark.parametrize("algo", ["lapal-agnostic", "lapal-aware"])
-def test_disc_step_loss_is_on_pre_step_mean_encodings(algo, env_id, env_inputs):
-    """Both modes score the discriminator on the mean encodings of both halves
-    under the encoder as it was before the step, then step the discriminator;
-    only the aware mode steps the encoder, and neither touches the decoder."""
-    bundle, disc, se, ea, b = disc_step_inputs(env_id, env_inputs)
+def test_disc_step_loss_is_on_pre_step_mean_encodings(env_id, env_inputs):
+    """The aware step scores the discriminator on the mean encodings of both
+    halves under the encoder as it was before the step, then steps the
+    discriminator and the encoder; it leaves the decoder."""
+    bundle, disc, (se, ea, sa, aa) = disc_step_inputs(env_id, env_inputs)
     codec = bundle.codec
     enc, dec, d = codec.encoder.params.copy(), codec.decoder.params.copy(), disc.tree.params.copy()
-    u = latentact.encode_mean(codec, np.concatenate([se, b.states]),
-                              np.concatenate([ea, b.actions]))
-    want = adversary.disc_loss(disc, (se, u[:len(se)]), (b.states, u[len(se):]))
-    cfg = small_run_cfg(algo, env_id=env_id)
-    loss = orchestrator._disc_step(cfg, disc, bundle, se, ea, b)
+    u = latentact.encode_mean(codec, np.concatenate([se, sa]), np.concatenate([ea, aa]))
+    want = adversary.disc_loss(disc, (se, u[:len(se)]), (sa, u[len(se):]))
+    cfg = small_run_cfg("lapal-aware", env_id=env_id)
+    loss = orchestrator._disc_step(cfg, disc, codec, se, ea, sa, aa)
     assert np.isclose(loss, want, rtol=1e-12, atol=0.0)
     assert disc.tree.params.tobytes() != d.tobytes()
     assert codec.decoder.params.tobytes() == dec.tobytes()
-    assert (codec.encoder.params.tobytes() != enc.tobytes()) == (algo == "lapal-aware")
+    assert codec.encoder.params.tobytes() != enc.tobytes()
 
 
 @pytest.mark.parametrize("env_id", ENVS)
 def test_aware_disc_step_at_zero_encoder_lr_is_the_agnostic_step(env_id, env_inputs):
     """One discriminator step of the mode boundary: aware at encoder learning
-    rate 0 returns the agnostic loss and leaves the same discriminator and
-    encoder, bit for bit."""
+    rate 0 returns the loss of the agnostic step, a discriminator step on the
+    box points of both halves, and leaves the same discriminator and encoder,
+    bit for bit."""
     out = {}
     for algo, kw in (("lapal-agnostic", {}), ("lapal-aware", {"codec_disc_lr": 0.0})):
-        bundle, disc, se, ea, b = disc_step_inputs(env_id, env_inputs)
+        bundle, disc, (se, ea, sa, aa) = disc_step_inputs(env_id, env_inputs)
+        cfg = small_run_cfg(algo, env_id=env_id, **kw)
         enc = bundle.codec.encoder.params.tobytes()
-        loss = orchestrator._disc_step(small_run_cfg(algo, env_id=env_id, **kw),
-                                       disc, bundle, se, ea, b)
+        if cfg.algo == "lapal-aware":
+            loss = orchestrator._disc_step(cfg, disc, bundle.codec, se, ea, sa, aa)
+        else:
+            u = bundle.to_box(np.concatenate([se, sa]), np.concatenate([ea, aa]))
+            loss = adversary.disc_loss_and_grad(disc, (se, u[:len(se)]), (sa, u[len(se):]))
+            disc.tree.adam_step(cfg.disc_lr)
         assert bundle.codec.encoder.params.tobytes() == enc
         out[algo] = loss, disc.tree.params.tobytes(), disc.tree.m.tobytes()
     assert out["lapal-aware"] == out["lapal-agnostic"]
+
+
+@pytest.mark.parametrize("n", [300, 301])
+@pytest.mark.parametrize("latent", [False, True])
+def test_chunked_passes_match_minibatch_passes(latent, n, env_inputs):
+    """Box points and rewards computed once over n rows in 128-row chunks,
+    the tail padded, equal per-minibatch passes over random 128-row gathers
+    of the rows bit for bit, with float32 networks. Unpadded, the
+    discriminator's width-1 output layer can round the 45-row tail of 301
+    rows differently; the 44-row tail of 300 rows it rounds the same."""
+    demos, codec = env_inputs("arm3")
+    spec, feat_dim = envsim.env_spec("arm3"), envsim.feature_dim("arm3")
+    rng = np.random.default_rng(70)
+    S = envsim.feature_map("arm3", demos.states[rng.integers(0, len(demos), n)])
+    A = rng.uniform(-1.0, 1.0, (n, spec.action_dim)) * spec.action_high
+    u_dim = codec.latent_dim if latent else spec.action_dim
+    actor = ParamTree.init(MLPSpec(feat_dim, (4,), 2 * u_dim), np.random.default_rng(71))
+    bundle = PolicyBundle("arm3", actor, codec if latent else None)
+    comp = (adversary.DiscComposition("arm3", "latent", feat_dim, u_dim, codec.digest())
+            if latent else adversary.DiscComposition("arm3", "raw", feat_dim, u_dim))
+    disc = adversary.make_discriminator(comp, (64, 64), 72)
+    box = chunked_rows(bundle.to_box, 128, S, A)
+    rewards = chunked_rows(lambda s, u: adversary.disc_reward(disc, s, u), 128, S, box)
+    assert box.shape == (n, u_dim) and rewards.shape == (n,)
+    tail_rows = 0
+    for _ in range(8):
+        i = rng.integers(0, n, 128)
+        tail_rows += int(np.sum(i >= 256))
+        assert bundle.to_box(S[i], A[i]).tobytes() == box[i].tobytes()
+        assert adversary.disc_reward(disc, S[i], box[i]).tobytes() == rewards[i].tobytes()
+    assert tail_rows > 0
+
+
+@pytest.mark.parametrize("disc_updates, gen_updates", [(5, 10), (20, 40)])
+def test_one_encoding_and_reward_pass_per_phase(disc_updates, gen_updates, monkeypatch,
+                                                pm_demos, pm_codec):
+    """One agnostic iteration encodes the demos and the buffer once each and
+    scores the buffer once, in batch-size chunks, however many updates it
+    runs; the evaluation's reconstruction probe encodes once more."""
+    calls = {"encode": [], "disc_reward": []}
+    for module, name in ((latentact, "encode"), (adversary, "disc_reward")):
+        def counting(*args, _f=getattr(module, name), _name=name, **kw):
+            calls[_name].append(len(args[1]))
+            return _f(*args, **kw)
+
+        monkeypatch.setattr(module, name, counting)
+    cfg = small_run_cfg("lapal-agnostic", total_env_steps=200,
+                        disc_updates_per_iteration=disc_updates,
+                        gen_updates_per_iteration=gen_updates)
+    run_training(cfg, SMALL_SAC, pm_demos, codec=pm_codec, seed=5)
+    batch = SMALL_SAC.batch_size
+    chunks = -(-len(pm_demos) // batch) + -(-200 // batch)
+    assert calls["encode"] == [batch] * chunks + [min(512, len(pm_demos))]
+    assert calls["disc_reward"] == [batch] * -(-200 // batch)
 
 
 def test_buffer_holds_features_of_stepped_states(monkeypatch, env_inputs):

@@ -162,9 +162,10 @@ def test_buffer_sample_membership():
     buf = ReplayBuffer(16, 1, 1)
     for v in range(10):
         buf.push([v], [v], [v])
-    batch = buf.sample(np.random.default_rng(0), 64)
-    assert set(batch.states[:, 0]).issubset(set(range(10)))
-    assert not hasattr(batch, "reward") and not hasattr(batch, "rewards")
+    idx = buf.sample(np.random.default_rng(0), 64)
+    assert idx.shape == (64,)
+    assert set(buf.states[idx, 0]).issubset(set(range(10)))
+    assert not hasattr(buf, "reward") and not hasattr(buf, "rewards")
 
 
 def test_buffer_empty_sample_raises():
@@ -177,8 +178,8 @@ def test_buffer_sampling_uniformity_chi_square():
     buf = ReplayBuffer(16, 1, 1)
     for v in range(10):
         buf.push([v], [v], [v])
-    batch = buf.sample(np.random.default_rng(1), 100_000)
-    counts = np.bincount(batch.states[:, 0].astype(int), minlength=10)
+    idx = buf.sample(np.random.default_rng(1), 100_000)
+    counts = np.bincount(buf.states[idx, 0].astype(int), minlength=10)
     _, p = scipy.stats.chisquare(counts)
     assert p > 0.01
 
@@ -196,12 +197,12 @@ def test_polyak_extremes():
     s, u, s2 = _fill_batch(rng, 8, 4, 2)
 
     agent = small_agent(7, cfg=SacConfig(tau=1.0, actor_hidden=(16, 16), critic_hidden=(16, 16)))
-    critic_update(agent, s, u, s2, lambda st, uu: np.zeros(len(st)), rng)
+    critic_update(agent, s, u, s2, np.zeros(len(s)), rng)
     np.testing.assert_array_equal(agent.target1.params, agent.critic1.params)
 
     agent = small_agent(7, cfg=SacConfig(tau=0.0, actor_hidden=(16, 16), critic_hidden=(16, 16)))
     before = agent.target1.params.copy()
-    critic_update(agent, s, u, s2, lambda st, uu: np.zeros(len(st)), rng)
+    critic_update(agent, s, u, s2, np.zeros(len(s)), rng)
     np.testing.assert_array_equal(agent.target1.params, before)
 
 
@@ -233,12 +234,12 @@ def test_critic_fixed_point_matches_scalar_oracle():
     U = np.tile(act(agent.actor, s[None]), (32, 1))
     r0 = 1.7
     for _ in range(1500):
-        critic_update(agent, S, U, S, lambda st, uu: np.full(len(st), r0), rng)
+        critic_update(agent, S, U, S, np.full(len(S), r0), rng)
     _, logp, _, _ = sample_with_log_prob(agent, np.tile(s, (20_000, 1)),
                                          np.random.default_rng(12).standard_normal((20_000, 2)))
     e_logp = float(np.mean(logp))
     q_star = (r0 - cfg.gamma * cfg.init_alpha * e_logp) / (1.0 - cfg.gamma)
-    q = sacgen._q(agent.critic1, S[:1], U[:1])[0]
+    q = agent.critic1.forward(np.concatenate([S[:1], U[:1]], axis=1))[0, 0]
     assert q == pytest.approx(q_star, rel=0.05)
 
 
@@ -324,7 +325,7 @@ def test_updates_deterministic():
         rng = np.random.default_rng(23)
         for _ in range(10):
             s, u, s2 = _fill_batch(rng, 16, 4, 2)
-            critic_update(agent, s, u, s2, lambda st, uu: np.ones(len(st)), rng)
+            critic_update(agent, s, u, s2, np.ones(len(s)), rng)
             actor_update(agent, s, rng)
         return agent.digest()
 
