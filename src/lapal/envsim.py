@@ -23,10 +23,11 @@ interact and every reduction runs along a row, so a row of a batched step is
 bit-identical to the same row stepped alone. `rollout_episodes` rolls N
 episodes in lockstep from start states that its caller resets, and every
 timestep makes one policy call and one kernel step for all episodes, keeping
-their states as one path. Callers reset each episode from its own seed or
-generator, so policies and demo jitter draw each episode's random stream
-exactly as a one-episode-at-a-time loop would. Batched policy, expert and
-kinematics arithmetic may differ from a per-row loop in the last ulp: demo
+only their rewards and final states; demo collection records the states and
+actions that pass through its policy. Callers reset each episode from its own
+seed or generator, so policies and demo jitter draw each episode's random
+stream exactly as a one-episode-at-a-time loop would. Batched policy, expert
+and kinematics arithmetic may differ from a per-row loop in the last ulp: demo
 arrays, and returns of float64 policies, agree with that loop to 1e-12 (the
 tests keep such a loop as their oracle); float32 network passes round more
 coarsely, and their returns agree to a relative 1e-6. The per-timestep
@@ -426,45 +427,29 @@ def _arm_expert(env: EnvDef, kp, task_bias, vel, goal, jac, ee) -> np.ndarray:
 # rollouts
 
 
-def rollout_episodes(env_id: str, act_fn, starts) -> dict:
+def rollout_episodes(env_id: str, act_fn, starts):
     """Roll one full episode from each start state in lockstep;
-    act_fn(states, t) -> actions.
+    act_fn(states, t) -> actions. Returns (final_states, rewards).
 
     `starts` holds the (N, state_dim) reset states, which the caller draws.
     act_fn maps the (N, state_dim) states of all episodes at timestep t to
-    (N, action_dim) actions. Arrays are indexed [episode, t]; "states" and
-    "next_states" are views of one (N, horizon + 1, state_dim) state path, and
-    "return" and "settle_dist" hold one value per episode.
+    (N, action_dim) actions. `rewards` is (N, horizon), indexed [episode, t].
+    The kernel keeps no states or actions: a caller that needs them records
+    them in act_fn.
     """
-    env = env_def(env_id)
-    spec = env.spec
-    n, horizon = len(starts), spec.horizon
-    path = np.empty((n, horizon + 1, spec.state_dim))
-    path[:, 0] = starts
-    actions = np.empty((n, horizon, spec.action_dim))
-    rewards = np.empty((n, horizon))
-    for t in range(horizon):
-        action = act_fn(path[:, t], t)
-        path[:, t + 1], rewards[:, t] = step_batch(env_id, path[:, t], action)
-        np.minimum(np.maximum(action, spec.action_low), spec.action_high, out=actions[:, t])
-    dones = np.zeros((n, horizon))
-    dones[:, -1] = 1.0
-    return {
-        "states": path[:, :-1], "actions": actions, "next_states": path[:, 1:],
-        "rewards": rewards, "dones": dones,
-        "return": np.add.reduce(rewards, 1),
-        "settle_dist": np.mean(goal_distance(env, path[:, -10:]), axis=1),
-    }
+    states = starts
+    rewards = np.empty((len(starts), env_spec(env_id).horizon))
+    for t in range(rewards.shape[1]):
+        states, rewards[:, t] = step_batch(env_id, states, act_fn(states, t))
+    return states, rewards
 
 
-def rollout_episode(env_id: str, act_fn, episode_seed) -> dict:
-    """Roll one full episode; act_fn(state, t) -> action.
-
-    The one-episode case of `rollout_episodes`.
-    """
-    ep = rollout_episodes(env_id, lambda s, t: np.asarray(act_fn(s[0], t))[None],
-                          env_reset(env_id, episode_seed)[None])
-    return {key: value[0] for key, value in ep.items()}
+def rollout_episode(env_id: str, act_fn, episode_seed):
+    """(final_state, rewards) of one full episode; act_fn(state, t) -> action.
+    The one-episode case of `rollout_episodes`."""
+    final, rewards = rollout_episodes(env_id, lambda s, t: np.asarray(act_fn(s[0], t))[None],
+                                      env_reset(env_id, episode_seed)[None])
+    return final[0], rewards[0]
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +580,9 @@ def collect_demos(env_id: str, n_episodes: int = 64, seed: int = 0,
     (horizon + 1, 2) standard-normal block, its posture noise input as one
     (horizon + 1, 1) block (arms with redundant joints), then its reset.
     Arm timesteps compute the link vectors and Jacobian once, for the goal
-    distance, the expert torque and the nullspace direction alike.
+    distance, the expert torque and the nullspace direction alike. The act
+    function records each state it sees and each action it returns; the
+    actions are in bounds already, so they are the actions the env steps.
     """
     if n_episodes < 1:
         raise ConfigError("need at least one episode")
@@ -615,20 +602,26 @@ def collect_demos(env_id: str, n_episodes: int = 64, seed: int = 0,
     ou = _ou_steps(np.stack(draws), sigma, jitter.ou_tau, spec.dt)
     noise, null_amp = ou[..., :2], (ou[..., 2] if use_null else None)
 
-    def act(s, t):
-        return _demo_action(env, jitter, s, kp_scale, noise[:, t],
-                            None if null_amp is None else null_amp[:, t])
+    path = np.empty((n_episodes, spec.horizon + 1, spec.state_dim))
+    actions = np.empty((n_episodes, spec.horizon, spec.action_dim))
 
-    eps = rollout_episodes(env_id, act, np.stack(starts))
-    rate = np.count_nonzero(eps["settle_dist"] <= env.params.success_tol) / n_episodes
+    def act(s, t):
+        path[:, t] = s
+        actions[:, t] = a = _demo_action(env, jitter, s, kp_scale, noise[:, t],
+                                         None if null_amp is None else null_amp[:, t])
+        return a
+
+    path[:, -1], rewards = rollout_episodes(env_id, act, np.stack(starts))
+    settle_dist = np.mean(goal_distance(env, path[:, -10:]), axis=1)
+    rate = np.count_nonzero(settle_dist <= env.params.success_tol) / n_episodes
     buffer = DemoBuffer(
         env_id=env_id,
         env_digest=spec.digest(),
-        states=np.concatenate(eps["states"]),              # copied out of the state
-        actions=eps["actions"].reshape(-1, spec.action_dim),
-        next_states=np.concatenate(eps["next_states"]),    # path, so never aliased
-        dones=eps["dones"].reshape(-1),
-        rewards=eps["rewards"].reshape(-1),
+        states=np.concatenate(path[:, :-1]),               # copied out of the state
+        actions=actions.reshape(-1, spec.action_dim),
+        next_states=np.concatenate(path[:, 1:]),           # path, so never aliased
+        dones=np.tile(np.arange(spec.horizon) == spec.horizon - 1, n_episodes).astype(float),
+        rewards=rewards.reshape(-1),
         episode_boundaries=np.arange(n_episodes, dtype=np.int64) * spec.horizon,
     )
     if rate < min_success_rate:

@@ -26,10 +26,11 @@ are featurized once per run.
 The buffer stores raw env actions and no rewards. Each phase boxes the
 filled buffer and scores it once, and the demos are boxed once per run: the
 encoder and discriminator hold still within a phase, except that aware
-mode's encoder steps with, and so encodes, each discriminator minibatch. The
-passes run in minibatch-sized `nncore.chunked_rows` chunks, which keep the
-bits of per-minibatch passes, so aware mode at codec learning rates 0 walks
-the agnostic update sequence exactly - a differential test the suite pins
+mode's encoder steps with, and so encodes, each discriminator minibatch. A
+pass that no update of its phase reads is skipped. The passes run in
+minibatch-sized `nncore.chunked_rows` chunks, which keep the bits of
+per-minibatch passes, so aware mode at codec learning rates 0 walks the
+agnostic update sequence exactly - a differential test the suite pins
 down. Normalized returns are gap-closed:
 (R - R_random) / (R_expert - R_random) against expert and random references
 evaluated on the same episodes.
@@ -48,9 +49,11 @@ stream from its own sub-stream, in the order a one-episode-at-a-time loop
 would. Batched matrix products may round differently from one row: returns
 agree with such a loop to 1e-12 with float64 networks, to a relative 1e-6
 with the default float32 ones (7.5e-8 at most, measured on the lockstep
-tests' policies). Collection in `run_training` runs in lockstep
-too: an iteration's episode segments step together, drawing the same random
-numbers and filling the buffer in the same order as a one-step loop would.
+tests' policies). Evaluation keeps no states or actions: it sums each
+episode's rewards into its return. Collection in `run_training` runs in
+lockstep too: an iteration's episode segments step together, drawing the
+same random numbers and filling the buffer in the same order as a one-step
+loop would.
 """
 
 from __future__ import annotations
@@ -244,7 +247,7 @@ def evaluate_policies(policies, env_id: str, n_episodes: int = 16, seed=0) -> li
     actors = [p.lockstep_actor(seeds) for p in policies]
     act = actors[0] if len(actors) == 1 else lambda states, t: np.concatenate(
         [a(states[i * n_episodes:(i + 1) * n_episodes], t) for i, a in enumerate(actors)])
-    returns = envsim.rollout_episodes(env_id, act, starts)["return"]
+    returns = np.add.reduce(envsim.rollout_episodes(env_id, act, starts)[1], 1)
     return [(float(np.mean(r)), float(np.std(r)))
             for r in returns.reshape(len(policies), n_episodes)]
 
@@ -271,7 +274,7 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
     Each iteration boxes and scores the filled replay buffer once, in
     ceil(size / batch_size) chunk passes; these cost more than the
     per-update passes they replace only when a phase runs fewer updates than
-    that."""
+    that. A run without updates only collects and evaluates."""
     spec = envsim.env_spec(cfg.env_id)
     if demos.env_digest != spec.digest():
         raise ConfigError(f"demos were generated for a different {cfg.env_id}")
@@ -310,7 +313,8 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
     recon_probe = _recon_probe(demo_feats, demos.actions, batch_rng) if cfg.latent else None
 
     aware, chunk = cfg.algo == "lapal-aware", sac_cfg.batch_size
-    demo_u = None if aware else chunked_rows(bundle.to_box, chunk, demo_feats, demos.actions)
+    disc_boxed = cfg.disc_updates_per_iteration and not aware   # updates read boxed rows
+    demo_u = chunked_rows(bundle.to_box, chunk, demo_feats, demos.actions) if disc_boxed else None
     half = max(1, chunk // 2)
 
     curve: list = []
@@ -327,7 +331,7 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
 
         if len(buf) >= chunk:
             S, A, S2 = (x[: len(buf)] for x in (buf.states, buf.actions, buf.next_states))
-            U = None if aware else chunked_rows(bundle.to_box, chunk, S, A)
+            U = chunked_rows(bundle.to_box, chunk, S, A) if disc_boxed else None
             dl = al = cl = en = 0.0
             try:
                 for _ in range(cfg.disc_updates_per_iteration):
@@ -339,9 +343,10 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
                         dl = adversary.disc_loss_and_grad(disc, (demo_feats[ei], demo_u[ei]),
                                                           (S[bi], U[bi]))
                         disc.tree.adam_step(cfg.disc_lr)
-                if aware:
-                    U = chunked_rows(bundle.to_box, chunk, S, A)
-                R = chunked_rows(lambda f, u: adversary.disc_reward(disc, f, u), chunk, S, U)
+                if cfg.gen_updates_per_iteration:
+                    if U is None:  # aware mode, whose encoder just stepped, or no disc updates
+                        U = chunked_rows(bundle.to_box, chunk, S, A)
+                    R = chunked_rows(lambda f, u: adversary.disc_reward(disc, f, u), chunk, S, U)
                 for _ in range(cfg.gen_updates_per_iteration):
                     i = buf.sample(batch_rng, chunk)
                     s = S[i]

@@ -8,9 +8,11 @@ after. Run from the repository root:
 It prints a digest of the demos of every env family at fixed seeds, of a
 short `train_codec` run (weights and history), of a small `run_training`
 in each mode (per-iteration digests and the curve), of the same arm3 runs
-with a 300-row replay buffer, which wraps, of a short transfer of
-the arm3 agnostic policy to arm3-perturbed (codec weights and history) and
-of 20 float64 SAC learner steps on arm3 features. The `params`, `transfer`
+with a 300-row replay buffer, which wraps, of an arm3 agnostic run that
+makes no updates, of one evaluation of the arm3 agnostic policy with the
+expert and random references, of a short transfer of that policy to
+arm3-perturbed (codec weights and history) and its returns there, and of
+20 float64 SAC learner steps on arm3 features. The `params`, `transfer`
 and `learner` lines hash only parameter buffers and numbers, never a config
 string, so they stay comparable across a change to how a config prints.
 pytest does not collect this file.
@@ -18,7 +20,7 @@ pytest does not collect this file.
 
 import hashlib
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 
@@ -115,11 +117,22 @@ def main():
                                           sacgen.SacConfig(buffer_capacity=300), demos, codec)
                 wrapped += [records, [astuple(row) for row in res.curve], res.bundle.digest()]
             print(f"run_training wrap arm3: {digest(*wrapped)}")
+            idle = replace(small_run("lapal-agnostic", env_id), disc_updates_per_iteration=0,
+                           gen_updates_per_iteration=0)
+            res, records = run_with_records(idle, sacgen.SacConfig(), demos, codec)
+            print(f"run_training no updates arm3: "
+                  f"{digest(records, [astuple(row) for row in res.curve])}")
+            evals = orchestrator.evaluate_policies(
+                [source, orchestrator.ExpertPolicy(env_id), orchestrator.RandomPolicy(env_id)],
+                env_id, 16, 5)
+            print(f"evaluate_policies arm3: {digest(evals)}")
 
     target = envsim.collect_demos("arm3-perturbed", 16, 5)
     moved, history = orchestrator.transfer_policy(source, target, cfg, 7)
     print(f"transfer arm3-perturbed: "
           f"{digest(*codec_params(moved.codec), sorted(history.items()))}")
+    print(f"evaluate transfer arm3-perturbed: "
+          f"{digest(orchestrator.evaluate_policy(moved, 'arm3-perturbed', 16, 5))}")
     print(f"learner float64: {learner_digest()}")
 
 

@@ -204,21 +204,28 @@ def test_pointmass_expert_collinear_at_rest():
         assert abs(cross) < 1e-12 and a @ toward > 0
 
 
+def episode_return(env_id, act_fn, episode_seed):
+    return np.sum(rollout_episode(env_id, act_fn, episode_seed)[1])
+
+
 def test_expert_beats_random_everywhere():
     for env_id in ALL_ENVS:
         spec = env_spec(env_id)
         exp, rnd = [], []
         for ep in range(8):
-            exp.append(rollout_episode(env_id, lambda s, t: scripted_expert(env_id, s), 100 + ep)["return"])
+            exp.append(episode_return(env_id, lambda s, t: scripted_expert(env_id, s), 100 + ep))
             rng = np.random.default_rng(200 + ep)
-            rnd.append(rollout_episode(env_id, lambda s, t: rng.uniform(-1, 1, spec.action_dim), 100 + ep)["return"])
+            rnd.append(episode_return(env_id, lambda s, t: rng.uniform(-1, 1, spec.action_dim),
+                                      100 + ep))
         assert np.mean(exp) > np.mean(rnd) + 1.0, env_id
 
 
 def test_expert_reference_reproducible():
-    a = [rollout_episode("arm6", lambda s, t: scripted_expert("arm6", s), 50 + i)["return"] for i in range(4)]
-    b = [rollout_episode("arm6", lambda s, t: scripted_expert("arm6", s), 50 + i)["return"] for i in range(4)]
-    assert a == b
+    a, b = ([rollout_episode("arm6", lambda s, t: scripted_expert("arm6", s), 50 + i)
+             for i in range(4)] for _ in range(2))
+    for (final_a, rewards_a), (final_b, rewards_b) in zip(a, b):
+        assert final_a.tobytes() == final_b.tobytes()
+        assert rewards_a.tobytes() == rewards_b.tobytes()
 
 
 # -- demos ---------------------------------------------------------------------

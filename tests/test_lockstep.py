@@ -148,16 +148,33 @@ def resets(env_id, seeds):
     return np.stack([env_reset(env_id, s) for s in seeds])
 
 
+def recorded_rollout(env_id, act_fn, starts):
+    """`envsim.rollout_episodes` through an act function that records the
+    states it sees and the actions it returns: the (N, horizon + 1, d) state
+    path, ending in the final states, the actions and the rewards."""
+    seen, taken = [], []
+
+    def recording(S, t):
+        seen.append(np.copy(S))
+        taken.append(act_fn(S, t))
+        return taken[-1]
+
+    final, rewards = envsim.rollout_episodes(env_id, recording, starts)
+    return np.stack(seen + [final], 1), np.stack(taken, 1), rewards
+
+
 @pytest.mark.parametrize("env_id", ENVS)
 def test_state_path_and_demos_match_separate_arrays(env_id, tmp_path):
     def act(S, t):
         return envsim.scripted_expert(env_id, S)
 
-    ours = envsim.rollout_episodes(env_id, act, resets(env_id, [3, 4, 5]))
+    path, actions, rewards = recorded_rollout(env_id, act, resets(env_id, [3, 4, 5]))
     theirs = rowwise.batched_rollout_episodes(env_id, act, [3, 4, 5])
-    assert ours.keys() == theirs.keys()
-    for key, value in theirs.items():
-        assert bits(ours[key]) == bits(value), key
+    ours = {"states": path[:, :-1], "next_states": path[:, 1:], "rewards": rewards,
+            "return": np.add.reduce(rewards, 1),
+            "actions": actions}            # the expert's actions are in bounds already
+    for key, value in ours.items():
+        assert bits(value) == bits(theirs[key]), key
     envsim.collect_demos(env_id, n_episodes=3, seed=9, min_success_rate=0.0).save(
         tmp_path / "ours")
     one = envsim.collect_demos(env_id, n_episodes=1, seed=9, min_success_rate=0.0)
@@ -297,8 +314,9 @@ def lockstep_and_per_row_returns(policy, env_id, n=5):
     seed = np.random.SeedSequence(11)
     reference = rowwise.episode_returns(policy, env_id, n, seed)
     seeds = [_child_seq(seed, i) for i in range(n)]
-    returns = envsim.rollout_episodes(env_id, policy.lockstep_actor(seeds),
-                                      resets(env_id, seeds))["return"]
+    _, rewards = envsim.rollout_episodes(env_id, policy.lockstep_actor(seeds),
+                                         resets(env_id, seeds))
+    returns = np.add.reduce(rewards, 1)
     return returns, reference, evaluate_policy(policy, env_id, n, seed)
 
 
@@ -365,14 +383,15 @@ def test_lockstep_clamp_count_matches_per_row():
     seeds = list(range(4))
     draws = {s: np.random.default_rng(100 + s).uniform(-1.6, 1.6, (140, 3)) for s in seeds}
     envsim.reset_clamp_counts()
-    out = envsim.rollout_episodes(
+    path, _, rewards = recorded_rollout(
         "arm3", lambda S, t: np.stack([draws[s][t] for s in seeds]), resets("arm3", seeds))
     per_row = [rowwise.rollout_episode("arm3", lambda s, t, d=draws[k]: d[t], k)
                for k in seeds]
     assert envsim.clamp_counts()["arm3"] == sum(ep["clamps"] for ep in per_row) > 0
     for i, ep in enumerate(per_row):
-        np.testing.assert_array_equal(out["actions"][i], ep["actions"])
-        np.testing.assert_allclose(out["states"][i], ep["states"], rtol=0, atol=TOL)
+        np.testing.assert_allclose(path[i, :-1], ep["states"], rtol=0, atol=TOL)
+        np.testing.assert_allclose(path[i, 1:], ep["next_states"], rtol=0, atol=TOL)
+        np.testing.assert_allclose(rewards[i], ep["rewards"], rtol=0, atol=TOL)
 
 
 def test_rollout_episode_is_the_one_episode_case():
@@ -380,8 +399,9 @@ def test_rollout_episode_is_the_one_episode_case():
     one = envsim.rollout_episode("arm3", act, 7)
     many = envsim.rollout_episodes("arm3", lambda S, t: envsim.scripted_expert("arm3", S),
                                    resets("arm3", [3, 7]))
-    for key, value in one.items():
-        np.testing.assert_array_equal(value, many[key][1])
+    assert len(one) == len(many) == 2
+    for ours, theirs in zip(one, many):
+        assert bits(ours) == bits(theirs[1]) and ours.shape == theirs[1].shape
 
 
 @pytest.mark.parametrize("env_id", ENVS)

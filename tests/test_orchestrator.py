@@ -513,12 +513,15 @@ def test_chunked_passes_match_minibatch_passes(latent, n, env_inputs):
     assert tail_rows > 0
 
 
-@pytest.mark.parametrize("disc_updates, gen_updates", [(5, 10), (20, 40)])
+@pytest.mark.parametrize("disc_updates, gen_updates", [(5, 10), (20, 40), (0, 0), (5, 0)])
 def test_one_encoding_and_reward_pass_per_phase(disc_updates, gen_updates, monkeypatch,
                                                 pm_demos, pm_codec):
     """One agnostic iteration encodes the demos and the buffer once each and
     scores the buffer once, in batch-size chunks, however many updates it
-    runs; the evaluation's reconstruction probe encodes once more."""
+    runs, and skips each pass that no update reads: the demos without
+    discriminator updates, the buffer without any update, and the scores
+    without generator updates. The evaluation's reconstruction probe encodes
+    once more."""
     calls = {"encode": [], "disc_reward": []}
     for module, name in ((latentact, "encode"), (adversary, "disc_reward")):
         def counting(*args, _f=getattr(module, name), _name=name, **kw):
@@ -531,9 +534,11 @@ def test_one_encoding_and_reward_pass_per_phase(disc_updates, gen_updates, monke
                         gen_updates_per_iteration=gen_updates)
     run_training(cfg, SMALL_SAC, pm_demos, codec=pm_codec, seed=5)
     batch = SMALL_SAC.batch_size
-    chunks = -(-len(pm_demos) // batch) + -(-200 // batch)
-    assert calls["encode"] == [batch] * chunks + [min(512, len(pm_demos))]
-    assert calls["disc_reward"] == [batch] * -(-200 // batch)
+    demo_pass, buffer_pass = [batch] * -(-len(pm_demos) // batch), [batch] * -(-200 // batch)
+    assert calls["encode"] == (demo_pass * bool(disc_updates)
+                               + buffer_pass * bool(disc_updates or gen_updates)
+                               + [min(512, len(pm_demos))])
+    assert calls["disc_reward"] == buffer_pass * bool(gen_updates)
 
 
 def test_buffer_holds_features_of_stepped_states(monkeypatch, env_inputs):
