@@ -1,7 +1,8 @@
 """Deterministic toy continuous-control environments with scripted experts.
 
 Two families, both torque/force controlled with semi-implicit Euler
-integration and viscous damping:
+integration and viscous damping, in the unit action box [-1, 1]^action_dim
+that `step_batch` clamps every action to:
 
   pointmass      state (pos - goal, vel) in R^4, action = 2-D force
   arm<K>         planar K-link chain, state (angles, velocities, goal) in
@@ -61,23 +62,14 @@ class EnvSpec:
     env_id: str
     state_dim: int
     action_dim: int
-    action_low: np.ndarray
-    action_high: np.ndarray
     dt: float
     horizon: int
-    gamma: float
-
-    def __post_init__(self):
-        # specs are cached per env_id and shared by every caller
-        self.action_low.setflags(write=False)
-        self.action_high.setflags(write=False)
 
     def canonical(self) -> str:
-        lo = ",".join(f"{x:.17g}" for x in self.action_low)
-        hi = ",".join(f"{x:.17g}" for x in self.action_high)
+        """The spec and the env's dynamics parameters, floats exact."""
         return (
             f"env:{self.env_id};s={self.state_dim};a={self.action_dim};"
-            f"lo={lo};hi={hi};dt={self.dt:.17g};h={self.horizon};gamma={self.gamma:.17g}"
+            f"dt={self.dt:.17g};h={self.horizon};params={env_def(self.env_id).params!r}"
         )
 
     def digest(self) -> str:
@@ -140,11 +132,7 @@ def reset_clamp_counts() -> None:
 
 
 def _pointmass_def() -> EnvDef:
-    spec = EnvSpec(
-        env_id="pointmass", state_dim=4, action_dim=2,
-        action_low=-np.ones(2), action_high=np.ones(2),
-        dt=0.1, horizon=60, gamma=0.99,
-    )
+    spec = EnvSpec("pointmass", state_dim=4, action_dim=2, dt=0.1, horizon=60)
     return EnvDef(spec=spec, kind="pointmass", params=PointmassParams())
 
 
@@ -164,11 +152,7 @@ def _arm_def(k: int, perturbed: bool) -> EnvDef:
             lengths=tuple(l * 1.2 for l in params.lengths),
             damping=params.damping * 2.0,
         )
-    spec = EnvSpec(
-        env_id=name, state_dim=2 * k + 2, action_dim=k,
-        action_low=-np.ones(k), action_high=np.ones(k),
-        dt=0.05, horizon=140, gamma=0.99,
-    )
+    spec = EnvSpec(name, state_dim=2 * k + 2, action_dim=k, dt=0.05, horizon=140)
     return EnvDef(spec=spec, kind="arm", params=params)
 
 
@@ -307,7 +291,7 @@ def step_batch(env_id: str, states, actions):
     """Step N independent simulators; returns (next_states, eval_rewards).
 
     `states` is (N, state_dim) and `actions` is (N, action_dim). Actions
-    outside the bounds are clamped, and each clamped row counts once in
+    outside the unit box are clamped, and each clamped row counts once in
     `clamp_counts`. Every row reduces on its own, so a row's result does not
     depend on the other rows. Episodes terminate only at the horizon, which
     the rollout layer tracks; the dynamics themselves never emit a terminal.
@@ -327,7 +311,7 @@ def step_batch(env_id: str, states, actions):
         )
     if not np.isfinite(S).all():
         raise EnvironmentFault(f"non-finite state in {env_id}")
-    clamped = np.minimum(np.maximum(A, spec.action_low), spec.action_high)
+    clamped = np.minimum(np.maximum(A, -1.0), 1.0)
     outside = clamped != A
     if outside.any():
         if not np.isfinite(A).all():
@@ -393,7 +377,7 @@ def feature_map(env_id: str, states) -> np.ndarray:
 
 def scripted_expert(env_id: str, state, kp_scale=1.0,
                     task_bias=None) -> np.ndarray:
-    """Operational-space PD controller toward the goal, clamped to bounds.
+    """Operational-space PD controller toward the goal, clamped to the unit box.
 
     Takes one state (d,) or a batch (N, d). kp_scale (a scalar or one gain
     per row) and task_bias exist for demo collection: the bias is a 2-D force
@@ -401,26 +385,26 @@ def scripted_expert(env_id: str, state, kp_scale=1.0,
     so demo actions vary along the task-relevant directions.
     """
     env = env_def(env_id)
-    spec, p = env.spec, env.params
+    p = env.params
     state = np.asarray(state, dtype=np.float64)
     kp = np.asarray(kp_scale, dtype=np.float64)[..., None]
     if env.kind == "pointmass":
         f = -kp * p.expert_kp * state[..., :2] - p.expert_kd * state[..., 2:]
         if task_bias is not None:
             f = f + task_bias
-        return np.minimum(np.maximum(f, spec.action_low), spec.action_high)
+        return np.minimum(np.maximum(f, -1.0), 1.0)
     return _arm_expert(env, kp, task_bias, *_arm_kinematics(env, state))
 
 
 def _arm_expert(env: EnvDef, kp, task_bias, vel, goal, jac, ee) -> np.ndarray:
     """`scripted_expert` of arm states from their `_arm_kinematics`."""
-    spec, p = env.spec, env.params
+    p = env.params
     ee_vel = np.add.reduce(jac * vel[..., None, :], -1)
     f = kp * p.expert_kp * (goal - ee) - p.expert_kd * ee_vel
     if task_bias is not None:
         f = f + task_bias
     tau = np.add.reduce(jac * f[..., None], -2) - p.expert_joint_damping * vel
-    return np.minimum(np.maximum(tau, spec.action_low), spec.action_high)
+    return np.minimum(np.maximum(tau, -1.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +551,7 @@ def _demo_action(env: EnvDef, jitter: JitterConfig, s, kp_scale, noise, null_amp
     if null_amp is None:
         return tau
     tau = tau + null_amp[:, None] * _nullspace(jac)
-    return np.minimum(np.maximum(tau, env.spec.action_low), env.spec.action_high)
+    return np.minimum(np.maximum(tau, -1.0), 1.0)
 
 
 def collect_demos(env_id: str, n_episodes: int = 64, seed: int = 0,
@@ -582,7 +566,7 @@ def collect_demos(env_id: str, n_episodes: int = 64, seed: int = 0,
     Arm timesteps compute the link vectors and Jacobian once, for the goal
     distance, the expert torque and the nullspace direction alike. The act
     function records each state it sees and each action it returns; the
-    actions are in bounds already, so they are the actions the env steps.
+    actions are in the unit box already, so they are the actions the env steps.
     """
     if n_episodes < 1:
         raise ConfigError("need at least one episode")

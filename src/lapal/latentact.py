@@ -1,10 +1,11 @@
 """Conditional variational autoencoder over actions.
 
 The encoder maps a state-action pair to a diagonal Gaussian over a
-low-dimensional latent; the decoder maps (state, latent) back to a bounded
-action. Both networks see states only as features (`envsim.feature_map`):
-`encode` and `decode` take features, which callers compute once per state,
-and `train_codec` featurizes the demo states once before its epochs.
+low-dimensional latent; the decoder maps (state, latent) back to an action:
+its tanh output is the action, inside the env's unit action box. Both
+networks see states only as features (`envsim.feature_map`): `encode` and
+`decode` take features, which callers compute once per state, and
+`train_codec` featurizes the demo states once before its epochs.
 
 Latent actions live in the open box (-1, 1)^d: the encoding every network
 sees is tanh of the posterior mean, and training squashes the
@@ -24,7 +25,6 @@ in keep their meaning.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import warnings
 from dataclasses import asdict, dataclass
@@ -98,10 +98,6 @@ class ActionCodec:
     def feat_dim(self) -> int:
         return envsim.feature_dim(self.env_id)
 
-    @functools.cached_property
-    def action_high(self) -> np.ndarray:
-        return envsim.env_spec(self.env_id).action_high
-
     @property
     def latent_dim(self) -> int:
         return self.config.latent_dim
@@ -173,7 +169,8 @@ def encode_mean_backward(codec: ActionCodec, u, d_u, accumulate: bool = True):
 
 
 def decode(codec: ActionCodec, feats, latents, record: bool = False) -> np.ndarray:
-    """Map latent actions back to env actions, strictly inside the bounds.
+    """Map latent actions back to env actions: the decoder's tanh output,
+    strictly inside the unit box.
 
     `feats` are state features, one row or (N, feat_dim).
     """
@@ -182,7 +179,6 @@ def decode(codec: ActionCodec, feats, latents, record: bool = False) -> np.ndarr
     if z2.shape[1] != codec.latent_dim:
         raise ConfigError(f"latent width {z2.shape[1]} != latent_dim {codec.latent_dim}")
     out = codec.decoder.forward(np.concatenate([s2, z2], axis=1), record=record)
-    out = out * codec.action_high
     return out[0] if np.ndim(feats) == 1 else out
 
 
@@ -202,7 +198,7 @@ def cvae_loss(codec: ActionCodec, x, noise) -> tuple:
 def _cvae_forward(codec, x, noise, record):
     dist, ls_ok = gaussian_head(codec.encoder.forward(x, record=record))
     abar = np.tanh(dist.sample(noise))
-    n_act = codec.action_high.size
+    n_act = codec.decoder.spec.output_dim
     recon_term, err = _recon_error(codec, x[:, :-n_act], x[:, -n_act:], abar, record)
     kl_term = float(np.add.reduce(dist.kl_to_standard())) / x.shape[0]
     loss = recon_term + codec.config.beta * kl_term
@@ -221,9 +217,7 @@ def _decoder_backward(codec, err, input_grad=True):
     """Backward pass of the recorded decode behind `_recon_error`'s `err`:
     accumulates the decoder's gradients of the batch-mean squared error and
     returns d loss / d decoder input, or None without `input_grad`."""
-    # d/d(decoder output before bound scaling)
-    return codec.decoder.backward((2.0 / len(err)) * err * codec.action_high,
-                                  input_grad=input_grad)
+    return codec.decoder.backward((2.0 / len(err)) * err, input_grad=input_grad)
 
 
 def cvae_loss_and_grad(codec: ActionCodec, x, noise) -> tuple:
@@ -318,7 +312,7 @@ def retrain_decoder(source: ActionCodec, demos: envsim.DemoBuffer, cfg: CVAEConf
         return recon + cfg.beta * kl_term, {"recon": recon, "kl": kl_term}
 
     history = _fit(cfg, batch_rng, step, (codec.decoder,),
-                   lambda: _decode_mse(codec, S_ho, U_ho, A_ho), A_tr, A_ho)
+                   lambda: _recon_error(codec, S_ho, A_ho, U_ho, record=False)[0], A_tr, A_ho)
     return codec, history
 
 
@@ -390,12 +384,7 @@ def _fit(cfg: CVAEConfig, rng, step, trees, holdout, A_tr, A_ho) -> dict:
 
 def holdout_reconstruction_mse(codec: ActionCodec, feats, actions) -> float:
     """Mean squared reconstruction error of the deterministic round trip."""
-    return _decode_mse(codec, feats, encode_mean(codec, feats, actions), actions)
-
-
-def _decode_mse(codec: ActionCodec, feats, latents, actions) -> float:
-    recon = decode(codec, feats, latents)
-    return float(np.mean(np.sum((recon - actions) ** 2, axis=1)))
+    return _recon_error(codec, feats, actions, encode_mean(codec, feats, actions), False)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,13 @@ on a fixed set of fresh episodes. Three algorithms share the loop:
                    ascent and the decoder joins the generator descent
 
 The modes differ in the policy's action space, and `PolicyBundle` is that
-space: `to_env` maps the actor's box points to env actions (scaled by the
-action bounds, or decoded through the codec) and `to_box` maps env actions
-back (divided, or encoded). Collection, the critic and discriminator inputs
-and evaluation all go through these two maps. Aware mode adds the encoder
-step in `_disc_step` and `sacgen.decoder_adversarial_step` after each actor
-step; both go through `latentact.encode_mean` and its backward pass.
+space: `to_env` maps the actor's box points to env actions and `to_box` maps
+env actions back. Every env acts in the unit box, so for a raw policy both
+maps are the identity; a latent policy decodes and encodes through its
+codec. Collection, the critic and discriminator inputs and evaluation all go
+through these two maps. Aware mode adds the encoder step in `_disc_step` and
+`sacgen.decoder_adversarial_step` after each actor step; both go through
+`latentact.encode_mean` and its backward pass.
 
 Raw env states stop at the env boundary: every network consumes state
 features, and each state is featurized once. Collection featurizes each new
@@ -153,7 +154,7 @@ class ExpertPolicy:
 
 
 class RandomPolicy:
-    """Uniform actions over the bounds; the 0% reference."""
+    """Uniform actions over the unit box; the 0% reference."""
 
     def __init__(self, env_id: str):
         self.spec = envsim.env_spec(env_id)
@@ -165,7 +166,7 @@ class RandomPolicy:
         spec = self.spec
         draws = np.stack([
             np.random.default_rng(_child_seq(seed, 1)).uniform(
-                spec.action_low, spec.action_high, (spec.horizon, spec.action_dim))
+                -1.0, 1.0, (spec.horizon, spec.action_dim))
             for seed in episode_seeds])
         return lambda states, t: draws[:, t]
 
@@ -183,8 +184,8 @@ class PolicyBundle:
     """A policy's actor and its action space. The actor emits points u of the
     box (-1, 1)^u_dim; `to_env` maps them to env actions and `to_box` maps env
     actions back. A policy is latent, its box the codec's latent space,
-    exactly when it has a codec; otherwise the box is the env's action box
-    over `action_high`."""
+    exactly when it has a codec; otherwise the box is the env's unit action
+    box and both maps return their input."""
 
     env_id: str
     actor: object                      # ParamTree emitting a Gaussian head
@@ -206,14 +207,14 @@ class PolicyBundle:
     def to_env(self, feats, u):
         """Env actions of box points `u` at state features `feats`."""
         if self.codec is None:
-            return u * envsim.env_spec(self.env_id).action_high
+            return u
         return latentact.decode(self.codec, feats, u)
 
     def to_box(self, feats, actions):
-        """Box points of env `actions` at state features `feats`: divided by
-        the action bounds, or the codec's mean encoding."""
+        """Box points of env `actions` at state features `feats`: the actions
+        themselves, or the codec's mean encoding."""
         if self.codec is None:
-            return actions / envsim.env_spec(self.env_id).action_high
+            return actions
         return latentact.encode_mean(self.codec, feats, actions)
 
     def action(self, states):
@@ -274,7 +275,9 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
     Each iteration boxes and scores the filled replay buffer once, in
     ceil(size / batch_size) chunk passes; these cost more than the
     per-update passes they replace only when a phase runs fewer updates than
-    that. A run without updates only collects and evaluates."""
+    that. A run without updates only collects and evaluates. A curve row holds
+    each update's last loss, NaN before it first runs; the divergence guard
+    checks the losses of the updates that just ran, and the temperature."""
     spec = envsim.env_spec(cfg.env_id)
     if demos.env_digest != spec.digest():
         raise ConfigError(f"demos were generated for a different {cfg.env_id}")
@@ -321,8 +324,7 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
     state = envsim.env_reset(cfg.env_id, act_rng)
     ep_t = 0
     steps = 0
-    last = {"disc": float("nan"), "actor": float("nan"), "critic": float("nan"),
-            "alpha": agent.alpha, "entropy": float("nan")}
+    last = dict.fromkeys(("disc", "actor", "critic", "entropy"), float("nan"))
     iteration = 0
     while steps < cfg.total_env_steps:
         n = min(cfg.steps_per_iteration, cfg.total_env_steps - steps)
@@ -332,16 +334,16 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
         if len(buf) >= chunk:
             S, A, S2 = (x[: len(buf)] for x in (buf.states, buf.actions, buf.next_states))
             U = chunked_rows(bundle.to_box, chunk, S, A) if disc_boxed else None
-            dl = al = cl = en = 0.0
+            ran = {}  # the last loss of each update this iteration runs
             try:
                 for _ in range(cfg.disc_updates_per_iteration):
                     ei, bi = batch_rng.integers(0, len(demos), half), buf.sample(batch_rng, half)
                     if aware:
-                        dl = _disc_step(cfg, disc, run_codec, demo_feats[ei], demos.actions[ei],
-                                        S[bi], A[bi])
+                        ran["disc"] = _disc_step(cfg, disc, run_codec, demo_feats[ei],
+                                                 demos.actions[ei], S[bi], A[bi])
                     else:
-                        dl = adversary.disc_loss_and_grad(disc, (demo_feats[ei], demo_u[ei]),
-                                                          (S[bi], U[bi]))
+                        ran["disc"] = adversary.disc_loss_and_grad(
+                            disc, (demo_feats[ei], demo_u[ei]), (S[bi], U[bi]))
                         disc.tree.adam_step(cfg.disc_lr)
                 if cfg.gen_updates_per_iteration:
                     if U is None:  # aware mode, whose encoder just stepped, or no disc updates
@@ -355,16 +357,16 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
                     if aware:
                         sacgen.decoder_adversarial_step(run_codec, disc, cfg.codec_gen_lr,
                                                         s, alosses["u"])
-                    cl, al, en = (closses["critic1"], alosses["actor"],
-                                  alosses["entropy"])
+                    ran.update(critic=closses["critic1"], actor=alosses["actor"],
+                               entropy=alosses["entropy"])
             except OptimizerError as exc:
                 raise DivergenceError(
                     f"optimizer aborted at step {steps}: {exc}"
                 ) from exc
-            last = {"disc": dl, "actor": al, "critic": cl,
-                    "alpha": agent.alpha, "entropy": en}
-            if cfg.divergence_guard and not all(np.isfinite(v) for v in last.values()):
-                raise DivergenceError(f"non-finite training loss at step {steps}: {last}")
+            last.update(ran)
+            ran["alpha"] = agent.alpha
+            if cfg.divergence_guard and not all(np.isfinite(v) for v in ran.values()):
+                raise DivergenceError(f"non-finite training loss at step {steps}: {ran}")
 
         iteration += 1
         if steps % cfg.eval_every == 0 or steps >= cfg.total_env_steps:
@@ -381,7 +383,7 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
             curve.append(CurveRow(
                 env_steps=steps, mean_eval_return=mean_ret, std_eval_return=std_ret,
                 norm_eval_return=norm, disc_loss=last["disc"], actor_loss=last["actor"],
-                critic_loss=last["critic"], alpha=last["alpha"],
+                critic_loss=last["critic"], alpha=agent.alpha,
                 entropy=last["entropy"], recon_mse=recon,
             ))
             if (cfg.divergence_guard and steps >= cfg.total_env_steps // 2

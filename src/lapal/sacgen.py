@@ -2,7 +2,7 @@
 
 The actor emits a tanh-squashed diagonal Gaussian, so every emitted action
 lies in (-1, 1)^d: for the imitation baseline d is the raw action dimension
-(rescaled to env bounds by the caller), for latent policies d is the latent
+and the emissions are the env actions, for latent policies d is the latent
 dimension and a decoder turns emissions into env actions. Twin critics with
 Polyak-averaged targets score (state, action-box) pairs; episodes terminate
 only at the time limit, so TD targets always bootstrap.
@@ -270,6 +270,6 @@ def decoder_adversarial_step(codec, discriminator, lr: float, features, u) -> fl
     din_disc = discriminator.tree.backward(d_logit, accumulate=False)
     din_enc = latentact.encode_mean_backward(codec, abar, din_disc[:, features.shape[1]:],
                                              accumulate=False)
-    codec.decoder.backward(din_enc[:, codec.feat_dim:] * codec.action_high, input_grad=False)
+    codec.decoder.backward(din_enc[:, codec.feat_dim:], input_grad=False)
     codec.decoder.adam_step(lr)
     return loss

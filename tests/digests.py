@@ -55,7 +55,7 @@ def learner_digest() -> str:
     of demo transitions, with a constant reward: the params and the losses."""
     demos = envsim.collect_demos("arm3", 2, 5, min_success_rate=0.0)
     s, s2 = (envsim.feature_map("arm3", x[:64]) for x in (demos.states, demos.next_states))
-    u = demos.actions[:64] / envsim.env_spec("arm3").action_high
+    u = demos.actions[:64]
     agent = float64(sacgen.SacAgent(s.shape[1], u.shape[1], sacgen.SacConfig(), 0))
     rng = np.random.default_rng(1)
     losses = []

@@ -85,7 +85,7 @@ def goal_distance(env, state):
 def env_step(env_id, state, action):
     """Returns (next_state, reward, clamped)."""
     env = env_def(env_id)
-    lo, hi = env.spec.action_low, env.spec.action_high
+    lo, hi = -1.0, 1.0
     a = np.asarray(action, dtype=np.float64)
     clamped = bool(np.any(a < lo) or np.any(a > hi))
     a = np.clip(a, lo, hi)
@@ -106,7 +106,7 @@ def env_step(env_id, state, action):
 
 def scripted_expert(env_id, state, kp_scale=1.0, task_bias=None):
     env = env_def(env_id)
-    p, lo, hi = env.params, env.spec.action_low, env.spec.action_high
+    p, lo, hi = env.params, -1.0, 1.0
     if env.kind == "pointmass":
         delta, vel = state[:2], state[2:]
         f = -kp_scale * p.expert_kp * delta - p.expert_kd * vel
@@ -136,7 +136,7 @@ def rollout_episode(env_id, act_fn, episode_seed):
         nxt, rewards[t], clamped = env_step(env_id, state, action)
         clamps += clamped
         states[t] = state
-        actions[t] = np.clip(action, spec.action_low, spec.action_high)
+        actions[t] = np.clip(action, -1.0, 1.0)
         next_states[t] = nxt
         state = nxt
     return {
@@ -152,7 +152,7 @@ def episode_actor(policy, env_id, episode_seed):
         return lambda s, t: scripted_expert(env_id, s)
     if isinstance(policy, RandomPolicy):
         rng = np.random.default_rng(_child_seq(episode_seed, 1))
-        return lambda s, t: rng.uniform(policy.spec.action_low, policy.spec.action_high)
+        return lambda s, t: rng.uniform(-1.0, 1.0, policy.spec.action_dim)
     assert isinstance(policy, PolicyBundle)
 
     def act(state, t):
@@ -160,7 +160,7 @@ def episode_actor(policy, env_id, episode_seed):
         u = sacgen.squash(policy.actor.forward(feats[None, :])[0, : policy.u_dim])
         if policy.codec is not None:
             return latentact.decode(policy.codec, feats, u)
-        return u * envsim.env_spec(policy.env_id).action_high
+        return u
 
     return act
 
@@ -204,7 +204,7 @@ def collect_demos(env_id, n_episodes, seed, jitter=None):
             if null_amp is not None:
                 angles, _, _ = split(env, s)
                 tau = tau + null_amp[t] * nullspace_direction(env.params.lengths, angles)
-                tau = np.clip(tau, spec.action_low, spec.action_high)
+                tau = np.clip(tau, -1.0, 1.0)
             return tau
 
         ep = rollout_episode(env_id, act, rng)
@@ -221,8 +221,7 @@ def collect(env_id, agent, codec, buf, state, ep_t, n, rng):
     for _ in range(n):
         dist, _ = gaussian_head(agent.actor.forward(np.atleast_2d(feats)))
         u = sacgen.squash(dist.sample(rng.standard_normal(dist.mean.shape)))[0]
-        action = (latentact.decode(codec, feats, u) if codec is not None
-                  else u * spec.action_high)
+        action = latentact.decode(codec, feats, u) if codec is not None else u
         state, _ = envsim.env_step(env_id, state, action)
         next_feats = envsim.feature_map(env_id, state)
         buf.push(feats, action, next_feats)
@@ -259,14 +258,14 @@ def batched_arm_jacobian(lengths, angles):
 
 def batched_scripted_expert(env_id, state, kp_scale=1.0, task_bias=None):
     env = env_def(env_id)
-    spec, p = env.spec, env.params
+    p = env.params
     state = np.asarray(state, dtype=np.float64)
     kp = np.asarray(kp_scale, dtype=np.float64)[..., None]
     if env.kind == "pointmass":
         f = -kp * p.expert_kp * state[..., :2] - p.expert_kd * state[..., 2:]
         if task_bias is not None:
             f = f + task_bias
-        return np.clip(f, spec.action_low, spec.action_high)
+        return np.clip(f, -1.0, 1.0)
     angles, vel, goal = envsim.split_arm_state(env, state)
     jac = batched_arm_jacobian(p.lengths, angles)
     ee = batched_forward_kinematics(p.lengths, angles)
@@ -275,7 +274,7 @@ def batched_scripted_expert(env_id, state, kp_scale=1.0, task_bias=None):
     if task_bias is not None:
         f = f + task_bias
     tau = np.sum(jac * f[..., None], axis=-2) - p.expert_joint_damping * vel
-    return np.clip(tau, spec.action_low, spec.action_high)
+    return np.clip(tau, -1.0, 1.0)
 
 
 def batched_rollout_episodes(env_id, act_fn, episode_seeds):
@@ -291,7 +290,7 @@ def batched_rollout_episodes(env_id, act_fn, episode_seeds):
         action = act_fn(state, t)
         nxt, rewards[:, t], _ = batched_step_batch(env_id, state, action)
         states[:, t] = state
-        actions[:, t] = np.clip(action, spec.action_low, spec.action_high)
+        actions[:, t] = np.clip(action, -1.0, 1.0)
         next_states[:, t] = nxt
         state = nxt
     dones = np.zeros((n, horizon))
@@ -320,10 +319,10 @@ def batched_step_batch(env_id, states, actions):
     spec, p = env.spec, env.params
     S = np.asarray(states, dtype=np.float64)
     A = np.asarray(actions, dtype=np.float64)
-    outside = (A < spec.action_low) | (A > spec.action_high)
+    outside = (A < -1.0) | (A > 1.0)
     clamped = int(np.count_nonzero(outside.any(axis=1)))
     if clamped:
-        A = np.clip(A, spec.action_low, spec.action_high)
+        A = np.clip(A, -1.0, 1.0)
     ctrl = CONTROL_COST_WEIGHT * np.sum(A * A, axis=1)
     if env.kind == "pointmass":
         delta, vel = S[:, :2], S[:, 2:]
@@ -396,7 +395,6 @@ def batched_decode(codec, feats, latents):
     s2 = np.atleast_2d(feats)
     z2 = np.atleast_2d(latents)
     out = codec.decoder.forward(np.concatenate([s2, z2], axis=1))
-    out = out * codec.action_high
     return out[0] if np.asarray(feats).ndim == 1 else out
 
 
@@ -412,14 +410,13 @@ def batched_demo_action(env_id, jitter, s, kp_scale, noise, null_amp,
                         scripted_expert=batched_scripted_expert,
                         nullspace_direction=batched_nullspace_direction):
     env = env_def(env_id)
-    spec = env.spec
     fade = np.maximum(jitter.fade_floor,
                       np.minimum(1.0, goal_distance(env, s) / jitter.fade_dist))
     tau = scripted_expert(env_id, s, kp_scale=kp_scale, task_bias=fade[:, None] * noise)
     if null_amp is not None:
         angles, _, _ = envsim.split_arm_state(env, s)
         tau = tau + null_amp[:, None] * nullspace_direction(env.params.lengths, angles)
-        tau = np.minimum(np.maximum(tau, spec.action_low), spec.action_high)
+        tau = np.minimum(np.maximum(tau, -1.0), 1.0)
     return tau
 
 
@@ -464,7 +461,7 @@ def batched_cvae_loss_and_grad(codec, feats, actions, noise):
     kl_term = float(np.mean(dist.kl_to_standard()))
     loss = recon_term + codec.config.beta * kl_term
     B, beta = S.shape[0], codec.config.beta
-    d_in = codec.decoder.backward((2.0 / B) * err * codec.action_high)
+    d_in = codec.decoder.backward((2.0 / B) * err)
     d_z = d_in[:, codec.feat_dim:] * (1.0 - abar * abar)
     sigma = dist.std
     d_mean = d_z + (beta / B) * dist.mean

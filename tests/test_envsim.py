@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,20 @@ def test_perturbed_arm_definition():
     np.testing.assert_allclose(pert.params.lengths, 1.2 * np.array(base.params.lengths))
     assert pert.params.damping == 2.0 * base.params.damping
     assert pert.spec.digest() != base.spec.digest()
+
+
+@pytest.mark.parametrize("field,value", [("damping", 1.5), ("lengths", (0.4, 0.3, 0.3))])
+def test_env_digest_covers_the_dynamics(field, value, monkeypatch, tmp_path):
+    """Changing one of arm3's dynamics parameters changes its digest, so a
+    file written against the old dynamics no longer loads."""
+    base = env_def("arm3")
+    before = base.spec.digest()
+    collect_demos("arm3", 1, seed=0, min_success_rate=0.0).save(tmp_path / "demos.bin")
+    changed = replace(base, params=replace(base.params, **{field: value}))
+    monkeypatch.setattr(envsim, "env_def", lambda env_id: changed)
+    assert base.spec.digest() != before
+    with pytest.raises(CheckpointError, match="different arm3 definition"):
+        DemoBuffer.load(tmp_path / "demos.bin")
 
 
 # -- kinematics ---------------------------------------------------------------

@@ -81,7 +81,7 @@ def test_float32_decode_strictly_inside_bounds_when_saturated():
     feats = envsim.feature_map("arm3", np.stack([envsim.env_reset("arm3", i)
                                                  for i in range(64)]))
     z = np.random.default_rng(5).uniform(-1, 1, (64, 2))
-    a = decode(codec, feats, z) / codec.action_high
+    a = decode(codec, feats, z)
     assert a.dtype == np.float64
     assert np.all(np.abs(a) < 1.0) and np.any(np.abs(a) == nncore.TANH_CAP)
 

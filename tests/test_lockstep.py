@@ -22,6 +22,10 @@ from lapal.orchestrator import (
 from lapal.sacgen import ReplayBuffer, SacAgent, SacConfig
 
 ENVS = ["pointmass", "arm2", "arm3", "arm3-perturbed"]
+# every env family the registry builds: the point mass, arms without and with
+# redundant joints, and perturbed arms
+REGISTERED = ["pointmass", "arm1", "arm2", "arm3", "arm6", "arm10", "arm3-perturbed",
+              "arm6-perturbed"]
 TOL = 1e-12
 # float32 network passes may round a batch of rows differently from one row;
 # lockstep returns of float32 policies agree with the per-row loop to this
@@ -83,12 +87,42 @@ def test_step_batch_checks_shapes_and_finiteness():
     assert envsim.clamp_counts() == {}
 
 
-def test_env_def_cached_with_read_only_arrays():
+def test_env_def_is_cached():
     env = env_def("arm3")
     assert env_def("arm3") is env
-    for arr in (env.spec.action_low, env.spec.action_high):
-        with pytest.raises(ValueError):
-            arr[0] = 5.0
+
+
+@pytest.mark.parametrize("env_id", REGISTERED)
+def test_every_env_acts_in_the_unit_box(env_id):
+    """`step_batch` clamps a row exactly when some |a| > 1: +-1.0 is inside
+    the box and one ulp past it is not. Expert, demo and random actions lie
+    in [-1, 1], and decoded actions strictly inside it."""
+    S, A = random_batch(env_id, 16, seed=21)
+    edge = np.zeros((5, A.shape[1]))
+    edge[1], edge[2] = 1.0, -1.0
+    edge[3, -1], edge[4, 0] = np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0)
+    for row, clamped in zip(edge, [0, 0, 0, 1, 1]):
+        envsim.reset_clamp_counts()
+        step_batch(env_id, S[:1], row[None])
+        assert envsim.clamp_counts().get(env_id, 0) == clamped
+    A[:5] = edge
+    envsim.reset_clamp_counts()
+    step_batch(env_id, S, A)
+    assert envsim.clamp_counts()[env_id] == np.count_nonzero(np.any(np.abs(A) > 1.0, axis=1))
+    expert = envsim.scripted_expert(env_id, S, kp_scale=50.0)
+    demos = envsim.collect_demos(env_id, 2, seed=0, min_success_rate=0.0).actions
+    seeds = [_child_seq(7, i) for i in range(4)]
+    uniform = RandomPolicy(env_id).lockstep_actor(seeds)(None, 0)
+    for actions in (expert, demos, uniform):
+        assert np.all(np.abs(actions) <= 1.0)
+    assert np.any(np.abs(expert) == 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # latent_dim 1 on arm1
+        codec = latentact.make_codec(env_id, latentact.CVAEConfig(latent_dim=1), 3)
+    codec.decoder.layers[-1].w *= 1e4                     # saturate the output tanh
+    decoded = latentact.decode(codec, envsim.feature_map(env_id, S),
+                               np.linspace(-1.0, 1.0, len(S))[:, None])
+    assert np.all(np.abs(decoded) < 1.0)
 
 
 @pytest.mark.parametrize("env_id", ENVS + ["arm6"])
@@ -413,12 +447,6 @@ def test_lockstep_demos_match_per_row_oracle(env_id):
         np.testing.assert_allclose(getattr(demos, key), reference, rtol=0, atol=TOL)
     assert rate >= 0.9
     envsim.collect_demos(env_id, n_episodes=4, seed=6)  # passes the default gate too
-
-
-# every env family the registry builds: the point mass, arms without and with
-# redundant joints, and perturbed arms
-REGISTERED = ["pointmass", "arm1", "arm2", "arm3", "arm6", "arm10", "arm3-perturbed",
-              "arm6-perturbed"]
 
 
 @pytest.mark.parametrize("null_sigma", [None, 0.0], ids=["default", "no-posture"])

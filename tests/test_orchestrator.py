@@ -27,6 +27,7 @@ from lapal.sacgen import SacConfig
 
 SMALL_SAC = SacConfig(batch_size=64, actor_hidden=(24, 24), critic_hidden=(24, 24))
 ENVS = ("pointmass", "arm2", "arm3")
+REGISTERED = ("pointmass", "arm1", "arm2", "arm3", "arm6", "arm3-perturbed", "arm6-perturbed")
 
 
 def small_run_cfg(algo, **kw):
@@ -107,6 +108,21 @@ def test_zero_update_counts_only_collect(pm_demos):
     assert [r["buffer_size"] for r in trace] == [200, 400, 600]
     assert len({r["actor_digest"] for r in trace}) == 1
     assert [r.env_steps for r in res.curve] == [200, 400, 600]
+    for row in res.curve:
+        assert np.isnan([row.disc_loss, row.actor_loss, row.critic_loss, row.entropy]).all()
+        assert row.alpha == SMALL_SAC.init_alpha
+
+
+def test_losses_of_updates_that_never_ran_are_nan(pm_demos):
+    """A discriminator-only run reports its discriminator loss and NaN for
+    the generator's losses, and its divergence guard checks only the losses
+    of the updates that ran."""
+    cfg = small_run_cfg("gail", gen_updates_per_iteration=0, divergence_guard=True)
+    res = run_training(cfg, SMALL_SAC, pm_demos, seed=0)
+    assert len(res.curve) == 3
+    for row in res.curve:
+        assert np.isfinite(row.disc_loss)
+        assert np.isnan([row.actor_loss, row.critic_loss, row.entropy]).all()
 
 
 def test_algo_codec_pairing_validated(pm_demos, pm_codec):
@@ -404,7 +420,7 @@ def disc_step_inputs(env_id, env_inputs, n=8):
     rows = rng.integers(0, len(demos.states), 2 * n)
     feats = envsim.feature_map(env_id, demos.states[rows])
     se, ea = feats[:n], demos.actions[rows[:n]]
-    sa, aa = feats[n:], rng.uniform(-1.0, 1.0, (n, spec.action_dim)) * spec.action_high
+    sa, aa = feats[n:], rng.uniform(-1.0, 1.0, (n, spec.action_dim))
     return PolicyBundle(env_id, actor, codec), disc, (se, ea, sa, aa)
 
 
@@ -425,21 +441,18 @@ def test_to_box_is_the_current_mean_encoding(env_id, env_inputs):
     assert moved.tobytes() == latentact.encode_mean(bundle.codec, se, ea).tobytes()
 
 
-@pytest.mark.parametrize("env_id", ENVS)
-def test_raw_bundle_to_box_divides_by_the_action_bounds(env_id):
-    """Without a codec the box is the env's action box: `to_box` divides by
-    `action_high` whatever the features, and undoes `to_env`."""
+@pytest.mark.parametrize("env_id", REGISTERED)
+def test_raw_bundle_maps_return_their_input(env_id):
+    """Without a codec the box is the env's unit action box: `to_env` and
+    `to_box` return the bytes they are given, whatever the features."""
     spec, feat_dim = envsim.env_spec(env_id), envsim.feature_dim(env_id)
     actor = ParamTree.init(MLPSpec(feat_dim, (4,), 2 * spec.action_dim),
                            np.random.default_rng(63))
     bundle = PolicyBundle(env_id, actor)
     rng = np.random.default_rng(64)
     feats, u = rng.standard_normal((6, feat_dim)), rng.uniform(-1.0, 1.0, (6, spec.action_dim))
-    actions = u * spec.action_high
-    assert bundle.to_box(feats, actions).tobytes() == (actions / spec.action_high).tobytes()
-    assert bundle.to_box(feats, actions).tobytes() == bundle.to_box(0 * feats, actions).tobytes()
-    np.testing.assert_allclose(bundle.to_box(feats, bundle.to_env(feats, u)), u,
-                               rtol=1e-15, atol=1e-15)
+    assert bundle.to_env(feats, u).tobytes() == u.tobytes()
+    assert bundle.to_box(feats, u).tobytes() == u.tobytes()
 
 
 @pytest.mark.parametrize("env_id", ENVS)
@@ -494,7 +507,7 @@ def test_chunked_passes_match_minibatch_passes(latent, n, env_inputs):
     spec, feat_dim = envsim.env_spec("arm3"), envsim.feature_dim("arm3")
     rng = np.random.default_rng(70)
     S = envsim.feature_map("arm3", demos.states[rng.integers(0, len(demos), n)])
-    A = rng.uniform(-1.0, 1.0, (n, spec.action_dim)) * spec.action_high
+    A = rng.uniform(-1.0, 1.0, (n, spec.action_dim))
     u_dim = codec.latent_dim if latent else spec.action_dim
     actor = ParamTree.init(MLPSpec(feat_dim, (4,), 2 * u_dim), np.random.default_rng(71))
     bundle = PolicyBundle("arm3", actor, codec if latent else None)
