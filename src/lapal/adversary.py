@@ -9,8 +9,10 @@ numerically stable binary cross-entropy
 whose minimization ascends  E_expert[log D] + E_agent[log(1 - D)].  The
 generator reward is -log(1 - D(s, u)) = softplus(l): finite and non-negative
 for every finite logit, so the classic overflow of the naive formula cannot
-occur. Input composition (raw action vs latent, dims, env) is recorded next
-to the weights so mismatched pairings are rejected at load time.
+occur. The network takes (N, state_dim) feature rows and (N, u_dim) action
+or latent rows as two column blocks and returns one input gradient per block.
+Input composition (raw action vs latent, dims, env) is recorded next to the
+weights so mismatched pairings are rejected at load time.
 """
 
 from __future__ import annotations
@@ -66,18 +68,8 @@ def make_discriminator(composition: DiscComposition, hidden, seed) -> Discrimina
                          composition=composition)
 
 
-def _stack(states, actions):
-    return np.concatenate([np.atleast_2d(states), np.atleast_2d(actions)], axis=1)
-
-
 def disc_logit(d: Discriminator, states, actions, record: bool = False) -> np.ndarray:
-    x = _stack(states, actions)
-    if x.shape[1] != d.spec.input_dim:
-        raise ConfigError(
-            f"discriminator input width {x.shape[1]} != expected {d.spec.input_dim}"
-        )
-    out = d.tree.forward(x, record=record)
-    return out[:, 0]
+    return d.tree.forward(states, actions, record=record)[:, 0]
 
 
 def disc_reward(d: Discriminator, states, actions) -> np.ndarray:
@@ -98,19 +90,16 @@ def disc_loss_and_grad(d: Discriminator, expert_batch, agent_batch,
     """Accumulate discriminator gradients for one balanced minibatch.
 
     Expert rows are labeled 1, agent rows 0. With want_input_grads it returns
-    (loss, d_in): the per-row gradients of the loss w.r.t. the (state, u)
-    inputs, expert rows first, which is what chains the loss into an action
-    encoder when the latent space itself is being trained.
+    (loss, (d_states, d_u)): the per-row gradients of the loss w.r.t. the
+    state and u inputs, expert rows first, which is what chains the loss into
+    an action encoder when the latent space itself is being trained.
     """
     se, ue = expert_batch
     sa, ua = agent_batch
-    xe, xa = _stack(se, ue), _stack(sa, ua)
-    if xe.shape[0] == 0 or xa.shape[0] == 0:
+    ne, na = len(se), len(sa)
+    if ne == 0 or na == 0:
         raise ConfigError("both discriminator batches must be non-empty")
-    x = np.concatenate([xe, xa], axis=0)
-    out = d.tree.forward(x, record=True)
-    logits = out[:, 0]
-    ne, na = xe.shape[0], xa.shape[0]
+    logits = disc_logit(d, np.concatenate([se, sa]), np.concatenate([ue, ua]), record=True)
     le, la = logits[:ne], logits[ne:]
     loss = float(np.mean(softplus(-le)) + np.mean(softplus(la)))
     upstream = np.empty((ne + na, 1))

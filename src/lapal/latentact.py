@@ -3,9 +3,10 @@
 The encoder maps a state-action pair to a diagonal Gaussian over a
 low-dimensional latent; the decoder maps (state, latent) back to an action:
 its tanh output is the action, inside the env's unit action box. Both
-networks see states only as features (`envsim.feature_map`): `encode` and
-`decode` take features, which callers compute once per state, and
-`train_codec` featurizes the demo states once before its epochs.
+networks see states only as features (`envsim.feature_map`), computed once
+per state: `encode` and `decode` take (N, feat_dim) feature rows and (N, d)
+action or latent rows as two column blocks, and `train_codec` featurizes the
+demos once and keeps the train split's features and actions apart.
 
 Latent actions live in the open box (-1, 1)^d: the encoding every network
 sees is tanh of the posterior mean, and training squashes the
@@ -38,6 +39,7 @@ from .nncore import (
     GaussianDist,
     MLPSpec,
     ParamTree,
+    chunked_rows,
     gaussian_head,
     tree_from_state,
     tree_state,
@@ -95,10 +97,6 @@ class ActionCodec:
     frozen: bool = False
 
     @property
-    def feat_dim(self) -> int:
-        return envsim.feature_dim(self.env_id)
-
-    @property
     def latent_dim(self) -> int:
         return self.config.latent_dim
 
@@ -137,20 +135,18 @@ def make_codec(env_id: str, cfg: CVAEConfig, seed) -> ActionCodec:
 # encode / decode
 
 
-def encoder_input(feats, actions) -> np.ndarray:
-    """The encoder's input rows [features | actions]; `ConfigError` if any
-    entry is non-finite."""
-    x = np.concatenate([np.atleast_2d(feats), np.atleast_2d(actions)], axis=1)
-    if not np.all(np.isfinite(x)):
-        raise ConfigError("non-finite inputs to encode")
-    return x
-
-
 def encode(codec: ActionCodec, feats, actions, record: bool = False) -> GaussianDist:
     """Posterior over the pre-squash latent; tanh of its mean is the latent
-    action. `feats` are state features, not raw env states."""
-    dist, _ = gaussian_head(codec.encoder.forward(encoder_input(feats, actions), record=record))
+    action. `feats` are (N, feat_dim) state features, not raw env states;
+    `ConfigError` if an entry of either block is non-finite."""
+    _require_finite(feats, actions)
+    dist, _ = gaussian_head(codec.encoder.forward(feats, actions, record=record))
     return dist
+
+
+def _require_finite(feats, actions):
+    if not (np.isfinite(feats).all() and np.isfinite(actions).all()):
+        raise ConfigError("non-finite inputs to encode")
 
 
 def encode_mean(codec: ActionCodec, feats, actions, record: bool = False) -> np.ndarray:
@@ -162,45 +158,34 @@ def encode_mean_backward(codec: ActionCodec, u, d_u, accumulate: bool = True):
     """Backward pass of the recorded `encode_mean` that returned `u`, from
     d loss / d u: chains through tanh into the mean half of the encoder head
     (the log-std half gets none). Accumulates the encoder's gradients, or
-    without `accumulate` returns d loss / d encoder input instead."""
+    without `accumulate` returns d loss / d (features, actions) instead."""
     d_mean = d_u * (1.0 - u * u)
     return codec.encoder.backward(np.concatenate([d_mean, np.zeros_like(d_mean)], axis=1),
                                   accumulate=accumulate, input_grad=not accumulate)
 
 
 def decode(codec: ActionCodec, feats, latents, record: bool = False) -> np.ndarray:
-    """Map latent actions back to env actions: the decoder's tanh output,
-    strictly inside the unit box.
-
-    `feats` are state features, one row or (N, feat_dim).
-    """
-    s2 = np.atleast_2d(feats)
-    z2 = np.atleast_2d(latents)
-    if z2.shape[1] != codec.latent_dim:
-        raise ConfigError(f"latent width {z2.shape[1]} != latent_dim {codec.latent_dim}")
-    out = codec.decoder.forward(np.concatenate([s2, z2], axis=1), record=record)
-    return out[0] if np.ndim(feats) == 1 else out
+    """Map (N, latent_dim) latent actions at (N, feat_dim) state features back
+    to env actions: the decoder's tanh output, strictly inside the unit box."""
+    return codec.decoder.forward(feats, latents, record=record)
 
 
 # ---------------------------------------------------------------------------
 # loss
 
 
-def cvae_loss(codec: ActionCodec, x, noise) -> tuple:
-    """Reconstruction + beta * KL, averaged over the batch; loss = recon + beta*kl.
-
-    `x` holds `encoder_input` rows: the features and the actions of the pairs.
-    """
-    loss, parts, _ = _cvae_forward(codec, x, noise, record=False)
+def cvae_loss(codec: ActionCodec, feats, actions, noise) -> tuple:
+    """Reconstruction + beta * KL, averaged over the batch of (feature,
+    action) rows; loss = recon + beta*kl."""
+    loss, parts, _ = _cvae_forward(codec, feats, actions, noise, record=False)
     return loss, parts
 
 
-def _cvae_forward(codec, x, noise, record):
-    dist, ls_ok = gaussian_head(codec.encoder.forward(x, record=record))
+def _cvae_forward(codec, feats, actions, noise, record):
+    dist, ls_ok = gaussian_head(codec.encoder.forward(feats, actions, record=record))
     abar = np.tanh(dist.sample(noise))
-    n_act = codec.decoder.spec.output_dim
-    recon_term, err = _recon_error(codec, x[:, :-n_act], x[:, -n_act:], abar, record)
-    kl_term = float(np.add.reduce(dist.kl_to_standard())) / x.shape[0]
+    recon_term, err = _recon_error(codec, feats, actions, abar, record)
+    kl_term = float(np.add.reduce(dist.kl_to_standard())) / len(feats)
     loss = recon_term + codec.config.beta * kl_term
     cache = (dist, ls_ok, abar, err)
     return loss, {"recon": recon_term, "kl": kl_term}, cache
@@ -216,20 +201,18 @@ def _recon_error(codec, feats, actions, latents, record):
 def _decoder_backward(codec, err, input_grad=True):
     """Backward pass of the recorded decode behind `_recon_error`'s `err`:
     accumulates the decoder's gradients of the batch-mean squared error and
-    returns d loss / d decoder input, or None without `input_grad`."""
+    returns d loss / d (features, latents), or None without `input_grad`."""
     return codec.decoder.backward((2.0 / len(err)) * err, input_grad=input_grad)
 
 
-def cvae_loss_and_grad(codec: ActionCodec, x, noise) -> tuple:
+def cvae_loss_and_grad(codec: ActionCodec, feats, actions, noise) -> tuple:
     """As cvae_loss, but also accumulates encoder/decoder gradients."""
-    loss, parts, cache = _cvae_forward(codec, x, noise, record=True)
+    loss, parts, cache = _cvae_forward(codec, feats, actions, noise, record=True)
     dist, ls_ok, abar, err = cache
     sigma = dist.std
-    B = x.shape[0]
+    B = len(feats)
     beta = codec.config.beta
-    d_in = _decoder_backward(codec, err)
-    d_abar = d_in[:, codec.feat_dim:]
-    d_z = d_abar * (1.0 - abar * abar)
+    d_z = _decoder_backward(codec, err)[1] * (1.0 - abar * abar)
     d_mean = d_z + (beta / B) * dist.mean
     d_log_std = d_z * sigma * noise + (beta / B) * (sigma * sigma - 1.0)
     # log-std clamp subgradient: zero where the head output was clipped
@@ -246,22 +229,23 @@ def train_codec(demos: envsim.DemoBuffer, cfg: CVAEConfig, seed) -> tuple:
 
     Returns (codec, history). Episodes are split 90/10 into train/held-out
     sets; the held-out reconstruction error must beat predicting the train
-    corpus mean action or the codec is rejected. The demos' `encoder_input`
-    rows (features and actions) are stacked, and checked finite, once before
-    the first epoch; each minibatch is one gather of the train split's rows.
+    corpus mean action or the codec is rejected. The demos' features and
+    actions are checked finite once before the first epoch, and the train
+    split keeps them as two arrays; each minibatch gathers its rows of both.
     """
     seq = np.random.SeedSequence(seed) if not isinstance(seed, np.random.SeedSequence) else seed
     init_rng, batch_rng = (np.random.default_rng(s) for s in seq.spawn(2))
     codec = make_codec(demos.env_id, cfg, init_rng)
 
     tr_idx, ho_idx = _split_episodes(demos, cfg.holdout_fraction)
-    x = encoder_input(envsim.feature_map(demos.env_id, demos.states), demos.actions)
-    X_tr, S_ho = x[tr_idx], x[ho_idx, : codec.feat_dim]
+    feats = envsim.feature_map(demos.env_id, demos.states)
+    _require_finite(feats, demos.actions)
+    F_tr, S_ho = feats[tr_idx], feats[ho_idx]
     A_tr, A_ho = demos.actions[tr_idx], demos.actions[ho_idx]
-    del x  # the epochs keep only the train split's copy
+    del feats  # the epochs keep only the splits' copies
 
     def step(idx, noise):
-        return cvae_loss_and_grad(codec, X_tr[idx], noise)
+        return cvae_loss_and_grad(codec, F_tr[idx], A_tr[idx], noise)
 
     history = _fit(cfg, batch_rng, step, (codec.encoder, codec.decoder),
                    lambda: holdout_reconstruction_mse(codec, S_ho, A_ho), A_tr, A_ho)
@@ -318,12 +302,11 @@ def retrain_decoder(source: ActionCodec, demos: envsim.DemoBuffer, cfg: CVAEConf
 
 def _posteriors(codec: ActionCodec, feats, actions, chunk: int) -> np.ndarray:
     """Each row's posterior mean, std and KL under the encoder, as (N, 2d + 1)
-    rows; the encoder runs on `chunk` rows at a time."""
-    out = np.empty((len(feats), 2 * codec.latent_dim + 1))
-    for i in range(0, len(feats), chunk):
-        dist = encode(codec, feats[i : i + chunk], actions[i : i + chunk])
-        out[i : i + chunk] = np.column_stack([dist.mean, dist.std, dist.kl_to_standard()])
-    return out
+    rows; the encoder runs in `nncore.chunked_rows` chunks of `chunk` rows."""
+    def rows(f, a):
+        dist = encode(codec, f, a)
+        return np.column_stack([dist.mean, dist.std, dist.kl_to_standard()])
+    return chunked_rows(rows, chunk, feats, actions)
 
 
 def _split_episodes(demos: envsim.DemoBuffer, holdout_fraction: float) -> tuple:

@@ -9,10 +9,15 @@ expectation terms sum its pieces before updating.
 A ParamTree keeps four contiguous vectors, `params`, `grads`, `m` and `v`,
 each laid out layer by layer (weights row-major, then biases). Every
 DenseLayer array (`w`, `b`, `gw`, `gb`, `mw`, `vw`, `mb`, `vb`) is a view
-into one of them, so the forward and backward passes work per layer while
-Adam and Polyak averaging are a few whole-vector ops, and checkpoints save
-whole vectors. Those ops are elementwise, so they give the same bits as a
-loop over the layer arrays.
+into one of them, and `copy`, pickling and deepcopy rebuild those views. So
+the passes work per layer while Adam and Polyak averaging are a few
+whole-vector ops, which give the same bits as a loop over the layer arrays,
+and checkpoints save whole vectors.
+
+Every pass works on (N, d) rows; there are no one-row forms. `forward`
+takes one or more column blocks, say state features and an action box, and
+joins them once in the tree's dtype; `backward` returns one input gradient
+per block, so a caller reads the block it chains into.
 
 One precision per tree: the four vectors are in the tree's `dtype`, float32
 for every tree the lab builds, and the passes, gradient accumulation, Adam
@@ -33,6 +38,7 @@ output) are never written after they are recorded.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,10 +158,20 @@ class ParamTree:
         return tree
 
     def copy(self) -> "ParamTree":
-        clone = ParamTree(self.spec, step=self.step, dtype=self.dtype)
-        for name in ("params", "grads", "m", "v"):
-            getattr(clone, name)[...] = getattr(self, name)
+        clone = ParamTree.__new__(ParamTree)
+        clone.__setstate__(self.__getstate__())
         return clone
+
+    def __getstate__(self):
+        # `copy`, pickle and deepcopy keep the four vectors and rebuild the
+        # layer views on them; a pending tape is dropped
+        return {"spec": self.spec, "step": self.step, "dtype": self.dtype,
+                **{name: getattr(self, name) for name in ("params", "grads", "m", "v")}}
+
+    def __setstate__(self, state):
+        self.__init__(state["spec"], state["step"], state["dtype"])
+        for name in ("params", "grads", "m", "v"):
+            getattr(self, name)[...] = state[name]
 
     def digest(self) -> str:
         h = hashlib.sha256(self.spec.canonical().encode())
@@ -164,13 +180,12 @@ class ParamTree:
 
     # -- forward / backward --------------------------------------------------
 
-    def forward(self, x: np.ndarray, record: bool = False) -> np.ndarray:
-        squeeze = np.ndim(x) == 1
-        a = np.atleast_2d(np.asarray(x, dtype=self.dtype))
-        if a.shape[1] != self.spec.input_dim:
-            raise ConfigError(
-                f"input width {a.shape[1]} does not match spec input_dim {self.spec.input_dim}"
-            )
+    def forward(self, *blocks, record: bool = False) -> np.ndarray:
+        """(N, output_dim) outputs of the rows the (N, d_i) column `blocks` make."""
+        a = (np.asarray(blocks[0], self.dtype) if len(blocks) == 1
+             else np.concatenate(blocks, axis=-1, dtype=self.dtype))
+        if a.ndim != 2 or a.shape[1] != self.spec.input_dim:
+            raise ConfigError(f"input shape {a.shape} is not (N, {self.spec.input_dim})")
         inputs = [a] if record else None
         last = len(self.layers) - 1
         for i, l in enumerate(self.layers):
@@ -190,18 +205,19 @@ class ParamTree:
             if record and i < last:
                 inputs.append(a)
         if record:
-            self._tape = (inputs, a)
-        return a[0] if squeeze else a
+            self._tape = (inputs, a, [np.shape(b)[1] for b in blocks])
+        return a
 
     def backward(self, upstream: np.ndarray, accumulate: bool = True,
-                 input_grad: bool = True) -> np.ndarray | None:
-        """d loss / d input from `upstream` = d loss / d output; with
-        `input_grad` False the first layer skips it and None is returned."""
+                 input_grad: bool = True) -> tuple | None:
+        """d loss / d input from `upstream` = d loss / d output, as one
+        gradient per input block of the recorded forward; with `input_grad`
+        False the first layer skips it and None is returned."""
         if self._tape is None:
             raise StateError("backward called without a recorded forward pass")
-        inputs, out = self._tape
+        inputs, out, widths = self._tape
         self._tape = None
-        d = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
+        d = np.asarray(upstream, dtype=np.float64)
         if d.shape != out.shape:
             raise ConfigError(f"upstream shape {d.shape} != output shape {out.shape}")
         # activation derivatives come from the layer outputs: every supported
@@ -230,7 +246,7 @@ class ParamTree:
                 g = inputs[i] * inputs[i]
                 d *= np.subtract(1.0, g, out=g)
         d = d.astype(np.float64, copy=False)
-        return d if np.ndim(upstream) > 1 else d[0]
+        return tuple(d[:, end - w : end] for w, end in zip(widths, itertools.accumulate(widths)))
 
     # -- Adam -----------------------------------------------------------------
 

@@ -14,8 +14,9 @@ The modes differ in the policy's action space, and `PolicyBundle` is that
 space: `to_env` maps the actor's box points to env actions and `to_box` maps
 env actions back. Every env acts in the unit box, so for a raw policy both
 maps are the identity; a latent policy decodes and encodes through its
-codec. Collection, the critic and discriminator inputs and evaluation all go
-through these two maps. Aware mode adds the encoder step in `_disc_step` and
+codec. Collection, the latent critic and discriminator inputs and evaluation
+go through these two maps; a raw run reads its actions as box points. Aware
+mode adds the encoder step in `_disc_step` and
 `sacgen.decoder_adversarial_step` after each actor step; both go through
 `latentact.encode_mean` and its backward pass.
 
@@ -317,7 +318,11 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
 
     aware, chunk = cfg.algo == "lapal-aware", sac_cfg.batch_size
     disc_boxed = cfg.disc_updates_per_iteration and not aware   # updates read boxed rows
-    demo_u = chunked_rows(bundle.to_box, chunk, demo_feats, demos.actions) if disc_boxed else None
+
+    def box(feats, actions):  # a raw policy's box points are its actions
+        return chunked_rows(bundle.to_box, chunk, feats, actions) if cfg.latent else actions
+
+    demo_u = box(demo_feats, demos.actions) if disc_boxed else None
     half = max(1, chunk // 2)
 
     curve: list = []
@@ -333,7 +338,7 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
 
         if len(buf) >= chunk:
             S, A, S2 = (x[: len(buf)] for x in (buf.states, buf.actions, buf.next_states))
-            U = chunked_rows(bundle.to_box, chunk, S, A) if disc_boxed else None
+            U = box(S, A) if disc_boxed else None
             ran = {}  # the last loss of each update this iteration runs
             try:
                 for _ in range(cfg.disc_updates_per_iteration):
@@ -347,7 +352,7 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
                         disc.tree.adam_step(cfg.disc_lr)
                 if cfg.gen_updates_per_iteration:
                     if U is None:  # aware mode, whose encoder just stepped, or no disc updates
-                        U = chunked_rows(bundle.to_box, chunk, S, A)
+                        U = box(S, A)
                     R = chunked_rows(lambda f, u: adversary.disc_reward(disc, f, u), chunk, S, U)
                 for _ in range(cfg.gen_updates_per_iteration):
                     i = buf.sample(batch_rng, chunk)
@@ -456,7 +461,7 @@ def _disc_step(cfg, disc, codec, se, ea, sa, aa):
                               record=True)
     loss, d_in = adversary.disc_loss_and_grad(disc, (se, u[:n_e]), (sa, u[n_e:]),
                                               want_input_grads=True)
-    latentact.encode_mean_backward(codec, u, d_in[:, se.shape[1]:])
+    latentact.encode_mean_backward(codec, u, d_in[1])
     codec.encoder.adam_step(cfg.codec_disc_lr)
     disc.tree.adam_step(cfg.disc_lr)
     return loss

@@ -70,7 +70,6 @@ class SacConfig:
 class SacAgent:
     def __init__(self, state_dim: int, u_dim: int, cfg: SacConfig, seed):
         rng = np.random.default_rng(seed)
-        self.state_dim = state_dim
         self.u_dim = u_dim
         self.cfg = cfg
         self.actor = ParamTree.init(
@@ -140,14 +139,18 @@ class ReplayBuffer:
         return self.size
 
     def push(self, feats, actions, next_feats) -> None:
-        """Append one transition, or k as (k, d) rows in order; the ring keeps
-        the last `capacity` rows, as k one-row pushes would."""
-        k = len(np.atleast_2d(feats))
+        """Append k transitions as (k, d) rows of each column, in order; the
+        ring keeps the last `capacity` rows, as k one-row pushes would.
+        `ConfigError` unless all three have k rows of their column's width."""
+        k = len(feats)
+        cols = ((self.states, feats), (self.actions, actions), (self.next_states, next_feats))
+        if any(np.shape(rows) != (k, col.shape[1]) for col, rows in cols):
+            raise ConfigError(f"push needs k rows of each column's width, got "
+                              f"{[np.shape(rows) for _, rows in cols]}")
         kept = min(k, self.capacity)
         idx = (self.cursor + k - kept + np.arange(kept)) % self.capacity
-        for col, rows in ((self.states, feats), (self.actions, actions),
-                          (self.next_states, next_feats)):
-            col[idx] = np.atleast_2d(rows)[k - kept:]
+        for col, rows in cols:
+            col[idx] = rows[k - kept:]
         self.cursor = (self.cursor + k) % self.capacity
         self.size = min(self.size + k, self.capacity)
 
@@ -168,10 +171,8 @@ def polyak_update(agent: SacAgent, tau: float) -> None:
 
 
 def _twin_q(pair, states, u, record=False):
-    """Q values of both networks of a twin `pair` at (state, action-box) rows,
-    which are concatenated and cast to the networks' dtype once for both."""
-    x = np.concatenate([states, u], axis=1, dtype=pair[0].dtype)
-    return [tree.forward(x, record=record)[:, 0] for tree in pair]
+    """Q values of both networks of a twin `pair` at (state, action-box) rows."""
+    return [tree.forward(states, u, record=record)[:, 0] for tree in pair]
 
 
 def critic_update(agent: SacAgent, states, u, next_states, rewards, rng) -> dict:
@@ -220,9 +221,8 @@ def actor_loss_and_grad(agent: SacAgent, states, eps):
     loss = float((alpha * log_prob - qmin).sum()) / b
 
     min1 = (q1 <= q2).astype(np.float64)
-    din1 = agent.critic1.backward((-min1 / b)[:, None], accumulate=False)
-    din2 = agent.critic2.backward((-(1.0 - min1) / b)[:, None], accumulate=False)
-    d_u = din1[:, agent.state_dim:] + din2[:, agent.state_dim:]
+    d_u = (agent.critic1.backward((-min1 / b)[:, None], accumulate=False)[1]
+           + agent.critic2.backward((-(1.0 - min1) / b)[:, None], accumulate=False)[1])
 
     # d log_prob / d mean = 2u and / d log_std = -1 + 2u * sigma * eps (from
     # d/dz log(1 - tanh^2 z) = -2 tanh z); the q path chains through
@@ -261,15 +261,13 @@ def decoder_adversarial_step(codec, discriminator, lr: float, features, u) -> fl
     from . import adversary, latentact
 
     codec.require_mutable()
-    b = np.atleast_2d(features).shape[0]
+    b = len(features)
     actions = latentact.decode(codec, features, u, record=True)
     abar = latentact.encode_mean(codec, features, actions, record=True)
     logits = adversary.disc_logit(discriminator, features, abar, record=True)
     loss = float((-softplus(logits)).sum()) / b
-    d_logit = (-sigmoid(logits) / b)[:, None]
-    din_disc = discriminator.tree.backward(d_logit, accumulate=False)
-    din_enc = latentact.encode_mean_backward(codec, abar, din_disc[:, features.shape[1]:],
-                                             accumulate=False)
-    codec.decoder.backward(din_enc[:, codec.feat_dim:], input_grad=False)
+    d_abar = discriminator.tree.backward((-sigmoid(logits) / b)[:, None], accumulate=False)[1]
+    d_actions = latentact.encode_mean_backward(codec, abar, d_abar, accumulate=False)[1]
+    codec.decoder.backward(d_actions, input_grad=False)
     codec.decoder.adam_step(lr)
     return loss

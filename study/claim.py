@@ -3,8 +3,11 @@
 
 Runs `gail` and `lapal-agnostic` on arm3 for 16k env steps at each seed,
 moves each seed's agnostic policy to arm3-perturbed, and prints one JSON
-line. Run from the repository root (about 3 minutes for the 3 seeds of 2
-modes on two cores), then check a later version against that line:
+line. Each (mode, seed) is one job in a pool of WORKERS spawned processes:
+its prior run, its run and, for agnostic, its transfer. Every run is seeded
+and single-threaded, so only `seconds` depends on the pool. Run from the
+repository root (about 2 minutes on two cores), then check a later version
+against that line:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 study/claim.py > before.json
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 study/claim.py --reference before.json
@@ -44,9 +47,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import multiprocessing
 import sys
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 from lapal import envsim, latentact, orchestrator, sacgen
 
@@ -58,6 +63,7 @@ SEEDS = (0, 1, 2)
 STEPS = 16000
 TARGET = "arm3-perturbed"
 EVAL_EPISODES = 16
+WORKERS = 2
 
 
 def run(algo, demos, codec, seed, steps, updates=True):
@@ -69,23 +75,27 @@ def run(algo, demos, codec, seed, steps, updates=True):
                                      codec if cfg.latent else None, seed=seed)
 
 
-def transfer(bundles, cvae):
-    """Normalized returns on TARGET of each source bundle moved by
-    `transfer_policy`, and of the same actor through its source codec."""
+def transfer(bundle, cvae, seed):
+    """Normalized returns on TARGET of `bundle` moved by `transfer_policy`,
+    and of the same actor through its source codec."""
     target = envsim.collect_demos(TARGET, 16, seed=3)
     refs = [orchestrator.ExpertPolicy(TARGET), orchestrator.RandomPolicy(TARGET)]
-    by_seed = {"transferred": [], "no_retraining": []}
-    for seed, bundle in zip(SEEDS, bundles):
-        moved, _ = orchestrator.transfer_policy(bundle, target, cvae, seed=seed)
-        kept = orchestrator.PolicyBundle(
-            TARGET, bundle.actor, dataclasses.replace(bundle.codec, env_id=TARGET))
-        (moved_r, _), (kept_r, _), (expert, _), (rand, _) = orchestrator.evaluate_policies(
-            [moved, kept] + refs, TARGET, EVAL_EPISODES, seed)
-        by_seed["transferred"].append((moved_r - rand) / (expert - rand))
-        by_seed["no_retraining"].append((kept_r - rand) / (expert - rand))
-    out = {name: sum(v) / len(v) for name, v in by_seed.items()}
-    out.update({f"{name}_by_seed": v for name, v in by_seed.items()})
-    return out
+    moved, _ = orchestrator.transfer_policy(bundle, target, cvae, seed=seed)
+    kept = orchestrator.PolicyBundle(
+        TARGET, bundle.actor, dataclasses.replace(bundle.codec, env_id=TARGET))
+    (moved_r, _), (kept_r, _), (expert, _), (rand, _) = orchestrator.evaluate_policies(
+        [moved, kept] + refs, TARGET, EVAL_EPISODES, seed)
+    return (moved_r - rand) / (expert - rand), (kept_r - rand) / (expert - rand)
+
+
+def job(algo, seed, demos, codec, cvae):
+    """One (mode, seed): its prior, its curve rows and, for `lapal-agnostic`,
+    its (transferred, no retraining) returns; numbers only, no networks."""
+    warnings.simplefilter("ignore")
+    prior = run(algo, demos, codec, seed, 2000, updates=False).curve[0].norm_eval_return
+    res = run(algo, demos, codec, seed, STEPS)
+    moved = transfer(res.bundle, cvae, seed) if algo == "lapal-agnostic" else None
+    return prior, res.curve, moved
 
 
 def main(argv=None):
@@ -97,17 +107,13 @@ def main(argv=None):
     demos = envsim.collect_demos("arm3", 16, seed=3)
     cvae = latentact.CVAEConfig(latent_dim=2, epochs=30)
     codec, _ = latentact.train_codec(demos, cvae, seed=1)
+    with ProcessPoolExecutor(WORKERS, mp_context=multiprocessing.get_context("spawn")) as pool:
+        futures = {(algo, seed): pool.submit(job, algo, seed, demos, codec, cvae)
+                   for algo in MODES for seed in SEEDS}
+        jobs = {key: f.result() for key, f in futures.items()}
     out = {"seeds": list(SEEDS), "steps": STEPS, "modes": {}}
-    bundles = []
     for algo in MODES:
-        curves, priors = [], []
-        for seed in SEEDS:
-            priors.append(run(algo, demos, codec, seed, 2000, updates=False)
-                          .curve[0].norm_eval_return)
-            res = run(algo, demos, codec, seed, STEPS)
-            curves.append(res.curve)
-            if algo == "lapal-agnostic":
-                bundles.append(res.bundle)
+        priors, curves, _ = zip(*(jobs[algo, seed] for seed in SEEDS))
         agg = orchestrator.aggregate_curves(curves)
         out["modes"][algo] = {
             "prior": sum(priors) / len(priors),
@@ -116,7 +122,10 @@ def main(argv=None):
             "final_by_seed": [c[-1].norm_eval_return for c in curves],
             "curve": [round(r["mean_norm_return"], 4) for r in agg],
         }
-    out["transfer"] = transfer(bundles, cvae)
+    moved = [jobs["lapal-agnostic", seed][2] for seed in SEEDS]
+    by_seed = {"transferred": [m[0] for m in moved], "no_retraining": [m[1] for m in moved]}
+    out["transfer"] = {name: sum(v) / len(v) for name, v in by_seed.items()}
+    out["transfer"].update({f"{name}_by_seed": v for name, v in by_seed.items()})
     gail, agn = out["modes"]["gail"], out["modes"]["lapal-agnostic"]
     checks = {
         "agnostic_floor": agn["final"] >= AGNOSTIC_FLOOR,

@@ -12,13 +12,22 @@ with a 300-row replay buffer, which wraps, of an arm3 agnostic run that
 makes no updates, of one evaluation of the arm3 agnostic policy with the
 expert and random references, of a short transfer of that policy to
 arm3-perturbed (codec weights and history) and its returns there, and of
-20 float64 SAC learner steps on arm3 features. The `params`, `transfer`
-and `learner` lines hash only parameter buffers and numbers, never a config
-string, so they stay comparable across a change to how a config prints.
+20 float64 SAC learner steps on arm3 features. With `--against FILE` it
+prints only the lines that differ from FILE, a saved output, and exits 1 if
+any do:
+
+    PYTHONPATH=src python tests/digests.py > before.txt
+    PYTHONPATH=src python tests/digests.py --against before.txt
+
+The `params`, `transfer` and `learner` lines hash only parameter buffers and
+numbers, never a config string, so they stay comparable across a change to
+how a config prints.
 pytest does not collect this file.
 """
 
+import argparse
 import hashlib
+import sys
 import warnings
 from dataclasses import astuple, replace
 
@@ -82,20 +91,21 @@ def run_with_records(run, sac_cfg, demos, codec):
     return res, records
 
 
-def main():
+def main(emit=print):
+    """Hand each digest line to `emit`."""
     warnings.simplefilter("ignore")
     for env_id in ENVS:
         for n, seed in ((1, 0), (5, 3), (16, 11)):
             demos = envsim.collect_demos(env_id, n, seed, min_success_rate=0.0)
-            print(f"demos {env_id} n={n} seed={seed}: {demo_digest(demos)}")
+            emit(f"demos {env_id} n={n} seed={seed}: {demo_digest(demos)}")
 
     cfg = latentact.CVAEConfig(latent_dim=2, epochs=4)
     for env_id in ("arm3", "pointmass"):
         demos = envsim.collect_demos(env_id, 16, 5)
         codec, history = latentact.train_codec(demos, cfg, 7)
         if env_id == "arm3":
-            print(f"train_codec arm3: {digest(codec.digest(), sorted(history.items()))}")
-        print(f"codec params {env_id}: "
+            emit(f"train_codec arm3: {digest(codec.digest(), sorted(history.items()))}")
+        emit(f"codec params {env_id}: "
               f"{digest(*codec_params(codec), sorted(history.items()))}")
 
         for algo in orchestrator.ALGOS:
@@ -103,11 +113,11 @@ def main():
             res, records = run_with_records(run, sacgen.SacConfig(), demos, codec)
             curve = [astuple(row) for row in res.curve]
             if env_id == "arm3":
-                print(f"run_training {algo}: {digest(records, curve, res.bundle.digest())}")
+                emit(f"run_training {algo}: {digest(records, curve, res.bundle.digest())}")
             numbers = [tuple(r[k] for k in RECORD_KEYS) for r in records]
             params = digest(numbers, curve, res.bundle.actor.params,
                             *codec_params(res.bundle.codec))
-            print(f"run params {env_id} {algo}: {params}")
+            emit(f"run params {env_id} {algo}: {params}")
             if env_id == "arm3" and algo == "lapal-agnostic":
                 source = res.bundle
         if env_id == "arm3":
@@ -116,25 +126,49 @@ def main():
                 res, records = run_with_records(small_run(algo, env_id),
                                           sacgen.SacConfig(buffer_capacity=300), demos, codec)
                 wrapped += [records, [astuple(row) for row in res.curve], res.bundle.digest()]
-            print(f"run_training wrap arm3: {digest(*wrapped)}")
+            emit(f"run_training wrap arm3: {digest(*wrapped)}")
             idle = replace(small_run("lapal-agnostic", env_id), disc_updates_per_iteration=0,
                            gen_updates_per_iteration=0)
             res, records = run_with_records(idle, sacgen.SacConfig(), demos, codec)
-            print(f"run_training no updates arm3: "
+            emit(f"run_training no updates arm3: "
                   f"{digest(records, [astuple(row) for row in res.curve])}")
             evals = orchestrator.evaluate_policies(
                 [source, orchestrator.ExpertPolicy(env_id), orchestrator.RandomPolicy(env_id)],
                 env_id, 16, 5)
-            print(f"evaluate_policies arm3: {digest(evals)}")
+            emit(f"evaluate_policies arm3: {digest(evals)}")
 
     target = envsim.collect_demos("arm3-perturbed", 16, 5)
     moved, history = orchestrator.transfer_policy(source, target, cfg, 7)
-    print(f"transfer arm3-perturbed: "
+    emit(f"transfer arm3-perturbed: "
           f"{digest(*codec_params(moved.codec), sorted(history.items()))}")
-    print(f"evaluate transfer arm3-perturbed: "
+    emit(f"evaluate transfer arm3-perturbed: "
           f"{digest(orchestrator.evaluate_policy(moved, 'arm3-perturbed', 16, 5))}")
-    print(f"learner float64: {learner_digest()}")
+    emit(f"learner float64: {learner_digest()}")
+
+
+def compare(saved, lines) -> int:
+    """Print the saved lines that `lines` lacks (`- `) and the lines that the
+    saved output lacks (`+ `), then a count; 1 if any line differs."""
+    gone = [line for line in saved if line not in set(lines)]
+    new = [line for line in lines if line not in set(saved)]
+    for mark, group in (("-", gone), ("+", new)):
+        for line in group:
+            print(f"{mark} {line}")
+    print(f"{len(lines) - len(new)} of {len(lines)} lines unchanged, "
+          f"{len(gone)} of {len(saved)} saved lines gone")
+    return 1 if gone or new else 0
 
 
 if __name__ == "__main__":
-    main()
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--against", metavar="FILE",
+                    help="a saved output of this script: print only the lines that differ "
+                         "from it, and exit 1 if any do")
+    args = ap.parse_args()
+    if args.against is None:
+        main()
+    else:
+        printed = []
+        main(printed.append)
+        with open(args.against) as f:
+            sys.exit(compare(f.read().splitlines(), printed))

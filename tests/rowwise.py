@@ -159,7 +159,7 @@ def episode_actor(policy, env_id, episode_seed):
         feats = envsim.feature_map(policy.env_id, state)
         u = sacgen.squash(policy.actor.forward(feats[None, :])[0, : policy.u_dim])
         if policy.codec is not None:
-            return latentact.decode(policy.codec, feats, u)
+            return latentact.decode(policy.codec, feats[None], u[None])[0]
         return u
 
     return act
@@ -221,10 +221,10 @@ def collect(env_id, agent, codec, buf, state, ep_t, n, rng):
     for _ in range(n):
         dist, _ = gaussian_head(agent.actor.forward(np.atleast_2d(feats)))
         u = sacgen.squash(dist.sample(rng.standard_normal(dist.mean.shape)))[0]
-        action = latentact.decode(codec, feats, u) if codec is not None else u
+        action = latentact.decode(codec, feats[None], u[None])[0] if codec is not None else u
         state, _ = envsim.env_step(env_id, state, action)
         next_feats = envsim.feature_map(env_id, state)
-        buf.push(feats, action, next_feats)
+        buf.push(feats[None], action[None], next_feats[None])
         feats = next_feats
         ep_t += 1
         if ep_t >= spec.horizon:
@@ -462,7 +462,7 @@ def batched_cvae_loss_and_grad(codec, feats, actions, noise):
     loss = recon_term + codec.config.beta * kl_term
     B, beta = S.shape[0], codec.config.beta
     d_in = codec.decoder.backward((2.0 / B) * err)
-    d_z = d_in[:, codec.feat_dim:] * (1.0 - abar * abar)
+    d_z = d_in[1] * (1.0 - abar * abar)
     sigma = dist.std
     d_mean = d_z + (beta / B) * dist.mean
     d_log_std = d_z * sigma * noise + (beta / B) * (sigma * sigma - 1.0)

@@ -16,7 +16,6 @@ from lapal.latentact import (
     decode,
     encode,
     encode_mean,
-    encoder_input,
     make_codec,
     train_codec,
 )
@@ -92,7 +91,7 @@ def test_zero_decoder_maps_to_bound_midpoint():
         layer.w[...] = 0.0
         layer.b[...] = 0.0
     s = envsim.feature_map("arm6", envsim.env_reset("arm6", 0))
-    np.testing.assert_array_equal(decode(codec, s, np.zeros(4)), np.zeros(6))
+    np.testing.assert_array_equal(decode(codec, s[None], np.zeros((1, 4))), np.zeros((1, 6)))
 
 
 def test_perfect_reconstruction_zero_loss():
@@ -103,7 +102,7 @@ def test_perfect_reconstruction_zero_loss():
         layer.b[...] = 0.0
     actions = np.zeros((8, 2))  # tanh(0) * high = 0 reproduces them exactly
     states = np.stack([envsim.env_reset("pointmass", i) for i in range(8)])
-    loss, parts = cvae_loss(codec, encoder_input(states, actions), np.zeros((8, 2)))
+    loss, parts = cvae_loss(codec, states, actions, np.zeros((8, 2)))
     assert loss == 0.0 and parts["recon"] == 0.0
 
 
@@ -114,7 +113,7 @@ def test_degenerate_posterior_zero_kl():
         layer.b[...] = 0.0
     s = np.stack([envsim.env_reset("pointmass", i) for i in range(4)])
     a = np.zeros((4, 2))
-    _, parts = cvae_loss(codec, encoder_input(s, a), np.zeros((4, 2)))
+    _, parts = cvae_loss(codec, s, a, np.zeros((4, 2)))
     assert parts["kl"] == 0.0
 
 
@@ -125,7 +124,7 @@ def test_loss_decomposition_matches_straight_line_oracle(pm_demos):
     rng = np.random.default_rng(7)
     S, A = pm_demos.states[:4], pm_demos.actions[:4]
     noise = rng.standard_normal((4, 2))
-    loss, parts = cvae_loss(codec, encoder_input(S, A), noise)
+    loss, parts = cvae_loss(codec, S, A, noise)
 
     # straight-line re-implementation using raw matrices
     def leaky(x):
@@ -154,11 +153,10 @@ def test_cvae_gradients_match_finite_differences(pm_demos):
     rng = np.random.default_rng(6)
     S, A = pm_demos.states[:8], pm_demos.actions[:8]
     noise = rng.standard_normal((8, 2))
-    x = encoder_input(S, A)
-    cvae_loss_and_grad(codec, x, noise)
+    cvae_loss_and_grad(codec, S, A, noise)
 
     def loss_fn():
-        return cvae_loss(codec, x, noise)[0]
+        return cvae_loss(codec, S, A, noise)[0]
 
     _, fd, analytic = fd_loss_gradient(loss_fn, [codec.encoder, codec.decoder],
                                        n_probes=120, seed=8)
@@ -177,15 +175,14 @@ def test_cvae_step_matches_earlier_form(precision):
         if precision == "float64":
             float64(codec)
     ours, theirs = codecs
-    mask = gaussian_head(ours.encoder.forward(encoder_input(S, A)))[1]
+    mask = gaussian_head(ours.encoder.forward(S, A))[1]
     assert 0.0 < mask.mean() < 1.0
     for _ in range(2):                                  # the second call accumulates
-        assert (cvae_loss_and_grad(ours, encoder_input(S, A), noise)
+        assert (cvae_loss_and_grad(ours, S, A, noise)
                 == rowwise.batched_cvae_loss_and_grad(theirs, S, A, noise))
         for a, b in ((ours.encoder, theirs.encoder), (ours.decoder, theirs.decoder)):
             assert a.grads.tobytes() == b.grads.tobytes()
-    assert cvae_loss(ours, encoder_input(S, A), noise) == cvae_loss(theirs, encoder_input(S, A),
-                                                                    noise)
+    assert cvae_loss(ours, S, A, noise) == cvae_loss(theirs, S, A, noise)
 
 
 @pytest.mark.parametrize("epochs", [0, 1])
@@ -247,8 +244,9 @@ def test_retrain_decoder_epoch_is_the_decoder_half_of_the_cvae_step():
     assert len(order) <= cfg.batch_size
     noise = rng.standard_normal((len(order), 2))
     ref = dataclasses.replace(source.copy(), env_id="arm3-perturbed")
-    x = encoder_input(envsim.feature_map("arm3-perturbed", target.states), target.actions)
-    loss, parts = cvae_loss_and_grad(ref, x[tr_idx][order], noise)
+    feats = envsim.feature_map("arm3-perturbed", target.states)
+    loss, parts = cvae_loss_and_grad(ref, feats[tr_idx][order], target.actions[tr_idx][order],
+                                     noise)
     ref.decoder.adam_step(cfg.lr)
     np.testing.assert_allclose([history["loss"][0], history["recon"][0], history["kl"][0]],
                                [loss, parts["recon"], parts["kl"]], rtol=1e-12)

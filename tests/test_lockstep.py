@@ -323,7 +323,7 @@ def test_policy_kernels_match_earlier_forms(n, precision):
         float64(codec)
     S, _ = random_batch("arm3", n, seed=n)
     feats, u = envsim.feature_map("arm3", S), sacgen.squash(z[:, :2])
-    for f, x in ((feats, u), (feats[0], u[0])):
+    for f, x in ((feats, u), (feats[:1], u[:1])):
         assert same(latentact.decode(codec, f, x), rowwise.batched_decode(codec, f, x))
 
 
@@ -557,7 +557,7 @@ def collection_pair(env_id, kind, case, f64=True):
         buf = ReplayBuffer(capacity, feat_dim, spec.action_dim)
         prefill = np.random.default_rng(23)
         for _ in range(filled):
-            buf.push(*(prefill.standard_normal(d)
+            buf.push(*(prefill.standard_normal((1, d))
                        for d in (feat_dim, spec.action_dim, feat_dim)))
         rng = np.random.default_rng(24)
         out.append((buf, *collect(buf, state[0], ep_t, n, rng),

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -21,8 +24,8 @@ REPO_SPECS = [
 def test_zero_network_forward_is_zero():
     spec = MLPSpec(3, (5, 4), 2)
     tree = ParamTree(spec)
-    x = np.array([1.0, -2.0, 0.5])
-    assert np.array_equal(tree.forward(x), np.zeros(2))
+    x = np.array([[1.0, -2.0, 0.5]])
+    assert np.array_equal(tree.forward(x), np.zeros((1, 2)))
 
 
 def test_identity_single_layer():
@@ -30,13 +33,13 @@ def test_identity_single_layer():
     tree = ParamTree(spec)
     tree.layers[0].w[...] = np.eye(2)
     tree.layers[1].w[...] = np.eye(2)
-    assert np.allclose(tree.forward(np.array([1.0, 2.0])), [1.0, 2.0])
+    assert np.allclose(tree.forward(np.array([[1.0, 2.0]])), [[1.0, 2.0]])
 
 
 def test_forward_matches_straight_line_oracle():
     spec = MLPSpec(1, (4,), 2, activation="tanh")
     tree = float64(ParamTree.init(spec, np.random.default_rng(0)))
-    x = np.array([0.5])
+    x = np.array([[0.5]])
     got = tree.forward(x)
     l0, l1 = tree.layers
     expect = np.tanh(x @ l0.w + l0.b) @ l1.w + l1.b
@@ -45,8 +48,9 @@ def test_forward_matches_straight_line_oracle():
 
 def test_forward_shape_mismatch_raises():
     tree = ParamTree(MLPSpec(3, (4,), 2))
-    with pytest.raises(ConfigError):
-        tree.forward(np.zeros(5))
+    for x in (np.zeros((1, 5)), np.zeros(3), np.zeros((1, 1, 3))):
+        with pytest.raises(ConfigError):
+            tree.forward(x)
 
 
 def test_backward_linear_case():
@@ -99,18 +103,18 @@ def test_input_gradient_matches_finite_differences():
     spec = MLPSpec(5, (12, 12), 3, activation="tanh")
     rng = np.random.default_rng(3)
     tree = float64(ParamTree.init(spec, rng))
-    x = rng.standard_normal(5)
-    proj = rng.standard_normal(3)
+    x = rng.standard_normal((1, 5))
+    proj = rng.standard_normal((1, 3))
     tree.forward(x, record=True)
-    din = tree.backward(proj, accumulate=False)
+    (din,) = tree.backward(proj, accumulate=False)
     assert np.all(tree.grads == 0.0)  # accumulate=False leaves grads alone
     h = 1e-6
     for i in range(5):
         xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
+        xp[0, i] += h
+        xm[0, i] -= h
         fd = ((tree.forward(xp) * proj).sum() - (tree.forward(xm) * proj).sum()) / (2 * h)
-        assert abs(fd - din[i]) < 1e-6 * max(1.0, abs(fd))
+        assert abs(fd - din[0, i]) < 1e-6 * max(1.0, abs(fd))
 
 
 def test_adam_first_step_is_signed_lr():
@@ -340,9 +344,9 @@ def test_kernels_match_out_of_place_oracle(spec, batch, accumulate):
     float64(tree)
     tree.grads[...] = np.random.default_rng(5).standard_normal(tree.grads.size)
     ref = outofplace.Net(tree)
-    for xs, ups in ((x, up), (x[0], up[0])):
+    for xs, ups in ((x, up), (x[:1], up[:1])):
         assert _same(tree.forward(xs, record=True), ref.forward(xs, record=True))
-        assert _same(tree.backward(ups, accumulate), ref.backward(ups, accumulate))
+        assert _same(tree.backward(ups, accumulate)[0], ref.backward(ups, accumulate))
     for l, r in zip(tree.layers, ref.layers):
         assert _same(l.gw, r.gw) and _same(l.gb, r.gb)
 
@@ -388,7 +392,7 @@ def test_width_one_layer_backward_equals_matmul(hidden, batch, precision):
         if i > 0:
             d = d * (hs[i] > 0.0)
     tree.forward(x, record=True)
-    assert _same(tree.backward(up), d.astype(np.float64))
+    assert _same(tree.backward(up)[0], d.astype(np.float64))
     assert _same(tree.grads, np.concatenate([g.ravel() for g in grads]))
 
 
@@ -424,7 +428,7 @@ def test_activations_match_oracle_on_special_values(act, out_act):
     with np.errstate(invalid="ignore", over="ignore"):
         assert _same(tree.forward(x, record=True), ref.forward(x, record=True))
         up = np.ones_like(x)
-        assert _same(tree.backward(up), ref.backward(up))
+        assert _same(tree.backward(up)[0], ref.backward(up))
     assert _same(tree.grads, np.concatenate([r for l in ref.layers for r in (l.gw.ravel(), l.gb)]))
 
 
@@ -435,10 +439,65 @@ def test_kernels_leave_inputs_and_tape_alone(spec):
     twin = tree.copy()
     tree.forward(x, record=True)
     tree.forward(np.ones_like(x))  # unrecorded, on other data
-    dx = tree.backward(up)
+    (dx,) = tree.backward(up)
     assert _same(x, x_before) and _same(up, up_before)
     twin.forward(x, record=True)
-    assert _same(dx, twin.backward(up)) and _same(tree.grads, twin.grads)
+    assert _same(dx, twin.backward(up)[0]) and _same(tree.grads, twin.grads)
+
+
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+@pytest.mark.parametrize("spec", REPO_SPECS, ids=lambda s: s.canonical())
+def test_column_blocks_are_the_joined_rows(spec, precision):
+    # blocks of widths 1, 2 and the rest, given as float64 arrays, run as their
+    # joined rows would; backward hands back each block's columns of the
+    # joined input gradient
+    tree, x, up = _kernel_case(spec, 16, seed=8)
+    if precision == "float64":
+        float64(tree)
+    twin = tree.copy()
+    blocks = (x[:, :1], x[:, 1:3], x[:, 3:])
+    assert _same(tree.forward(*blocks, record=True), twin.forward(x, record=True))
+    grads, (joined,) = tree.backward(up), twin.backward(up)
+    assert [g.shape for g in grads] == [b.shape for b in blocks]
+    assert _same(np.hstack(grads), joined) and _same(tree.grads, twin.grads)
+    tree.forward(*blocks, record=True)
+    assert tree.backward(up, input_grad=False) is None
+
+
+def test_blocks_that_do_not_make_rows_raise():
+    tree = ParamTree(MLPSpec(3, (4,), 2))
+    for blocks in ((np.zeros((2, 1)), np.zeros((2, 1))), (np.zeros((2, 1)), np.zeros((2, 3))),
+                   (np.zeros(1), np.zeros(2))):
+        with pytest.raises(ConfigError):
+            tree.forward(*blocks)
+    with pytest.raises(ValueError):  # rows that do not line up
+        tree.forward(np.zeros((2, 1)), np.zeros((3, 2)))
+    tree.forward(np.zeros((2, 1)), np.zeros((2, 2)), record=True)
+    with pytest.raises(ConfigError):  # one-row upstream for a two-row forward
+        tree.backward(np.ones(2))
+
+
+@pytest.mark.parametrize("clone", ["pickle", "deepcopy"])
+def test_pickled_and_deep_copied_trees_still_train(clone):
+    # the layer arrays must view the clone's own flat vectors, or backward
+    # accumulates into detached arrays and Adam never moves the weights
+    tree, x, up = _kernel_case(MLPSpec(6, (16, 16), 8), 16, seed=9)
+    tree.forward(x, record=True)
+    tree.backward(up)
+    tree.adam_step(lr=1e-2)
+    twin = pickle.loads(pickle.dumps(tree)) if clone == "pickle" else copy.deepcopy(tree)
+    ref = tree.copy()
+    for t in (twin, ref):
+        assert all(np.shares_memory(l.w, t.params) and np.shares_memory(l.gb, t.grads)
+                   for l in t.layers)
+        assert _same(t.forward(x, record=True), ref.forward(x))
+        t.backward(up)
+        assert t.grads.any()
+        t.adam_step(lr=1e-2)
+    assert twin.step == ref.step == 2 and twin.dtype == ref.dtype
+    for name in ("params", "grads", "m", "v"):
+        assert _same(getattr(twin, name), getattr(ref, name))
+    assert not _same(twin.params, tree.params)
 
 
 # float32 passes against the float64 reference: every entry of the output,
@@ -465,7 +524,7 @@ def test_float32_passes_match_float64_reference(case, batch):
     x = rng.standard_normal((batch, tree.spec.input_dim))
     up = rng.standard_normal((batch, tree.spec.output_dim))
     y, y_ref = tree.forward(x, record=True), ref.forward(x, record=True)
-    dx, dx_ref = tree.backward(up), ref.backward(up)
+    (dx,), (dx_ref,) = tree.backward(up), ref.backward(up)
     assert y.dtype == dx.dtype == np.float64 and tree.grads.dtype == np.float32
     for got, want in ((y, y_ref), (dx, dx_ref), (tree.grads, ref.grads)):
         _scaled_close(got, want)
@@ -491,7 +550,7 @@ def test_adam_step_refuses_a_pending_tape():
     assert tree.step == 1
     tree.grads[...] = 0.0
     twin.forward(x, record=True)
-    assert _same(tree.backward(up), twin.backward(up)) and _same(tree.grads, twin.grads)
+    assert _same(tree.backward(up)[0], twin.backward(up)[0]) and _same(tree.grads, twin.grads)
     tree.adam_step(lr=1e-2)
     twin.adam_step(lr=1e-2)
     assert _same(tree.params, twin.params) and tree.step == twin.step == 2
@@ -526,12 +585,12 @@ def test_adam_step_flushes_moments_stuck_at_subnormals(monkeypatch):
 def test_forward_backward_accept_array_likes():
     tree = ParamTree.init(MLPSpec(2, (4,), 1), np.random.default_rng(0))
     twin = tree.copy()
-    y = tree.forward([0.1, 0.2], record=True)
-    assert y.shape == (1,) and _same(y, twin.forward(np.array([0.1, 0.2]), record=True))
-    assert _same(tree.backward([1.0]), twin.backward(np.array([1.0])))
-    tree.forward([[0.1, 0.2]], record=True)
+    y = tree.forward([[0.1, 0.2]], record=True)
+    assert y.shape == (1, 1) and _same(y, twin.forward(np.array([[0.1, 0.2]]), record=True))
+    assert _same(tree.backward([[1.0]])[0], twin.backward(np.array([[1.0]]))[0])
+    tree.forward([[0.1]], [[0.2]], record=True)
     twin.forward(np.array([[0.1, 0.2]]), record=True)
-    assert _same(tree.backward([[1.0]]), twin.backward(np.array([[1.0]])))
+    assert _same(np.hstack(tree.backward([[1.0]])), twin.backward(np.array([[1.0]]))[0])
     assert _same(tree.grads, twin.grads)
 
 

@@ -554,6 +554,25 @@ def test_one_encoding_and_reward_pass_per_phase(disc_updates, gen_updates, monke
     assert calls["disc_reward"] == buffer_pass * bool(gen_updates)
 
 
+@pytest.mark.parametrize("disc_updates, gen_updates", [(5, 10), (0, 10), (5, 0)])
+def test_gail_reads_its_actions_as_box_points(disc_updates, gen_updates, monkeypatch,
+                                              pm_demos):
+    """A raw policy's box points are its actions, so a `gail` run never calls
+    `to_box`: its reward pass scores action-wide rows."""
+    def refuse(*args):
+        raise AssertionError("a raw run called to_box")
+
+    seen = []
+    score = adversary.disc_reward
+    monkeypatch.setattr(PolicyBundle, "to_box", refuse)
+    monkeypatch.setattr(adversary, "disc_reward", lambda d, s, u: seen.append(u) or score(d, s, u))
+    cfg = small_run_cfg("gail", total_env_steps=200, disc_updates_per_iteration=disc_updates,
+                        gen_updates_per_iteration=gen_updates)
+    res = run_training(cfg, SMALL_SAC, pm_demos, seed=5)
+    assert len(res.curve) == 1 and bool(seen) == bool(gen_updates)
+    assert all(u.shape[1] == envsim.env_spec("pointmass").action_dim for u in seen)
+
+
 def test_buffer_holds_features_of_stepped_states(monkeypatch, env_inputs):
     """Features computed once per state as collection steps equal the
     features of the same states computed as one batch, bit for bit."""

@@ -127,7 +127,7 @@ def test_log_prob_integrates_to_one():
 def test_buffer_fifo_eviction():
     buf = ReplayBuffer(2, 1, 1)
     for v in (1.0, 2.0, 3.0):
-        buf.push([v], [v], [v])
+        buf.push([[v]], [[v]], [[v]])
     assert len(buf) == 2
     assert set(buf.states[:2, 0]) == {3.0, 2.0}
 
@@ -144,9 +144,9 @@ def test_batch_push_equals_one_row_pushes(capacity, filled, k):
     one, batch = (ReplayBuffer(capacity, 3, 2) for _ in range(2))
     for buf in (one, batch):
         for i in range(filled):
-            buf.push(*[r[i] for r in rows])
+            buf.push(*[r[i : i + 1] for r in rows])
     for i in range(filled, filled + k):
-        one.push(*[r[i] for r in rows])
+        one.push(*[r[i : i + 1] for r in rows])
     batch.push(*[r[filled:] for r in rows])
     assert (batch.cursor, batch.size) == (one.cursor, one.size)
     assert one.size == min(filled + k, capacity)
@@ -161,11 +161,25 @@ def test_batch_push_equals_one_row_pushes(capacity, filled, k):
 def test_buffer_sample_membership():
     buf = ReplayBuffer(16, 1, 1)
     for v in range(10):
-        buf.push([v], [v], [v])
+        buf.push([[v]], [[v]], [[v]])
     idx = buf.sample(np.random.default_rng(0), 64)
     assert idx.shape == (64,)
     assert set(buf.states[idx, 0]).issubset(set(range(10)))
     assert not hasattr(buf, "reward") and not hasattr(buf, "rewards")
+
+
+def test_push_takes_k_rows_of_each_column_only():
+    # a (1, a) action block would broadcast over k feature rows, and one-row
+    # vectors have no row count; both are refused and leave the ring as it was
+    buf = ReplayBuffer(8, 3, 2)
+    buf.push(np.ones((2, 3)), np.ones((2, 2)), np.ones((2, 3)))
+    for rows in ((np.zeros((4, 3)), np.zeros((1, 2)), np.zeros((4, 3))),
+                 (np.zeros((4, 3)), np.zeros((4, 3)), np.zeros((4, 3))),
+                 (np.zeros((4, 3)), np.zeros((4, 2)), np.zeros((3, 3))),
+                 (np.zeros(3), np.zeros(2), np.zeros(3))):
+        with pytest.raises(ConfigError):
+            buf.push(*rows)
+    assert (buf.size, buf.cursor) == (2, 2) and not (buf.states[:2] - 1.0).any()
 
 
 def test_buffer_empty_sample_raises():
@@ -177,7 +191,7 @@ def test_buffer_empty_sample_raises():
 def test_buffer_sampling_uniformity_chi_square():
     buf = ReplayBuffer(16, 1, 1)
     for v in range(10):
-        buf.push([v], [v], [v])
+        buf.push([[v]], [[v]], [[v]])
     idx = buf.sample(np.random.default_rng(1), 100_000)
     counts = np.bincount(buf.states[idx, 0].astype(int), minlength=10)
     _, p = scipy.stats.chisquare(counts)
@@ -399,7 +413,7 @@ def test_decoder_path_gradient_on_arm_features():
     rng = np.random.default_rng(42)
     states = np.stack([envsim.env_reset("arm3", i) for i in range(6)])
     feats = envsim.feature_map("arm3", states)
-    assert states.shape[1] == 8 and feats.shape[1] == codec.feat_dim == 15
+    assert states.shape[1] == 8 and feats.shape[1] == envsim.feature_dim(codec.env_id) == 15
     u = np.tanh(rng.standard_normal((6, 2)))
     codec.decoder.adam_step = lambda lr: None  # keep the accumulated gradient
     sacgen.decoder_adversarial_step(codec, disc, 1e-3, feats, u)
