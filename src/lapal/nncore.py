@@ -1,23 +1,28 @@
 """Dense networks with hand-rolled reverse-mode gradients, plus Adam.
 
-A ParamTree owns the weights of one MLP together with gradient buffers and
-Adam moments; forward passes optionally record a tape that the matching
-backward pass consumes. Gradients accumulate across backward calls until an
-optimizer step zeroes them, which is what lets a loss with several
-expectation terms sum its pieces before updating.
+A ParamTree owns the weights of `copies` MLPs of one spec (one, or twin
+critics) together with gradient buffers and Adam moments; forward passes
+optionally record a tape that the matching backward pass consumes. Gradients
+accumulate across backward calls until an optimizer step zeroes them, which
+is what lets a loss with several expectation terms sum its pieces first.
 
 A ParamTree keeps four contiguous vectors, `params`, `grads`, `m` and `v`,
-each laid out layer by layer (weights row-major, then biases). Every
-DenseLayer array (`w`, `b`, `gw`, `gb`, `mw`, `vw`, `mb`, `vb`) is a view
-into one of them, and `copy`, pickling and deepcopy rebuild those views. So
-the passes work per layer while Adam and Polyak averaging are a few
-whole-vector ops, which give the same bits as a loop over the layer arrays,
-and checkpoints save whole vectors.
+copy-major: each copy is one span, laid out layer by layer (weights
+row-major, then biases). Every DenseLayer array (`w`, `b`, `gw`, `gb`, `mw`,
+`vw`, `mb`, `vb`) is a view into one of them, (in, out) and (out,) for one
+copy, (copies, in, out) and (copies, 1, out) for more; `copy`, pickling and
+deepcopy rebuild those views. So the passes work per layer while Adam and
+Polyak averaging are a few whole-vector ops, which give the same bits as a
+loop over the layer arrays, and checkpoints save whole vectors.
 
 Every pass works on (N, d) rows; there are no one-row forms. `forward`
 takes one or more column blocks, say state features and an action box, and
 joins them once in the tree's dtype; `backward` returns one input gradient
-per block, so a caller reads the block it chains into.
+per block, so a caller reads the block it chains into. Every copy reads the
+same rows and gives (copies, N, out); a one-copy tree also takes (m, N, d)
+blocks, one gemm per slice, and backpropagates one slice `part` of that
+tape. The passes transpose the last two axes and sum biases over axis -2,
+which is one network's arithmetic, so each copy or slice gets its own bits.
 
 One precision per tree: the four vectors are in the tree's `dtype`, float32
 for every tree the lab builds, and the passes, gradient accumulation, Adam
@@ -32,7 +37,11 @@ float32 tree exactly; loading refuses a value the tree's dtype cannot hold.
 A layer's forward pass writes its bias and activation into its own matmul
 output, and the backward pass multiplies activation derivatives into its
 running gradient in place. Arrays on the tape (the input and every layer
-output) are never written after they are recorded.
+output) are never written after they are recorded. A recorded forward puts
+its hidden layers in buffers the tree keeps per input shape, reused by the
+next one, instead of freeing blocks that glibc may return to the OS and fault
+in again. Only the tape, which the next recorded forward replaces, reaches
+them; `copy` and pickling drop them.
 """
 
 from __future__ import annotations
@@ -58,18 +67,16 @@ TANH_CAP = 1.0 - 1e-12
 
 FLUSH_EVERY = 100  # Adam steps between flushes of subnormal moments to 0
 
+_VECTORS = ("params", "grads", "m", "v")
+
 
 # ---------------------------------------------------------------------------
 # numerics helpers shared across modules
 
 
 def sigmoid(x):
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))  # at most 1, so neither branch overflows
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def softplus(x):
@@ -117,45 +124,58 @@ class MLPSpec:
 
 
 class DenseLayer:
-    """One layer's slices of its tree's flat buffers, as (in, out) and (out,) views."""
+    """One layer's slices of its tree's flat buffers, as (in, out) and (out,) views,
+    or (copies, in, out) and (copies, 1, out) views for a stacked tree."""
 
-    def __init__(self, buffers, start: int, fan_in: int, fan_out: int):
+    def __init__(self, buffers, start: int, fan_in: int, fan_out: int, copies: int):
         mid = start + fan_in * fan_out
+        shapes = ((copies, fan_in, fan_out), (copies, 1, fan_out)) if copies > 1 else (
+            (fan_in, fan_out), (fan_out,))
         (self.w, self.b), (self.gw, self.gb), (self.mw, self.mb), (self.vw, self.vb) = (
-            (x[start:mid].reshape(fan_in, fan_out), x[mid : mid + fan_out]) for x in buffers)
+            (x[:, start:mid].reshape(shapes[0]), x[:, mid : mid + fan_out].reshape(shapes[1]))
+            for x in buffers)
 
 
 class ParamTree:
-    """Weights + grads + Adam state for one MLP, with a single forward tape.
+    """Weights + grads + Adam state for `copies` MLPs of one spec, with a single
+    forward tape. Layer arrays view the flat vectors: writing `layer.w` writes `params`."""
 
-    The layer arrays are views of the flat `params`, `grads`, `m` and `v`
-    vectors, so writing through `layer.w` writes `params`.
-    """
-
-    def __init__(self, spec: MLPSpec, step: int = 0, dtype=np.float32):
+    def __init__(self, spec: MLPSpec, step: int = 0, dtype=np.float32, copies: int = 1):
         dims = spec.dims()
         n = sum(i * o + o for i, o in zip(dims[:-1], dims[1:]))
         self.spec = spec
         self.dtype = np.dtype(dtype)
-        self.params, self.grads, self.m, self.v = (np.zeros(n, self.dtype) for _ in range(4))
-        bufs = (self.params, self.grads, self.m, self.v)
+        self.copies = copies
+        vectors = np.zeros((4, copies, n), self.dtype)
+        self.params, self.grads, self.m, self.v = (x.reshape(-1) for x in vectors)
         self.layers, start = [], 0
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            self.layers.append(DenseLayer(bufs, start, fan_in, fan_out))
+            self.layers.append(DenseLayer(vectors, start, fan_in, fan_out, copies))
             start += fan_in * fan_out + fan_out
         self.step = step
         self._tape = None
+        self._acts = {}  # input shape -> hidden activation buffers of recorded forwards
 
     @classmethod
-    def init(cls, spec: MLPSpec, rng: np.random.Generator) -> "ParamTree":
-        tree = cls(spec)
-        for l in tree.layers:
-            fan_in, fan_out = l.w.shape
-            bound = np.sqrt(6.0 / (fan_in + fan_out))
-            # rng.uniform(-bound, bound), -bound + 2 * bound * U, drawn in float64
-            # and cast, so the generator moves as it would for a float64 tree
-            l.w[...] = rng.random(l.w.shape) * (2.0 * bound) - bound
+    def init(cls, spec: MLPSpec, rng: np.random.Generator, copies: int = 1) -> "ParamTree":
+        """Glorot-uniform weights, zero biases; copy j draws as the j-th one-copy init."""
+        tree, one = cls(spec, copies=copies), cls(spec)
+        for span in tree.params.reshape(copies, -1):
+            for l in one.layers:
+                fan_in, fan_out = l.w.shape
+                bound = np.sqrt(6.0 / (fan_in + fan_out))
+                # rng.uniform(-bound, bound), -bound + 2 * bound * U, drawn in float64
+                # and cast, so the generator moves as it would for a float64 tree
+                l.w[...] = rng.random(l.w.shape) * (2.0 * bound) - bound
+            span[...] = one.params
         return tree
+
+    def member(self, j: int) -> "ParamTree":
+        """Copy j of this tree as a one-copy tree with its own vectors."""
+        one = ParamTree(self.spec, self.step, self.dtype)
+        for name in _VECTORS:
+            getattr(one, name)[...] = getattr(self, name).reshape(self.copies, -1)[j]
+        return one
 
     def copy(self) -> "ParamTree":
         clone = ParamTree.__new__(ParamTree)
@@ -164,13 +184,13 @@ class ParamTree:
 
     def __getstate__(self):
         # `copy`, pickle and deepcopy keep the four vectors and rebuild the
-        # layer views on them; a pending tape is dropped
+        # layer views on them; a pending tape and the activation buffers are dropped
         return {"spec": self.spec, "step": self.step, "dtype": self.dtype,
-                **{name: getattr(self, name) for name in ("params", "grads", "m", "v")}}
+                "copies": self.copies, **{name: getattr(self, name) for name in _VECTORS}}
 
     def __setstate__(self, state):
-        self.__init__(state["spec"], state["step"], state["dtype"])
-        for name in ("params", "grads", "m", "v"):
+        self.__init__(state["spec"], state["step"], state["dtype"], state["copies"])
+        for name in _VECTORS:
             getattr(self, name)[...] = state[name]
 
     def digest(self) -> str:
@@ -181,15 +201,17 @@ class ParamTree:
     # -- forward / backward --------------------------------------------------
 
     def forward(self, *blocks, record: bool = False) -> np.ndarray:
-        """(N, output_dim) outputs of the rows the (N, d_i) column `blocks` make."""
+        """Outputs of the rows the (N, d_i) column `blocks` make: (N, out), (copies,
+        N, out) for a stacked tree, or (m, N, out) for (m, N, d_i) blocks."""
         a = (np.asarray(blocks[0], self.dtype) if len(blocks) == 1
              else np.concatenate(blocks, axis=-1, dtype=self.dtype))
-        if a.ndim != 2 or a.shape[1] != self.spec.input_dim:
+        if a.ndim not in (2, 3 if self.copies == 1 else 2) or a.shape[-1] != self.spec.input_dim:
             raise ConfigError(f"input shape {a.shape} is not (N, {self.spec.input_dim})")
-        inputs = [a] if record else None
         last = len(self.layers) - 1
+        if record:  # hidden layers go to this input shape's buffers, made on first use
+            inputs, outs = [a], self._acts.get(a.shape, [None] * last)
         for i, l in enumerate(self.layers):
-            a = a @ l.w
+            a = np.matmul(a, l.w, out=outs[i]) if record and i < last else a @ l.w
             a += l.b
             if i == last:  # output activation in float64, see TANH_CAP
                 a = a.astype(np.float64, copy=False)
@@ -205,18 +227,24 @@ class ParamTree:
             if record and i < last:
                 inputs.append(a)
         if record:
-            self._tape = (inputs, a, [np.shape(b)[1] for b in blocks])
+            self._tape = (inputs, a, [np.shape(b)[-1] for b in blocks])
+            self._acts[inputs[0].shape] = inputs[1:]
         return a
 
     def backward(self, upstream: np.ndarray, accumulate: bool = True,
-                 input_grad: bool = True) -> tuple | None:
+                 input_grad: bool = True, part: int | None = None) -> tuple | None:
         """d loss / d input from `upstream` = d loss / d output, as one
         gradient per input block of the recorded forward; with `input_grad`
-        False the first layer skips it and None is returned."""
+        False the first layer skips it and None is returned. A tape of (m, N,
+        d) blocks backpropagates its slice `part` only; no other tape takes one."""
         if self._tape is None:
             raise StateError("backward called without a recorded forward pass")
         inputs, out, widths = self._tape
         self._tape = None
+        if (part is None) != (inputs[0].ndim == 2):
+            raise ConfigError("a tape of (m, N, d) blocks backpropagates one slice `part`")
+        if part is not None:
+            inputs, out = [x[part] for x in inputs], out[part]
         d = np.asarray(upstream, dtype=np.float64)
         if d.shape != out.shape:
             raise ConfigError(f"upstream shape {d.shape} != output shape {out.shape}")
@@ -231,13 +259,13 @@ class ParamTree:
         for i in range(len(self.layers) - 1, -1, -1):
             l = self.layers[i]
             if accumulate:
-                l.gw += inputs[i].T @ d
-                l.gb += np.add.reduce(d, 0)
+                l.gw += inputs[i].mT @ d
+                l.gb += np.add.reduce(d, -2, keepdims=self.copies > 1)
             if i == 0 and not input_grad:
                 return None
             # for a width-1 layer `d @ w.T` runs matmul's slow non-BLAS loop: form the
             # same products, plus the +0.0 its zeroed sum adds (-0.0 becomes 0.0)
-            d = d * l.w[:, 0] + 0.0 if l.w.shape[1] == 1 else d @ l.w.T
+            d = d * l.w.mT + 0.0 if l.w.shape[-1] == 1 else d @ l.w.mT
             if i > 0 and act == "relu":
                 d *= inputs[i] > 0.0
             elif i > 0 and act == "leaky_relu":
@@ -246,7 +274,7 @@ class ParamTree:
                 g = inputs[i] * inputs[i]
                 d *= np.subtract(1.0, g, out=g)
         d = d.astype(np.float64, copy=False)
-        return tuple(d[:, end - w : end] for w, end in zip(widths, itertools.accumulate(widths)))
+        return tuple(d[..., end - w : end] for w, end in zip(widths, itertools.accumulate(widths)))
 
     # -- Adam -----------------------------------------------------------------
 
@@ -374,7 +402,9 @@ _SAVED_BUFFERS = ("params", "m", "v")
 def tree_state(tree: ParamTree, name: str) -> tuple:
     """Checkpoint entries of `tree` under `name`: the header field `name`
     (spec canonical string and Adam step) and the arrays `name.params`,
-    `name.m` and `name.v`. Gradients are not saved."""
+    `name.m` and `name.v`. Gradients are not saved, nor is a stacked tree."""
+    if tree.copies > 1:
+        raise ConfigError(f"{name} stacks {tree.copies} networks; only one-copy trees are saved")
     header = {name: {"spec": tree.spec.canonical(), "step": tree.step}}
     return header, {f"{name}.{b}": getattr(tree, b) for b in _SAVED_BUFFERS}
 

@@ -357,13 +357,12 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
                 for _ in range(cfg.gen_updates_per_iteration):
                     i = buf.sample(batch_rng, chunk)
                     s = S[i]
-                    closses = sacgen.critic_update(agent, s, U[i], S2[i], R[i], batch_rng)
-                    alosses = sacgen.actor_update(agent, s, batch_rng)
+                    losses = sacgen.sac_update(agent, s, U[i], S2[i], R[i], batch_rng)
                     if aware:
                         sacgen.decoder_adversarial_step(run_codec, disc, cfg.codec_gen_lr,
-                                                        s, alosses["u"])
-                    ran.update(critic=closses["critic1"], actor=alosses["actor"],
-                               entropy=alosses["entropy"])
+                                                        s, losses["u"])
+                    ran.update(critic=losses["critic1"], actor=losses["actor"],
+                               entropy=losses["entropy"])
             except OptimizerError as exc:
                 raise DivergenceError(
                     f"optimizer aborted at step {steps}: {exc}"
@@ -401,7 +400,7 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
             on_iteration({
                 "iteration": iteration, "env_steps": steps,
                 "actor_digest": agent.actor.digest(),
-                "critic_digest": agent.critic1.digest(),
+                "critic_digest": agent.critics.member(0).digest(),
                 "disc_digest": disc.digest(),
                 "alpha": agent.alpha,
                 "codec_digest": run_codec.digest() if run_codec else "",

@@ -3,9 +3,10 @@
 The actor emits a tanh-squashed diagonal Gaussian, so every emitted action
 lies in (-1, 1)^d: for the imitation baseline d is the raw action dimension
 and the emissions are the env actions, for latent policies d is the latent
-dimension and a decoder turns emissions into env actions. Twin critics with
-Polyak-averaged targets score (state, action-box) pairs; episodes terminate
-only at the time limit, so TD targets always bootstrap.
+dimension and a decoder turns emissions into env actions. Twin critics, one
+two-copy tree, with a Polyak-averaged two-copy target tree score (state,
+action-box) pairs; episodes terminate only at the time limit, so TD targets
+always bootstrap.
 
 Every network here consumes state features (`envsim.feature_map`), never
 raw env states. The replay buffer holds the features of s and s', computed
@@ -19,6 +20,11 @@ standard-normal noise, collection (`act`) squashes it, and the learner
 the same u for the same noise. Log-probabilities of squashed samples use the
 exact identity log(1 - tanh(z)^2) = 2(log 2 - z - softplus(-2z)); its
 z-derivative is -2 tanh(z), which the hand-assembled actor gradient relies on.
+
+`sac_update` makes one pass per network: one (2, N, u_dim) draw holds the
+critic's next-state noise, then the actor's; one recorded actor forward over
+[s'; s] gives the critic step slice 0 and the actor step slice 1, the only
+one it backpropagates. The critic pair steps as one tree, as do the targets.
 """
 
 from __future__ import annotations
@@ -75,11 +81,9 @@ class SacAgent:
         self.actor = ParamTree.init(
             MLPSpec(state_dim, cfg.actor_hidden, 2 * u_dim, activation="relu"), rng
         )
-        critic_spec = MLPSpec(state_dim + u_dim, cfg.critic_hidden, 1, activation="relu")
-        self.critic1 = ParamTree.init(critic_spec, rng)
-        self.critic2 = ParamTree.init(critic_spec, rng)
-        self.target1 = self.critic1.copy()
-        self.target2 = self.critic2.copy()
+        self.critics = ParamTree.init(
+            MLPSpec(state_dim + u_dim, cfg.critic_hidden, 1, activation="relu"), rng, copies=2)
+        self.targets = self.critics.copy()
         self.log_alpha = AdamScalar(float(np.log(cfg.init_alpha)))
         self.target_entropy = -float(u_dim)
 
@@ -89,7 +93,7 @@ class SacAgent:
 
     def digest(self) -> str:
         h = hashlib.sha256()
-        for tree in (self.actor, self.critic1, self.critic2, self.target1, self.target2):
+        for tree in (self.actor, self.critics, self.targets):
             h.update(tree.digest().encode())
         h.update(repr(self.log_alpha.value).encode())
         return h.hexdigest()
@@ -110,8 +114,8 @@ def sample_with_log_prob(agent: SacAgent, states, eps, record: bool = False):
     log-std clamp mask are what the actor gradient is assembled from."""
     dist, clamp_mask = gaussian_head(agent.actor.forward(states, record=record))
     z = dist.sample(eps)
-    gauss = (-0.5 * eps * eps - dist.log_std - 0.5 * np.log(2 * np.pi)).sum(axis=1)
-    log_prob = gauss - tanh_log_jacobian(z).sum(axis=1)
+    gauss = (-0.5 * eps * eps - dist.log_std - 0.5 * np.log(2 * np.pi)).sum(axis=-1)
+    log_prob = gauss - tanh_log_jacobian(z).sum(axis=-1)
     return squash(z), log_prob, dist, clamp_mask
 
 
@@ -166,84 +170,65 @@ class ReplayBuffer:
 
 
 def polyak_update(agent: SacAgent, tau: float) -> None:
-    for critic, target in ((agent.critic1, agent.target1), (agent.critic2, agent.target2)):
-        target.params += tau * (critic.params - target.params)
+    agent.targets.params += tau * (agent.critics.params - agent.targets.params)
 
 
-def _twin_q(pair, states, u, record=False):
-    """Q values of both networks of a twin `pair` at (state, action-box) rows."""
-    return [tree.forward(states, u, record=record)[:, 0] for tree in pair]
+def sac_update(agent: SacAgent, states, u, next_states, rewards, rng) -> dict:
+    """One critic step, then one actor step, on (s, u, s') rows and their
+    float64 `rewards`; returns both steps' losses."""
+    eps = rng.standard_normal((2, len(states), agent.u_dim))
+    drawn = sample_with_log_prob(agent, np.stack([next_states, states]), eps, record=True)
+    losses = critic_update(agent, states, u, next_states, rewards, drawn[0][0], drawn[1][0])
+    return losses | actor_update(agent, states, eps, drawn)
 
 
-def critic_update(agent: SacAgent, states, u, next_states, rewards, rng) -> dict:
-    """Twin-critic TD(0) step on (s, u, s') rows and their float64 `rewards`.
-
-    Targets bootstrap unconditionally: episodes end only at the time limit,
-    so there is no environment-terminal state to zero out.
-    """
-    eps = rng.standard_normal((next_states.shape[0], agent.u_dim))
-    u2, logp2, _, _ = sample_with_log_prob(agent, next_states, eps)
-    soft_value = (np.minimum(*_twin_q((agent.target1, agent.target2), next_states, u2))
-                  - agent.alpha * logp2)
+def critic_update(agent: SacAgent, states, u, next_states, rewards, u2, logp2) -> dict:
+    """Twin-critic TD(0) step at the next-state draws `u2` and their log-densities
+    `logp2`, then the targets' Polyak step. Targets bootstrap unconditionally:
+    episodes end only at the time limit, so no env-terminal state is zeroed."""
+    soft_value = np.minimum(*agent.targets.forward(next_states, u2)[..., 0]) - agent.alpha * logp2
     y = rewards + agent.cfg.gamma * soft_value
-    losses = {}
     b = states.shape[0]
-    critics = (agent.critic1, agent.critic2)
-    for name, critic, q in zip(("critic1", "critic2"), critics,
-                               _twin_q(critics, states, u, record=True)):
-        err = q - y
-        losses[name] = float((err * err).sum()) / b
-        critic.backward(((2.0 / b) * err)[:, None], input_grad=False)
-        critic.adam_step(agent.cfg.critic_lr)
+    err = agent.critics.forward(states, u, record=True)[..., 0] - y
+    agent.critics.backward(((2.0 / b) * err)[..., None], input_grad=False)
+    agent.critics.adam_step(agent.cfg.critic_lr)
     polyak_update(agent, agent.cfg.tau)
-    losses["q_mean"] = float(y.sum()) / b
-    return losses
+    return {"critic1": float((err[0] * err[0]).sum()) / b,
+            "critic2": float((err[1] * err[1]).sum()) / b, "q_mean": float(y.sum()) / b}
 
 
 def actor_loss(agent: SacAgent, states, eps) -> float:
     """The actor objective at fixed reparameterization noise (no gradients)."""
     u, log_prob, _, _ = sample_with_log_prob(agent, states, eps)
-    qmin = np.minimum(*_twin_q((agent.critic1, agent.critic2), states, u))
+    qmin = np.minimum(*agent.critics.forward(states, u)[..., 0])
     return float((agent.alpha * log_prob - qmin).sum()) / states.shape[0]
 
 
-def actor_loss_and_grad(agent: SacAgent, states, eps):
-    """Accumulate actor gradients of E[alpha log pi - min Q] at fixed noise.
-
-    Returns (loss, u, log_prob). Critic parameters are left untouched (their
-    backward pass only transports the input gradient).
-    """
+def actor_update(agent: SacAgent, states, eps, drawn) -> dict:
+    """Reparameterized policy step: minimize E[alpha log pi(u|s) - min Q(s,u)]
+    at fixed noise, then step the temperature. `drawn` is `sample_with_log_prob(
+    agent, [s'; s], eps, record=True)` for (2, N, u_dim) `eps`; its slice 1, at
+    `states`, is backpropagated. The critics' backward only transports d/du."""
     b = states.shape[0]
-    u, log_prob, dist, clamp_mask = sample_with_log_prob(agent, states, eps, record=True)
-    q1, q2 = _twin_q((agent.critic1, agent.critic2), states, u, record=True)
-    qmin = np.minimum(q1, q2)
+    u, log_prob, std, clamp_mask = (x[1] for x in (drawn[0], drawn[1], drawn[2].std, drawn[3]))
+    q = agent.critics.forward(states, u, record=True)[..., 0]
     alpha = agent.alpha
-    loss = float((alpha * log_prob - qmin).sum()) / b
+    loss = float((alpha * log_prob - np.minimum(q[0], q[1])).sum()) / b
 
-    min1 = (q1 <= q2).astype(np.float64)
-    d_u = (agent.critic1.backward((-min1 / b)[:, None], accumulate=False)[1]
-           + agent.critic2.backward((-(1.0 - min1) / b)[:, None], accumulate=False)[1])
+    min1 = (q[0] <= q[1]).astype(np.float64)
+    d_u = agent.critics.backward(np.stack([-min1 / b, -(1.0 - min1) / b])[..., None],
+                                 accumulate=False)[1]
+    d_u = d_u[0] + d_u[1]
 
     # d log_prob / d mean = 2u and / d log_std = -1 + 2u * sigma * eps (from
     # d/dz log(1 - tanh^2 z) = -2 tanh z); the q path chains through
     # du/dz = 1 - u^2
-    sigma_eps = dist.std * eps
+    sigma_eps = std * eps[1]
     dz = d_u * (1.0 - u * u)
     d_mean = (alpha / b) * (2.0 * u) + dz
     d_log_std = (alpha / b) * (-1.0 + 2.0 * u * sigma_eps) + dz * sigma_eps
     agent.actor.backward(np.concatenate([d_mean, d_log_std * clamp_mask], axis=1),
-                         input_grad=False)
-    return loss, u, log_prob
-
-
-def actor_update(agent: SacAgent, states, rng) -> dict:
-    """Reparameterized policy step: minimize E[alpha log pi(u|s) - min Q(s,u)].
-
-    `states` are the state features every network consumes.
-    """
-    b = states.shape[0]
-    eps = rng.standard_normal((b, agent.u_dim))
-    loss, u, log_prob = actor_loss_and_grad(agent, states, eps)
+                         input_grad=False, part=1)
     agent.actor.adam_step(agent.cfg.actor_lr)
     agent.log_alpha.update(-float((log_prob + agent.target_entropy).sum()) / b,
                            agent.cfg.alpha_lr)

@@ -26,7 +26,7 @@ def float64(obj):
     Returns `obj`.
     """
     for tree in trees_in(obj):
-        ref = nncore.ParamTree(tree.spec, step=tree.step, dtype=np.float64)
+        ref = nncore.ParamTree(tree.spec, step=tree.step, dtype=np.float64, copies=tree.copies)
         for name in BUFFERS:
             getattr(ref, name)[...] = getattr(tree, name)
         vars(tree).update(vars(ref))

@@ -60,8 +60,9 @@ def codec_params(codec) -> list:
 
 
 def learner_digest() -> str:
-    """20 critic and actor updates of a float64 arm3 agent on one fixed batch
-    of demo transitions, with a constant reward: the params and the losses."""
+    """20 SAC updates of a float64 arm3 agent on one fixed batch of demo
+    transitions, with a constant reward: the params of the actor, critic 1,
+    critic 2, target 1 and target 2, and the losses."""
     demos = envsim.collect_demos("arm3", 2, 5, min_success_rate=0.0)
     s, s2 = (envsim.feature_map("arm3", x[:64]) for x in (demos.states, demos.next_states))
     u = demos.actions[:64]
@@ -69,10 +70,9 @@ def learner_digest() -> str:
     rng = np.random.default_rng(1)
     losses = []
     for _ in range(20):
-        c = sacgen.critic_update(agent, s, u, s2, np.full(len(s), 0.5), rng)
-        a = sacgen.actor_update(agent, s, rng)
-        losses.append((c["critic1"], c["critic2"], c["q_mean"], a["actor"], a["entropy"]))
-    trees = (agent.actor, agent.critic1, agent.critic2, agent.target1, agent.target2)
+        a = sacgen.sac_update(agent, s, u, s2, np.full(len(s), 0.5), rng)
+        losses.append((a["critic1"], a["critic2"], a["q_mean"], a["actor"], a["entropy"]))
+    trees = (agent.actor, *(t.member(j) for t in (agent.critics, agent.targets) for j in (0, 1)))
     return digest(*[t.params for t in trees], agent.log_alpha.value, losses, a["u"])
 
 

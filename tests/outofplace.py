@@ -4,7 +4,9 @@ Kept as the oracle the kernel tests compare with. Here every layer builds
 `a @ w + b` as a new array, applies its activation into another one, and the
 backward pass multiplies each activation derivative in as a fresh array,
 including the multiply by ones for an identity output. The in-place kernels
-do the same elementwise arithmetic, so the two must agree bit for bit.
+do the same elementwise arithmetic, so the two must agree bit for bit. A
+stacked tree's (copies, in, out) weights give (copies, N, out) outputs here
+too, by matmul broadcasting over the copies.
 """
 
 import numpy as np
@@ -73,9 +75,9 @@ class Net:
         for i in range(len(self.layers) - 1, -1, -1):
             l = self.layers[i]
             if accumulate:
-                l.gw += inputs[i].T @ d
-                l.gb += d.sum(axis=0)
-            d = d @ l.w.T
+                l.gw += np.swapaxes(inputs[i], -1, -2) @ d
+                l.gb += d.sum(axis=-2).reshape(l.gb.shape)
+            d = d @ np.swapaxes(l.w, -1, -2)
             if i > 0:
                 d *= _act_grad_from_output(self.spec.activation, inputs[i])
         return d if upstream.ndim > 1 else d[0]

@@ -48,9 +48,11 @@ def test_forward_matches_straight_line_oracle():
 
 def test_forward_shape_mismatch_raises():
     tree = ParamTree(MLPSpec(3, (4,), 2))
-    for x in (np.zeros((1, 5)), np.zeros(3), np.zeros((1, 1, 3))):
+    for x in (np.zeros((1, 5)), np.zeros(3), np.zeros((1, 1, 1, 3)), np.zeros((2, 1, 5))):
         with pytest.raises(ConfigError):
             tree.forward(x)
+    with pytest.raises(ConfigError):  # a stacked tree feeds every copy the same rows
+        ParamTree(MLPSpec(3, (4,), 2), copies=2).forward(np.zeros((2, 1, 3)))
 
 
 def test_backward_linear_case():
@@ -243,8 +245,8 @@ def _trees_in_use():
     codec = latentact.make_codec("arm3", latentact.CVAEConfig(latent_dim=2), 1)
     disc = adversary.make_discriminator(
         adversary.DiscComposition("arm3", "latent", 15, 2), (64, 64), 2)
-    return {"critic": agent.critic1, "actor": agent.actor, "encoder": codec.encoder,
-            "decoder": codec.decoder, "discriminator": disc.tree}
+    return {"critic": agent.critics.member(0), "critics": agent.critics, "actor": agent.actor,
+            "encoder": codec.encoder, "decoder": codec.decoder, "discriminator": disc.tree}
 
 
 def _same_bits(tree, ref):
@@ -253,14 +255,15 @@ def _same_bits(tree, ref):
         for l, r in zip(tree.layers, ref.layers) for name in perarray.NAMES)
 
 
-@pytest.mark.parametrize("kind", ["critic", "actor", "encoder", "decoder", "discriminator"])
+@pytest.mark.parametrize("kind", ["critic", "critics", "actor", "encoder", "decoder",
+                                  "discriminator"])
 def test_flat_adam_matches_per_array_oracle(kind):
     tree = _trees_in_use()[kind]
     ref = perarray.Tree(tree)
     rng = np.random.default_rng(31)
     for _ in range(20):
-        tree.forward(rng.standard_normal((16, tree.spec.input_dim)), record=True)
-        tree.backward(rng.standard_normal((16, tree.spec.output_dim)))
+        y = tree.forward(rng.standard_normal((16, tree.spec.input_dim)), record=True)
+        tree.backward(rng.standard_normal(y.shape))
         ref.take_grads(tree)
         perarray.adam_step(ref, lr=1e-2)
         tree.adam_step(lr=1e-2)
@@ -272,14 +275,12 @@ def test_flat_polyak_matches_per_array_oracle():
 
     agent = sacgen.SacAgent(15, 2, sacgen.SacConfig(), 3)
     rng = np.random.default_rng(32)
-    for critic in (agent.critic1, agent.critic2):
-        critic.params += rng.standard_normal(critic.params.size)
-    pairs = [(perarray.Tree(c), perarray.Tree(t))
-             for c, t in ((agent.critic1, agent.target1), (agent.critic2, agent.target2))]
+    agent.critics.params += rng.standard_normal(agent.critics.params.size)
+    pairs = [(perarray.Tree(agent.critics), perarray.Tree(agent.targets))]
     for _ in range(20):
         sacgen.polyak_update(agent, 0.05)
         perarray.polyak_update(pairs, 0.05)
-    assert _same_bits(agent.target1, pairs[0][1]) and _same_bits(agent.target2, pairs[1][1])
+    assert _same_bits(agent.targets, pairs[0][1])
 
 
 def test_layer_arrays_are_views_of_flat_buffers():
@@ -498,6 +499,206 @@ def test_pickled_and_deep_copied_trees_still_train(clone):
     for name in ("params", "grads", "m", "v"):
         assert _same(getattr(twin, name), getattr(ref, name))
     assert not _same(twin.params, tree.params)
+
+
+# -- stacked trees and activation buffers -------------------------------------
+
+# relu, leaky_relu and tanh hidden layers; width-1, identity and tanh outputs
+STACK_SPECS = [
+    MLPSpec(9, (16, 12), 1, activation="relu"),
+    MLPSpec(9, (16, 12), 6, activation="relu"),
+    MLPSpec(9, (16,), 4, activation="leaky_relu", output_activation="tanh"),
+    MLPSpec(9, (12, 8), 1, activation="tanh"),
+]
+
+
+def _twins(spec, precision, seed=0):
+    """A copies=2 tree and the two one-copy trees it stacks, with random
+    biases (some +-0.0), so every copy differs from the other."""
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    stacked = ParamTree.init(spec, rng, copies=2)
+    ones = [ParamTree.init(spec, ref), ParamTree.init(spec, ref)]
+    assert _same(stacked.params, np.concatenate([t.params for t in ones]))
+    for t in ones:
+        for l in t.layers:
+            l.b[...] = ref.standard_normal(l.b.size)
+            l.b[::3] = 0.0
+            l.b[1::3] = -0.0
+    stacked.params[...] = np.concatenate([t.params for t in ones])
+    if precision == "float64":
+        float64(stacked)
+        for t in ones:
+            float64(t)
+    assert stacked.copies == 2 and stacked.dtype == ones[0].dtype
+    return stacked, ones
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("spec", STACK_SPECS, ids=lambda s: s.canonical())
+def test_stacked_tree_matches_one_copy_trees(spec, precision):
+    stacked, ones = _twins(spec, precision)
+    for l, o in zip(stacked.layers, ones[0].layers):
+        assert l.w.shape == (2,) + o.w.shape and l.b.shape == (2, 1) + o.b.shape
+        assert l.gw.shape == l.mw.shape == l.w.shape and l.gb.shape == l.vb.shape == l.b.shape
+    rng = np.random.default_rng(1)
+    x = _kernel_case(spec, 128, seed=2)[1]
+    blocks = (x[:, :4], x[:, 4:])
+    for accumulate, input_grad in ((True, True), (False, True), (True, False)):
+        up = rng.standard_normal((2, 128, spec.output_dim))
+        y = stacked.forward(*blocks, record=True)
+        assert y.shape == (2, 128, spec.output_dim)
+        got = stacked.backward(up, accumulate=accumulate, input_grad=input_grad)
+        for j, t in enumerate(ones):
+            assert _same(y[j], t.forward(*blocks, record=True))
+            want = t.backward(up[j], accumulate=accumulate, input_grad=input_grad)
+            if input_grad:
+                assert all(_same(g[j], w) for g, w in zip(got, want))
+            else:
+                assert got is want is None
+    assert stacked.grads.any()
+    assert _same(stacked.grads, np.concatenate([t.grads for t in ones]))
+    for step in range(120):  # crosses FLUSH_EVERY
+        up = rng.standard_normal((2, 16, spec.output_dim))
+        stacked.forward(x[:16], record=True)
+        stacked.backward(up)
+        stacked.adam_step(lr=1e-2)
+        for j, t in enumerate(ones):
+            t.forward(x[:16], record=True)
+            t.backward(up[j])
+            t.adam_step(lr=1e-2)
+    for name in ("params", "grads", "m", "v"):
+        assert _same(getattr(stacked, name), np.concatenate([getattr(t, name) for t in ones]))
+    target, targets = stacked.copy(), [t.copy() for t in ones]
+    stacked.params += 0.1
+    for t in ones:
+        t.params += 0.1
+    for _ in range(3):  # Polyak averaging as sacgen writes it
+        target.params += 0.05 * (stacked.params - target.params)
+        for t, c in zip(targets, ones):
+            t.params += 0.05 * (c.params - t.params)
+    assert _same(target.params, np.concatenate([t.params for t in targets]))
+    for j, t in enumerate(ones):
+        member = stacked.member(j)
+        assert member.copies == 1 and member.step == t.step == stacked.step == 120
+        assert member.digest() == t.digest() and _same(member.params, t.params)
+        assert not np.shares_memory(member.params, stacked.params)
+
+
+@pytest.mark.parametrize("spec", STACK_SPECS[:3], ids=lambda s: s.canonical())
+def test_stacked_tree_matches_out_of_place_oracle(spec):
+    stacked, _ = _twins(spec, "float64")
+    stacked.grads[...] = np.random.default_rng(5).standard_normal(stacked.grads.size)
+    ref = outofplace.Net(stacked)
+    x, up = _kernel_case(spec, 32, seed=3)[1], np.random.default_rng(4).standard_normal(
+        (2, 32, spec.output_dim))
+    assert _same(stacked.forward(x, record=True), ref.forward(x, record=True))
+    assert _same(stacked.backward(up)[0], ref.backward(up))
+    for l, r in zip(stacked.layers, ref.layers):
+        assert _same(l.gw, r.gw) and _same(l.gb, r.gb)
+
+
+def test_init_copies_is_successive_inits():
+    spec = MLPSpec(5, (7, 6), 3)
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    stacked = ParamTree.init(spec, rng, copies=3)
+    for j in range(3):
+        one = ParamTree.init(spec, ref)
+        assert _same(stacked.member(j).params, one.params)
+        assert stacked.member(j).digest() == one.digest()
+        assert all(_same(l.w[j], o.w) for l, o in zip(stacked.layers, one.layers))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    single = ParamTree.init(spec, np.random.default_rng(8), copies=1)
+    assert [l.w.shape for l in single.layers] == [(5, 7), (7, 6), (6, 3)]
+    assert [l.b.shape for l in single.layers] == [(7,), (6,), (3,)]
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("spec", STACK_SPECS, ids=lambda s: s.canonical())
+def test_stacked_input_slices_match_per_slice_passes(spec, precision):
+    tree, x, _ = _kernel_case(spec, 64, seed=7)
+    if precision == "float64":
+        float64(tree)
+    xs = np.stack([x, x[::-1] * 0.5, -x])
+    up = np.random.default_rng(8).standard_normal((3, 64, spec.output_dim))
+    twin = tree.copy()
+    y = tree.forward(xs[:, :, :2], xs[:, :, 2:], record=True)
+    assert y.shape == (3, 64, spec.output_dim)
+    for j in range(3):
+        assert _same(y[j], twin.forward(xs[j]))
+    for j in (1, 2):
+        tree.forward(xs[:, :, :2], xs[:, :, 2:], record=True)
+        got = tree.backward(up[j], part=j)
+        twin.forward(xs[j, :, :2], xs[j, :, 2:], record=True)
+        want = twin.backward(up[j])
+        assert all(_same(g, w) for g, w in zip(got, want))
+        assert _same(tree.grads, twin.grads)
+    tree.forward(xs, record=True)
+    with pytest.raises(ConfigError, match="part"):
+        tree.backward(up)
+    tree.forward(x, record=True)
+    with pytest.raises(ConfigError, match="part"):
+        tree.backward(up[0], part=0)
+
+
+def test_recorded_forwards_reuse_activation_buffers():
+    # 128, then 256, then 128 rows: each shape keeps its own buffers and every
+    # pass gives the bits of a fresh tree's
+    spec = MLPSpec(9, (16, 12), 3, activation="tanh")
+    tree, x, _ = _kernel_case(spec, 256, seed=10)
+    up = np.random.default_rng(11).standard_normal((256, 3))
+    tapes = []
+    for n in (128, 256, 128):
+        fresh = tree.copy()
+        assert _same(tree.forward(x[:n], record=True), fresh.forward(x[:n], record=True))
+        tapes.append(tree._tape[0])
+        assert _same(tree.backward(up[:n])[0], fresh.backward(up[:n])[0])
+        assert _same(tree.grads, fresh.grads)
+        tree.grads[...] = 0.0
+    assert all(np.shares_memory(a, b) for a, b in zip(tapes[0][1:], tapes[2][1:]))
+    assert not any(np.shares_memory(a, b) for a in tapes[0] for b in tapes[1])
+    tree.forward(x[:128])  # unrecorded forwards allocate
+    assert not any(np.shares_memory(tree.forward(x[:128]), a) for a in tapes[0])
+
+
+@pytest.mark.parametrize("clone", ["copy", "pickle", "deepcopy"])
+def test_clones_share_no_activation_buffer(clone):
+    rng = np.random.default_rng(12)
+    tree = ParamTree.init(MLPSpec(6, (16, 16), 8), rng, copies=2)
+    x, up = rng.standard_normal((16, 6)), rng.standard_normal((2, 16, 8))
+    tree.forward(x, record=True)
+    mine = tree._tape[0][1:]
+    twin = {"copy": tree.copy, "pickle": lambda: pickle.loads(pickle.dumps(tree)),
+            "deepcopy": lambda: copy.deepcopy(tree)}[clone]()
+    assert twin.copies == 2 and twin._tape is None
+    twin.forward(x, record=True)
+    assert not any(np.shares_memory(a, b) for a in mine for b in twin._tape[0])
+    twin.backward(up)
+    twin.adam_step(lr=1e-2)
+    tree.backward(up)
+    tree.adam_step(lr=1e-2)
+    assert _same(twin.params, tree.params) and twin.step == tree.step == 1
+
+
+def test_tree_state_refuses_a_stacked_tree():
+    with pytest.raises(ConfigError, match="stacks 2"):
+        nncore.tree_state(ParamTree(MLPSpec(3, (4,), 1), copies=2), "critics")
+
+
+def test_sigmoid_on_special_values():
+    # the two-branch form without boolean masks: every non-NaN value keeps the
+    # bits of the masked gathers and scatters it replaced
+    x = np.concatenate([np.random.default_rng(13).standard_normal(400_000) * 40.0,
+                        [0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 1e-300, -1e-300,
+                         np.nan, -np.nan]])
+    want = np.empty_like(x)
+    pos = x >= 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        want[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
+        got = nncore.sigmoid(x)
+    assert np.array_equal(got, want, equal_nan=True) and np.isnan(got[-2:]).all()
+    assert got[:-2].tobytes() == want[:-2].tobytes()  # only a NaN's sign bit may differ
+    assert got[-10:-4].tolist() == [0.5, 0.5, 1.0, 0.0, 1.0, 0.0]
 
 
 # float32 passes against the float64 reference: every entry of the output,

@@ -290,7 +290,7 @@ def test_every_tree_the_lab_builds_copies_or_loads_is_one_precision(tmp_path, pm
     built = [agent, pm_codec, pm_codec.copy(), res, moved, load_policy(tmp_path / "p"),
              latentact.load_codec(tmp_path / "c"), adversary.load_discriminator(tmp_path / "d")]
     trees = [t for obj in built for t in trees_in(obj)]
-    assert len(trees) == 5 + 2 + 2 + 4 + 3 + 3 + 2 + 1
+    assert len(trees) == 3 + 2 + 2 + 4 + 3 + 3 + 2 + 1
     assert res.bundle.actor.step > 0 and res.bundle.codec.decoder.step > 0
     for tree in trees:
         assert tree.dtype == np.float32

@@ -14,10 +14,9 @@ from lapal.sacgen import (
     SacConfig,
     act,
     actor_loss,
-    actor_loss_and_grad,
     actor_update,
-    critic_update,
     polyak_update,
+    sac_update,
     sample_with_log_prob,
 )
 
@@ -26,6 +25,14 @@ SMALL = SacConfig(actor_hidden=(16, 16), critic_hidden=(16, 16))
 
 def small_agent(seed=0, state_dim=4, u_dim=2, cfg=SMALL):
     return SacAgent(state_dim, u_dim, cfg, seed)
+
+
+def actor_step(agent, states, rng):
+    """`actor_update` as `sac_update` makes it, with `states` as both halves
+    of the stacked draw."""
+    eps = rng.standard_normal((2, len(states), agent.u_dim))
+    drawn = sample_with_log_prob(agent, np.stack([states, states]), eps, record=True)
+    return actor_update(agent, states, eps, drawn)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -211,33 +218,33 @@ def test_polyak_extremes():
     s, u, s2 = _fill_batch(rng, 8, 4, 2)
 
     agent = small_agent(7, cfg=SacConfig(tau=1.0, actor_hidden=(16, 16), critic_hidden=(16, 16)))
-    critic_update(agent, s, u, s2, np.zeros(len(s)), rng)
-    np.testing.assert_array_equal(agent.target1.params, agent.critic1.params)
+    sac_update(agent, s, u, s2, np.zeros(len(s)), rng)
+    np.testing.assert_array_equal(agent.targets.params, agent.critics.params)
 
     agent = small_agent(7, cfg=SacConfig(tau=0.0, actor_hidden=(16, 16), critic_hidden=(16, 16)))
-    before = agent.target1.params.copy()
-    critic_update(agent, s, u, s2, np.zeros(len(s)), rng)
-    np.testing.assert_array_equal(agent.target1.params, before)
+    before = agent.targets.params.copy()
+    sac_update(agent, s, u, s2, np.zeros(len(s)), rng)
+    np.testing.assert_array_equal(agent.targets.params, before)
 
 
 def test_polyak_gap_monotone():
     agent = small_agent(8)
     rng = np.random.default_rng(9)
-    for layer in agent.critic1.layers:
+    for layer in agent.critics.layers:
         layer.w += rng.standard_normal(layer.w.shape)
     gaps = []
     for _ in range(50):
         polyak_update(agent, 0.05)
-        gaps.append(np.linalg.norm(agent.target1.params - agent.critic1.params))
+        gaps.append(np.linalg.norm(agent.targets.params - agent.critics.params))
     assert all(b < a for a, b in zip(gaps[:-1], gaps[1:]))
 
 
 def test_critic_fixed_point_matches_scalar_oracle():
-    # a single self-loop transition with a near-deterministic frozen actor:
-    # Q(s, u*) must converge to the scalar soft-Bellman fixed point
-    # q* = (r0 - gamma * alpha * E[log pi]) / (1 - gamma)
+    # a single self-loop transition with a near-deterministic actor, frozen
+    # by a zero learning rate: Q(s, u*) must converge to the scalar
+    # soft-Bellman fixed point q* = (r0 - gamma * alpha * E[log pi]) / (1 - gamma)
     cfg = SacConfig(gamma=0.9, tau=0.1, critic_lr=5e-3, actor_hidden=(16, 16),
-                    critic_hidden=(16, 16), alpha_lr=0.0, init_alpha=0.2)
+                    critic_hidden=(16, 16), actor_lr=0.0, alpha_lr=0.0, init_alpha=0.2)
     agent = small_agent(10, cfg=cfg)
     # pin the policy noise so the bootstrap action equals the stored action
     agent.actor.layers[-1].w[:, 2:] = 0.0
@@ -247,13 +254,15 @@ def test_critic_fixed_point_matches_scalar_oracle():
     S = np.tile(s, (32, 1))
     U = np.tile(act(agent.actor, s[None]), (32, 1))
     r0 = 1.7
+    actor = agent.actor.params.copy()
     for _ in range(1500):
-        critic_update(agent, S, U, S, np.full(len(S), r0), rng)
+        sac_update(agent, S, U, S, np.full(len(S), r0), rng)
+    assert agent.actor.params.tobytes() == actor.tobytes()
     _, logp, _, _ = sample_with_log_prob(agent, np.tile(s, (20_000, 1)),
                                          np.random.default_rng(12).standard_normal((20_000, 2)))
     e_logp = float(np.mean(logp))
     q_star = (r0 - cfg.gamma * cfg.init_alpha * e_logp) / (1.0 - cfg.gamma)
-    q = agent.critic1.forward(np.concatenate([S[:1], U[:1]], axis=1))[0, 0]
+    q = agent.critics.member(0).forward(S[:1], U[:1])[0, 0]
     assert q == pytest.approx(q_star, rel=0.05)
 
 
@@ -261,15 +270,19 @@ def test_critic_fixed_point_matches_scalar_oracle():
 
 
 def test_actor_gradients_match_finite_differences():
-    agent = float64(small_agent(13, state_dim=3, u_dim=2,
-                                cfg=SacConfig(actor_hidden=(10, 10), critic_hidden=(10, 10))))
+    # a fixed temperature, so the objective is the one the gradient was taken of
+    agent = float64(small_agent(13, state_dim=3, u_dim=2, cfg=SacConfig(
+        actor_hidden=(10, 10), critic_hidden=(10, 10), alpha_lr=0.0)))
+    agent.actor.adam_step = lambda lr: None  # keep the accumulated gradient
     rng = np.random.default_rng(14)
     states = rng.standard_normal((2, 3))
-    eps = rng.standard_normal((2, 2))
-    actor_loss_and_grad(agent, states, eps)
+    eps = rng.standard_normal((2, 2, 2))  # slice 0 draws at other states, as s' does
+    drawn = sample_with_log_prob(agent, np.stack([rng.standard_normal((2, 3)), states]), eps,
+                                 record=True)
+    actor_update(agent, states, eps, drawn)
 
     def loss_fn():
-        return actor_loss(agent, states, eps)
+        return actor_loss(agent, states, eps[1])
 
     _, fd, analytic = fd_loss_gradient(loss_fn, agent.actor, n_probes=100, seed=15)
     assert_grads_close(fd, analytic, rtol=1e-4)
@@ -278,26 +291,25 @@ def test_actor_gradients_match_finite_differences():
 def test_actor_update_leaves_critic_params_alone():
     agent = small_agent(16)
     rng = np.random.default_rng(17)
-    before1 = agent.critic1.params.copy()
-    grads_before = agent.critic1.grads.copy()
-    actor_update(agent, rng.standard_normal((8, 4)), rng)
-    np.testing.assert_array_equal(agent.critic1.params, before1)
-    np.testing.assert_array_equal(agent.critic1.grads, grads_before)
+    before1 = agent.critics.params.copy()
+    grads_before = agent.critics.grads.copy()
+    actor_step(agent, rng.standard_normal((8, 4)), rng)
+    np.testing.assert_array_equal(agent.critics.params, before1)
+    np.testing.assert_array_equal(agent.critics.grads, grads_before)
 
 
 def test_constant_critic_update_is_entropy_ascent():
     cfg = SacConfig(actor_hidden=(16, 16), critic_hidden=(16, 16),
                     alpha_lr=0.0, init_alpha=0.5, actor_lr=3e-3)
     agent = small_agent(18, cfg=cfg)
-    for critic in (agent.critic1, agent.critic2):
-        for layer in critic.layers:
-            layer.w[...] = 0.0
-            layer.b[...] = 0.0
+    for layer in agent.critics.layers:
+        layer.w[...] = 0.0
+        layer.b[...] = 0.0
     rng = np.random.default_rng(19)
     states = rng.standard_normal((32, 4))
     before = float(np.mean(gaussian_head(agent.actor.forward(states))[0].log_std))
     for _ in range(100):
-        actor_update(agent, states, rng)
+        actor_step(agent, states, rng)
     after = float(np.mean(gaussian_head(agent.actor.forward(states))[0].log_std))
     assert after > before + 0.1
 
@@ -310,7 +322,7 @@ def test_alpha_gradient_sign_flips_at_target_entropy():
         agent = small_agent(21)
         agent.actor.layers[-1].b[2:] = log_std_bias
         before = agent.log_alpha.value
-        actor_update(agent, states, rng)
+        actor_step(agent, states, rng)
         return agent.log_alpha.value - before
 
     assert run(+1.0) < 0.0   # entropy above target: temperature decreases
@@ -325,12 +337,79 @@ def test_zero_alpha_lr_keeps_temperature_fixed():
         states = rng.standard_normal((16, 4))
         before = agent.alpha
         for _ in range(5):
-            actor_update(agent, states, rng)
+            actor_step(agent, states, rng)
         return before, agent.alpha
 
     fixed, moved = alphas(0.0), alphas(SMALL.alpha_lr)
     assert fixed[1] == fixed[0]
     assert moved[1] != moved[0]
+
+
+def _two_step_update(agent, trees, states, u, next_states, rewards, rng):
+    """The critic step, then the actor step, as SAC ran them on one-copy
+    trees (actor, critic 1, critic 2, target 1, target 2) before the critics
+    were stacked: each network its own passes, the two draws one at a time.
+    Reads the config and temperature of `agent` and steps its temperature."""
+    actor, critics, targets = trees[0], trees[1:3], trees[3:]
+    b, cfg, alpha = len(states), agent.cfg, agent.alpha
+
+    def sample(feats, eps, record=False):
+        dist, mask = gaussian_head(actor.forward(feats, record=record))
+        z = dist.sample(eps)
+        logp = ((-0.5 * eps * eps - dist.log_std - 0.5 * np.log(2 * np.pi)).sum(axis=1)
+                - sacgen.tanh_log_jacobian(z).sum(axis=1))
+        return sacgen.squash(z), logp, dist, mask
+
+    u2, logp2, _, _ = sample(next_states, rng.standard_normal((b, agent.u_dim)))
+    y = rewards + cfg.gamma * (np.minimum(*[t.forward(next_states, u2)[:, 0] for t in targets])
+                               - alpha * logp2)
+    losses = []
+    for c in critics:
+        err = c.forward(states, u, record=True)[:, 0] - y
+        losses.append(float((err * err).sum()) / b)
+        c.backward(((2.0 / b) * err)[:, None], input_grad=False)
+        c.adam_step(cfg.critic_lr)
+    for c, t in zip(critics, targets):
+        t.params += cfg.tau * (c.params - t.params)
+    eps = rng.standard_normal((b, agent.u_dim))
+    ua, logp, dist, mask = sample(states, eps, record=True)
+    q1, q2 = [c.forward(states, ua, record=True)[:, 0] for c in critics]
+    min1 = (q1 <= q2).astype(np.float64)
+    d_u = (critics[0].backward((-min1 / b)[:, None], accumulate=False)[1]
+           + critics[1].backward((-(1.0 - min1) / b)[:, None], accumulate=False)[1])
+    sigma_eps, dz = dist.std * eps, d_u * (1.0 - ua * ua)
+    d_log_std = (alpha / b) * (-1.0 + 2.0 * ua * sigma_eps) + dz * sigma_eps
+    actor.backward(np.concatenate([(alpha / b) * (2.0 * ua) + dz, d_log_std * mask], axis=1),
+                   input_grad=False)
+    actor.adam_step(cfg.actor_lr)
+    agent.log_alpha.update(-float((logp + agent.target_entropy).sum()) / b, cfg.alpha_lr)
+    return losses + [float((alpha * logp - np.minimum(q1, q2)).sum()) / b, ua]
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_sac_update_matches_the_two_step_update_of_one_copy_trees(precision):
+    agent = small_agent(30, state_dim=6, u_dim=3)
+    if precision == "float64":
+        float64(agent)
+    rng = np.random.default_rng(31)
+    trees = [agent.actor.copy()] + [t.member(j) for t in (agent.critics, agent.targets)
+                                    for j in (0, 1)]
+    ref = small_agent(30, state_dim=6, u_dim=3)  # its temperature and config
+    ref_rng, got_rng = np.random.default_rng(32), np.random.default_rng(32)
+    for _ in range(3):
+        s, u, s2 = _fill_batch(rng, 32, 6, 3)
+        r = rng.standard_normal(32)
+        got = sac_update(agent, s, u, s2, r, got_rng)
+        want = _two_step_update(ref, trees, s, u, s2, r, ref_rng)
+        assert [got[k] for k in ("critic1", "critic2", "actor")] == want[:3]
+        assert got["u"].tobytes() == want[3].tobytes()
+        assert agent.log_alpha.value == ref.log_alpha.value
+        members = [agent.actor] + [t.member(j) for t in (agent.critics, agent.targets)
+                                   for j in (0, 1)]
+        for mine, theirs in zip(members, trees):
+            assert all(getattr(mine, n).tobytes() == getattr(theirs, n).tobytes()
+                       for n in ("params", "m", "v")) and mine.step == theirs.step
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_updates_deterministic():
@@ -339,8 +418,7 @@ def test_updates_deterministic():
         rng = np.random.default_rng(23)
         for _ in range(10):
             s, u, s2 = _fill_batch(rng, 16, 4, 2)
-            critic_update(agent, s, u, s2, np.ones(len(s)), rng)
-            actor_update(agent, s, rng)
+            sac_update(agent, s, u, s2, np.ones(len(s)), rng)
         return agent.digest()
 
     assert run() == run()
@@ -368,7 +446,7 @@ def test_decoder_path_leaves_actor_update_bit_identical():
         rng = np.random.default_rng(25)
         states = rng.standard_normal((8, 4))
         for _ in range(3):
-            out = actor_update(agent, states, rng)
+            out = actor_step(agent, states, rng)
             if with_path:
                 sacgen.decoder_adversarial_step(c, disc, 1e-3, states, out["u"])
         return agent.actor.digest(), c.decoder.digest()
@@ -395,7 +473,7 @@ def test_decoder_path_respects_frozen_codec():
     agent = small_agent(26, state_dim=4, u_dim=2)
     rng = np.random.default_rng(27)
     states = rng.standard_normal((4, 4))
-    out = actor_update(agent, states, rng)
+    out = actor_step(agent, states, rng)
     with pytest.raises(StateError):
         sacgen.decoder_adversarial_step(codec, disc, 1e-3, states, out["u"])
 
