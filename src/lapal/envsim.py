@@ -220,8 +220,6 @@ def wrap_angle(theta):
     if np.logical_and.reduce(np.abs(theta) < np.pi, None):  # one compare; pi takes the exact test
         return theta
     in_range = (theta > -np.pi) & (theta <= np.pi)
-    if in_range.all():
-        return theta
     w = np.mod(theta + np.pi, 2.0 * np.pi) - np.pi
     w = np.where(w == -np.pi, np.pi, w)
     return np.where(in_range, theta, w)
@@ -449,17 +447,17 @@ class JitterConfig:
     transit but still settle inside the success tolerance. Arms with
     redundant joints additionally get a smooth posture wiggle through the
     Jacobian nullspace projector, which varies the joint torques without
-    moving the end effector.
+    moving the end effector. All configs share OU_TAU and GAIN_SCALE_RANGE.
     """
 
     ou_sigma: float = 0.35
-    ou_tau: float = 0.4                # correlation time, seconds
-    gain_scale_range: tuple = (0.75, 1.25)
     fade_dist: float = 0.4
     fade_floor: float = 0.2
     null_sigma: float = 0.0            # nullspace torque channel (arms, K > 2)
 
 
+OU_TAU = 0.4                       # the noise's correlation time, seconds
+GAIN_SCALE_RANGE = (0.75, 1.25)    # each episode draws its expert gain scale in it
 DEFAULT_JITTER = {
     "pointmass": JitterConfig(ou_sigma=0.35, fade_dist=0.4),
     "arm": JitterConfig(ou_sigma=0.45, fade_dist=0.25, fade_floor=0.1,
@@ -510,7 +508,7 @@ class DemoBuffer:
         if any(arrays[k].shape != shape for k, shape in zip(_DEMO_ARRAYS, shapes)):
             raise CheckpointError(f"demo arrays do not fit {header['env_id']}")
         bounds = arrays["episode_boundaries"].astype(np.int64)
-        if n % spec.horizon or not np.array_equal(bounds, np.arange(0, n, spec.horizon)):
+        if not n or n % spec.horizon or not np.array_equal(bounds, np.arange(0, n, spec.horizon)):
             raise CheckpointError(f"demo episodes are not {spec.horizon}-step episodes")
         return cls(header["env_id"], header["env_digest"],
                    *(arrays[name].copy() for name in _DEMO_ARRAYS), bounds)
@@ -578,12 +576,12 @@ def collect_demos(env_id: str, n_episodes: int = 64, seed: int = 0,
     kp_scale, draws, starts = np.empty(n_episodes), [], []
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_episodes)):
         rng = np.random.default_rng(child)
-        kp_scale[i] = rng.uniform(*jitter.gain_scale_range)
+        kp_scale[i] = rng.uniform(*GAIN_SCALE_RANGE)
         draws.append(np.concatenate([rng.standard_normal((spec.horizon + 1, width))
                                      for width in (2, 1)[: 1 + use_null]], 1))
         starts.append(env_reset(env_id, rng))
     sigma = np.array([jitter.ou_sigma] * 2 + [jitter.null_sigma] * use_null)
-    ou = _ou_steps(np.stack(draws), sigma, jitter.ou_tau, spec.dt)
+    ou = _ou_steps(np.stack(draws), sigma, OU_TAU, spec.dt)
     noise, null_amp = ou[..., :2], (ou[..., 2] if use_null else None)
 
     path = np.empty((n_episodes, spec.horizon + 1, spec.state_dim))

@@ -5,8 +5,8 @@ low-dimensional latent; the decoder maps (state, latent) back to an action:
 its tanh output is the action, inside the env's unit action box. Both
 networks see states only as features (`envsim.feature_map`), computed once
 per state: `encode` and `decode` take (N, feat_dim) feature rows and (N, d)
-action or latent rows as two column blocks, and `train_codec` featurizes the
-demos once and keeps the train split's features and actions apart.
+action or latent rows as two column blocks, and both trainers featurize the
+demos once (`_split`) and keep each split's features and actions apart.
 
 Latent actions live in the open box (-1, 1)^d: the encoding every network
 sees is tanh of the posterior mean, and training squashes the
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import envsim
 from .configio import read_checkpoint, write_checkpoint
-from .errors import CheckpointError, ConfigError, QualityGateError, StateError
+from .errors import ConfigError, QualityGateError, StateError
 from .nncore import (
     GaussianDist,
     MLPSpec,
@@ -237,18 +237,13 @@ def train_codec(demos: envsim.DemoBuffer, cfg: CVAEConfig, seed) -> tuple:
     init_rng, batch_rng = (np.random.default_rng(s) for s in seq.spawn(2))
     codec = make_codec(demos.env_id, cfg, init_rng)
 
-    tr_idx, ho_idx = _split_episodes(demos, cfg.holdout_fraction)
-    feats = envsim.feature_map(demos.env_id, demos.states)
-    _require_finite(feats, demos.actions)
-    F_tr, S_ho = feats[tr_idx], feats[ho_idx]
-    A_tr, A_ho = demos.actions[tr_idx], demos.actions[ho_idx]
-    del feats  # the epochs keep only the splits' copies
+    F_tr, A_tr, F_ho, A_ho = _split(demos, cfg.holdout_fraction)
 
     def step(idx, noise):
         return cvae_loss_and_grad(codec, F_tr[idx], A_tr[idx], noise)
 
     history = _fit(cfg, batch_rng, step, (codec.encoder, codec.decoder),
-                   lambda: holdout_reconstruction_mse(codec, S_ho, A_ho), A_tr, A_ho)
+                   lambda: holdout_reconstruction_mse(codec, F_ho, A_ho), A_tr, A_ho)
     return codec, history
 
 
@@ -278,14 +273,10 @@ def retrain_decoder(source: ActionCodec, demos: envsim.DemoBuffer, cfg: CVAEConf
                         demos.env_id)
     batch_rng = np.random.default_rng(seed)
 
-    tr_idx, ho_idx = _split_episodes(demos, cfg.holdout_fraction)
-    feats = envsim.feature_map(demos.env_id, demos.states)
-    F_tr, S_ho = feats[tr_idx], feats[ho_idx]
-    A_tr, A_ho = demos.actions[tr_idx], demos.actions[ho_idx]
-    del feats  # the epochs keep only the splits' copies
+    F_tr, A_tr, F_ho, A_ho = _split(demos, cfg.holdout_fraction)
     d = cfg.latent_dim
     P_tr = _posteriors(codec, F_tr, A_tr, cfg.batch_size)
-    U_ho = np.tanh(_posteriors(codec, S_ho, A_ho, cfg.batch_size)[:, :d])
+    U_ho = np.tanh(_posteriors(codec, F_ho, A_ho, cfg.batch_size)[:, :d])
 
     def step(idx, noise):
         p = P_tr[idx]
@@ -296,7 +287,7 @@ def retrain_decoder(source: ActionCodec, demos: envsim.DemoBuffer, cfg: CVAEConf
         return recon + cfg.beta * kl_term, {"recon": recon, "kl": kl_term}
 
     history = _fit(cfg, batch_rng, step, (codec.decoder,),
-                   lambda: _recon_error(codec, S_ho, A_ho, U_ho, record=False)[0], A_tr, A_ho)
+                   lambda: _recon_error(codec, F_ho, A_ho, U_ho, record=False)[0], A_tr, A_ho)
     return codec, history
 
 
@@ -307,6 +298,16 @@ def _posteriors(codec: ActionCodec, feats, actions, chunk: int) -> np.ndarray:
         dist = encode(codec, f, a)
         return np.column_stack([dist.mean, dist.std, dist.kl_to_standard()])
     return chunked_rows(rows, chunk, feats, actions)
+
+
+def _split(demos: envsim.DemoBuffer, holdout_fraction: float) -> tuple:
+    """(F_tr, A_tr, F_ho, A_ho): the features and actions of the demos' train
+    and held-out episodes (`_split_episodes`), featurized once and checked
+    finite (`ConfigError`); the four arrays are copies."""
+    tr_idx, ho_idx = _split_episodes(demos, holdout_fraction)
+    feats = envsim.feature_map(demos.env_id, demos.states)
+    _require_finite(feats, demos.actions)
+    return feats[tr_idx], demos.actions[tr_idx], feats[ho_idx], demos.actions[ho_idx]
 
 
 def _split_episodes(demos: envsim.DemoBuffer, holdout_fraction: float) -> tuple:
@@ -387,15 +388,9 @@ def codec_state(codec: ActionCodec, prefix: str = "") -> tuple:
     return header, arrays
 
 
-def codec_from_state(header: dict, arrays: dict, prefix: str = "",
-                     cfg: CVAEConfig | None = None) -> ActionCodec:
-    """Inverse of `codec_state`; a given `cfg` must match the saved one."""
-    saved = CVAEConfig(**header[prefix + "config"])
-    if cfg is None:
-        cfg = saved
-    elif cfg.canonical() != saved.canonical():
-        raise CheckpointError(
-            f"codec config {saved.canonical()!r} != expected {cfg.canonical()!r}")
+def codec_from_state(header: dict, arrays: dict, prefix: str = "") -> ActionCodec:
+    """Inverse of `codec_state`: the codec of the config the header saved."""
+    cfg = CVAEConfig(**header[prefix + "config"])
     env_id = header["env_id"]
     spec = envsim.env_spec(env_id)
     feat = envsim.feature_dim(env_id)
@@ -414,5 +409,6 @@ def save_codec(path, codec: ActionCodec) -> None:
     write_checkpoint(path, header, arrays)
 
 
-def load_codec(path, cfg: CVAEConfig | None = None) -> ActionCodec:
-    return read_checkpoint(path, "codec", lambda h, a: codec_from_state(h, a, cfg=cfg))
+def load_codec(path) -> ActionCodec:
+    """The codec `save_codec` wrote at `path`, in its saved config."""
+    return read_checkpoint(path, "codec", codec_from_state)

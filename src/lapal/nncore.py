@@ -65,6 +65,7 @@ LOG_STD_MAX = 2.0
 # strictly inside the open interval are capped just inside it
 TANH_CAP = 1.0 - 1e-12
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # published defaults, arXiv:1412.6980
 FLUSH_EVERY = 100  # Adam steps between flushes of subnormal moments to 0
 
 _VECTORS = ("params", "grads", "m", "v")
@@ -278,8 +279,7 @@ class ParamTree:
 
     # -- Adam -----------------------------------------------------------------
 
-    def adam_step(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                  eps: float = 1e-8) -> None:
+    def adam_step(self, lr: float) -> None:
         """One Adam step in the tree's dtype, zeroing the gradients; changes
         nothing if a tape is pending (`StateError`) or a gradient is not finite.
         A moment whose gradient stays 0 sticks at a subnormal (0.9 times a few
@@ -296,16 +296,16 @@ class ParamTree:
                 f"{int(np.sum(~np.isfinite(l.gb)))} bias entries; step aborted"
             )
         self.step += 1
-        c1 = 1.0 - beta1 ** self.step
-        c2 = 1.0 - beta2 ** self.step
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
+        c1 = 1.0 - ADAM_BETA1 ** self.step
+        c2 = 1.0 - ADAM_BETA2 ** self.step
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
         if self.step % FLUSH_EVERY == 0:
             m[np.abs(m) < np.finfo(self.dtype).tiny] = 0.0
             v[v < np.finfo(self.dtype).tiny] = 0.0
-        self.params -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        self.params -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         g[...] = 0.0
 
 
@@ -333,16 +333,15 @@ class AdamScalar:
         self.v = 0.0
         self.step = 0
 
-    def update(self, grad: float, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-               eps: float = 1e-8) -> None:
+    def update(self, grad: float, lr: float) -> None:
         if not np.isfinite(grad):
             raise OptimizerError(f"non-finite scalar gradient {grad}")
         self.step += 1
-        self.m = beta1 * self.m + (1.0 - beta1) * grad
-        self.v = beta2 * self.v + (1.0 - beta2) * grad * grad
-        mhat = self.m / (1.0 - beta1 ** self.step)
-        vhat = self.v / (1.0 - beta2 ** self.step)
-        self.value -= lr * mhat / (np.sqrt(vhat) + eps)
+        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * grad
+        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grad * grad
+        mhat = self.m / (1.0 - ADAM_BETA1 ** self.step)
+        vhat = self.v / (1.0 - ADAM_BETA2 ** self.step)
+        self.value -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,7 @@ from .nncore import MLPSpec, chunked_rows, tree_from_state, tree_state
 from .sacgen import SacAgent, SacConfig
 
 ALGOS = ("gail", "lapal-agnostic", "lapal-aware")
+DISC_LR = 3e-5  # the discriminator's Adam step size in every mode
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -86,7 +87,6 @@ class RunConfig:
     eval_every: int = 2000
     eval_episodes: int = 16
     disc_hidden: tuple = (64, 64)
-    disc_lr: float = 3e-5
     codec_disc_lr: float = 3e-5       # encoder step size in aware mode
     codec_gen_lr: float = 3e-5        # decoder step size in aware mode
     codec_warm_start: bool = True
@@ -349,7 +349,7 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
                     else:
                         ran["disc"] = adversary.disc_loss_and_grad(
                             disc, (demo_feats[ei], demo_u[ei]), (S[bi], U[bi]))
-                        disc.tree.adam_step(cfg.disc_lr)
+                        disc.tree.adam_step(DISC_LR)
                 if cfg.gen_updates_per_iteration:
                     if U is None:  # aware mode, whose encoder just stepped, or no disc updates
                         U = box(S, A)
@@ -446,8 +446,8 @@ def _collect(bundle, agent, buf, state, ep_t, n, rng):
     return (starts[k] if len(starts) > k else S[back[-1]]), ep_t
 
 
-def _recon_probe(feats, actions, rng, n=512):
-    idx = rng.integers(0, len(feats), min(n, len(feats)))
+def _recon_probe(feats, actions, rng):
+    idx = rng.integers(0, len(feats), min(512, len(feats)))
     return feats[idx], actions[idx]
 
 
@@ -462,7 +462,7 @@ def _disc_step(cfg, disc, codec, se, ea, sa, aa):
                                               want_input_grads=True)
     latentact.encode_mean_backward(codec, u, d_in[1])
     codec.encoder.adam_step(cfg.codec_disc_lr)
-    disc.tree.adam_step(cfg.disc_lr)
+    disc.tree.adam_step(DISC_LR)
     return loss
 
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""In-process A/B of `run_training` between an older lapal and this checkout.
+"""In-process A/B of `run_training`, or of whole benchmark rounds, between an
+older lapal and this checkout.
 
 Both versions are imported into one process and their runs interleave, so a
 per-process offset (code placement, heap layout) falls on both sides alike
@@ -9,6 +10,7 @@ root, with OLD_SRC the `src` directory of another checkout:
     mkdir -p /tmp/parent && git archive HEAD~1 | tar -x -C /tmp/parent
     python3 study/ab.py /tmp/parent/src --reps 12
     python3 study/ab.py /tmp/parent/src --reps 12 --pin
+    python3 study/ab.py /tmp/parent/src --reps 10 --pin --round --workload rollout-arm3
 
 OLD_SRC/lapal is copied to a temporary package named `lapal_old` (every
 import inside lapal is relative, so the copy imports as itself). The budget,
@@ -22,15 +24,26 @@ runs on one thread, as in the benchmark.
 For each mode it prints each side's median and quartiles of wall time, the
 number of reps the new side was faster, the median minor page faults
 (`ru_minflt`) per run, and whether the last per-iteration digests and the
-curves of the two sides match. This script is not part of the test suite.
+curves of the two sides match.
+
+With `--round` each rep runs perfbench/run.py's `run_round`, the whole
+benchmark pipeline, once per side instead, alternating which side goes first,
+after one untimed warm-up round per side. For each time metric that
+BENCHMARK.json declares it prints each side's median and quartiles, the
+number of reps the new side was faster and the new/old median ratio; then
+each side's failed operations, and whether the two sides' round records are
+identical. Peak RSS is per process, so it is left out. This script is not
+part of the test suite.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import importlib
 import importlib.util
+import json
 import os
 import resource
 import shutil
@@ -53,8 +66,10 @@ def load_bench():
 
 
 def import_lapal(name: str):
-    return [importlib.import_module(f"{name}.{mod}")
-            for mod in ("envsim", "latentact", "orchestrator", "sacgen")]
+    """The package `name` with the submodules `run_round` reads as attributes."""
+    for mod in ("adversary", "envsim", "latentact", "orchestrator", "sacgen"):
+        importlib.import_module(f"{name}.{mod}")
+    return importlib.import_module(name)
 
 
 class Side:
@@ -62,7 +77,9 @@ class Side:
 
     def __init__(self, name, package, run, budget, seeds):
         self.name = name
-        self.envsim, self.latentact, self.orch, self.sacgen = import_lapal(package)
+        lapal = import_lapal(package)
+        self.envsim, self.latentact, self.orch, self.sacgen = (
+            lapal.envsim, lapal.latentact, lapal.orchestrator, lapal.sacgen)
         self.budget, self.seeds = budget, seeds
         self.demos = self.envsim.collect_demos(run.ENV_ID, budget.demo_episodes, seeds.demos)
         cvae = self.latentact.CVAEConfig(latent_dim=run.LATENT_DIM, epochs=budget.codec_epochs)
@@ -94,6 +111,43 @@ class Side:
                               repr([dataclasses.astuple(row) for row in res.curve]))
 
 
+def compare_rounds(run, budget, seeds, reps) -> None:
+    """`reps` interleaved benchmark rounds per side, after one untimed warm-up
+    round each; prints the time metrics, failures and record comparison."""
+    sides = {"old": import_lapal("lapal_old"), "new": import_lapal("lapal")}
+    ledgers = {name: run.Ledger() for name in sides}
+    times = {name: {} for name in sides}
+    records = {name: [] for name in sides}
+    (run.OUT / "ckpt").mkdir(parents=True, exist_ok=True)     # run_round saves here
+    for rep in range(-1, reps):
+        for name in ("old", "new") if rep % 2 == 0 else ("new", "old"):
+            t, rec = run.run_round(sides[name], budget, seeds, ledgers[name],
+                                   lambda phase: contextlib.nullcontext())
+            if rep >= 0:
+                for k, v in t.items():
+                    times[name].setdefault(k, []).append(v)
+                records[name].append(json.dumps(rec, sort_keys=True))
+
+    for metric in (m for m, unit in run.declared_metrics(0) if unit == "s"):
+        old, new = times["old"].get(metric, []), times["new"].get(metric, [])
+        if not (old and new):
+            print(f"{metric}: not measured (old {len(old)}, new {len(new)} rounds)")
+            continue
+        wins = sum(n < o for o, n in zip(old, new))
+        print(f"{metric}: new faster in {wins}/{min(len(old), len(new))} rounds; "
+              f"new/old median {statistics.median(new) / statistics.median(old):.3f}")
+        for name, values in (("old", old), ("new", new)):
+            q1, q2, q3 = run.quartiles(values)
+            print(f"  {name}: median {1e3 * q2:.1f} ms, quartiles {1e3 * q1:.1f}-"
+                  f"{1e3 * q3:.1f} ms")
+    for name, ledger in ledgers.items():
+        print(f"{name}: operations attempted {ledger.attempted} failed {len(ledger.failures)}")
+        for op, kind, msg in ledger.failures:
+            print(f"  failed {op} ({kind}): {msg}")
+    same = records["old"] == records["new"] and len(set(records["old"])) == 1
+    print(f"round records {'identical' if same else 'differ'} across sides and rounds")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old_src", metavar="OLD_SRC",
@@ -102,6 +156,8 @@ def main(argv=None) -> int:
                     help="perfbench workload whose budget the runs use")
     ap.add_argument("--seed", type=int, default=0, help="perfbench workload seed")
     ap.add_argument("--reps", type=int, default=12, help="interleaved reps per mode")
+    ap.add_argument("--round", action="store_true",
+                    help="time whole benchmark rounds (run_round) instead of run_training")
     ap.add_argument("--pin", action="store_true",
                     help="fix glibc's malloc thresholds as perfbench/run.py does")
     args = ap.parse_args(argv)
@@ -114,10 +170,14 @@ def main(argv=None) -> int:
         ap.error(f"no lapal package at {old}")
     import numpy as np
 
+    print(f"workload {args.workload}, seed {args.seed}, {args.reps} reps, malloc {malloc}")
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(old, Path(tmp) / "lapal_old")
         sys.path[:0] = [tmp, str(ROOT / "src")]
         budget, seeds = run.WORKLOADS[args.workload], run.Seeds.from_seed(args.seed, np)
+        if args.round:
+            compare_rounds(run, budget, seeds, args.reps)
+            return 0
         sides = [Side("old", "lapal_old", run, budget, seeds),
                  Side("new", "lapal", run, budget, seeds)]
         for algo in MODES:         # one untimed run each warms caches and lazy set-up
@@ -130,7 +190,6 @@ def main(argv=None) -> int:
                 for side in sides[::-1] if rep % 2 else sides:
                     side.train(algo)
 
-    print(f"workload {args.workload}, seed {args.seed}, {args.reps} reps, malloc {malloc}")
     old_side, new_side = sides
     for algo in MODES:
         wins = sum(n < o for o, n in zip(old_side.times[algo], new_side.times[algo]))

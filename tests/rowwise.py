@@ -193,9 +193,9 @@ def collect_demos(env_id, n_episodes, seed, jitter=None):
     episodes, successes = [], 0
     for child in np.random.SeedSequence(seed).spawn(n_episodes):
         rng = np.random.default_rng(child)
-        kp_scale = rng.uniform(*jitter.gain_scale_range)
-        noise = _ou_steps(rng, spec.horizon, 2, jitter.ou_sigma, jitter.ou_tau, spec.dt)
-        null_amp = (_ou_steps(rng, spec.horizon, 1, jitter.null_sigma, jitter.ou_tau,
+        kp_scale = rng.uniform(*envsim.GAIN_SCALE_RANGE)
+        noise = _ou_steps(rng, spec.horizon, 2, jitter.ou_sigma, envsim.OU_TAU, spec.dt)
+        null_amp = (_ou_steps(rng, spec.horizon, 1, jitter.null_sigma, envsim.OU_TAU,
                               spec.dt)[:, 0] if use_null else None)
 
         def act(s, t, kp_scale=kp_scale, noise=noise, null_amp=null_amp):
@@ -429,11 +429,11 @@ def batched_collect_demos(env_id, n_episodes, seed, jitter=None):
     use_null = env.kind == "arm" and env.params.n_joints > 2 and jitter.null_sigma > 0
     kp_scale, noise, null_amp = [], [], []
     for rng in rngs:
-        kp_scale.append(rng.uniform(*jitter.gain_scale_range))
-        noise.append(_ou_steps(rng, spec.horizon, 2, jitter.ou_sigma, jitter.ou_tau, spec.dt))
+        kp_scale.append(rng.uniform(*envsim.GAIN_SCALE_RANGE))
+        noise.append(_ou_steps(rng, spec.horizon, 2, jitter.ou_sigma, envsim.OU_TAU, spec.dt))
         if use_null:
             null_amp.append(_ou_steps(rng, spec.horizon, 1, jitter.null_sigma,
-                                      jitter.ou_tau, spec.dt)[:, 0])
+                                      envsim.OU_TAU, spec.dt)[:, 0])
     kp_scale, noise = np.array(kp_scale), np.stack(noise)
     null_amp = np.stack(null_amp) if use_null else None
     eps = batched_rollout_episodes(env_id, lambda s, t: batched_demo_action(

@@ -174,7 +174,7 @@ def test_array_shape_that_does_not_fit_the_env_raises(saved):
 
 
 @pytest.mark.parametrize("n_episodes,boundaries", [
-    (2, [7, 3]), (2, [0]), (2, [0, 59]), (2, [60, 0]), (1, [0, 0]), (1, []),
+    (2, [7, 3]), (2, [0]), (2, [0, 59]), (2, [60, 0]), (1, [0, 0]), (1, []), (0, []),
 ])
 def test_demo_episodes_that_are_not_horizon_steps_raise(n_episodes, boundaries, tmp_path):
     # the file is intact (valid checksum); only its episode layout is wrong

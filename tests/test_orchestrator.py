@@ -489,7 +489,7 @@ def test_aware_disc_step_at_zero_encoder_lr_is_the_agnostic_step(env_id, env_inp
         else:
             u = bundle.to_box(np.concatenate([se, sa]), np.concatenate([ea, aa]))
             loss = adversary.disc_loss_and_grad(disc, (se, u[:len(se)]), (sa, u[len(se):]))
-            disc.tree.adam_step(cfg.disc_lr)
+            disc.tree.adam_step(orchestrator.DISC_LR)
         assert bundle.codec.encoder.params.tobytes() == enc
         out[algo] = loss, disc.tree.params.tobytes(), disc.tree.m.tobytes()
     assert out["lapal-aware"] == out["lapal-agnostic"]
