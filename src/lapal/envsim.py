@@ -19,22 +19,22 @@ exploration noise so that the action distribution given a state has genuine
 spread for the action autoencoder to model.
 
 One batched kernel, `step_batch(env_id, S, A)`, steps N independent copies of
-an env over (N, d) arrays; `env_step` is its one-row view. Rows never
-interact and every reduction runs along a row, so a row of a batched step is
+an env over (N, d) arrays; `env_step` is its one-row view. Rows never interact
+and every reduction runs along a row, so a row of a batched step is
 bit-identical to the same row stepped alone. `rollout_episodes` rolls N
 episodes in lockstep from start states that its caller resets, and every
 timestep makes one policy call and one kernel step for all episodes, keeping
 only their rewards and final states; demo collection records the states and
-actions that pass through its policy. Callers reset each episode from its own
-seed or generator, so policies and demo jitter draw each episode's random
-stream exactly as a one-episode-at-a-time loop would. Batched policy, expert
-and kinematics arithmetic may differ from a per-row loop in the last ulp: demo
-arrays, and returns of float64 policies, agree with that loop to 1e-12 (the
-tests keep such a loop as their oracle); float32 network passes round more
-coarsely, and their returns agree to a relative 1e-6. The per-timestep
-kernels call ufuncs directly, in the order the wrappers `np.clip`, `np.sum`
-and `np.linalg.norm` run them, which saves the wrappers' per-call cost on few
-rows and matches those forms bit for bit.
+actions that pass through its policy, and demos are stored as just these two.
+Callers reset each episode from its own seed or generator, so policies and demo
+jitter draw each episode's random stream exactly as a one-episode-at-a-time
+loop would. Batched policy, expert and kinematics arithmetic may differ from a
+per-row loop in the last ulp: demo arrays, and returns of float64 policies,
+agree with that loop to 1e-12 (the tests keep such a loop as their oracle);
+float32 network passes round more coarsely, and their returns agree to a
+relative 1e-6. The per-timestep kernels call ufuncs directly, in the order the
+wrappers `np.clip`, `np.sum` and `np.linalg.norm` run them, which saves the
+wrappers' per-call cost on few rows and matches those forms bit for bit.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import functools
 import hashlib
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -469,32 +469,40 @@ def default_jitter(env_id: str) -> JitterConfig:
     return DEFAULT_JITTER[env_def(env_id).kind]
 
 
-_DEMO_ARRAYS = ("states", "actions", "next_states", "dones", "rewards")
-
-
 @dataclass
 class DemoBuffer:
+    """Fixed-horizon demo episodes back to back; row i holds a state and the
+    action taken in it. A demo file stores just these two arrays, the env id
+    and its digest; `load` ignores the derived arrays older files also hold.
+    The constructor derives the rest: `next_states` and `rewards` by one
+    `step_batch` over all rows, with the bits collection stepped (rows step
+    alone), and `dones` and `episode_boundaries` from the horizon. No library
+    code reads these four; they stay because the benchmark's and the tests'
+    demo digests hash them and the tests audit the replay with them.
+    """
+
     env_id: str
     env_digest: str
     states: np.ndarray
     actions: np.ndarray
-    next_states: np.ndarray
-    dones: np.ndarray
-    rewards: np.ndarray
-    episode_boundaries: np.ndarray     # start index of each episode
+    next_states: np.ndarray = field(init=False)
+    dones: np.ndarray = field(init=False)
+    rewards: np.ndarray = field(init=False)
+    episode_boundaries: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        h = env_spec(self.env_id).horizon
+        self.next_states, self.rewards = step_batch(self.env_id, self.states, self.actions)
+        self.dones = np.tile(np.arange(h) == h - 1, len(self) // h).astype(float)
+        self.episode_boundaries = np.arange(0, len(self), h, dtype=np.int64)
 
     def __len__(self):
         return self.states.shape[0]
 
-    def episode_slices(self):
-        bounds = list(self.episode_boundaries) + [len(self)]
-        return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-
     def save(self, path) -> None:
         write_checkpoint(
             path, {"kind": "demo", "env_id": self.env_id, "env_digest": self.env_digest},
-            {name: getattr(self, name) for name in _DEMO_ARRAYS}
-            | {"episode_boundaries": self.episode_boundaries.astype(np.uint64)})
+            {"states": self.states, "actions": self.actions})
 
     @classmethod
     def load(cls, path) -> "DemoBuffer":
@@ -502,16 +510,15 @@ class DemoBuffer:
 
     @classmethod
     def _from_checkpoint(cls, header, arrays):
-        spec = env_spec(header["env_id"])
-        n, sd, ad = len(arrays["rewards"]), spec.state_dim, spec.action_dim
-        shapes = ((n, sd), (n, ad), (n, sd), (n,), (n,))
-        if any(arrays[k].shape != shape for k, shape in zip(_DEMO_ARRAYS, shapes)):
-            raise CheckpointError(f"demo arrays do not fit {header['env_id']}")
-        bounds = arrays["episode_boundaries"].astype(np.int64)
-        if not n or n % spec.horizon or not np.array_equal(bounds, np.arange(0, n, spec.horizon)):
+        env_id, states, actions = header["env_id"], arrays["states"], arrays["actions"]
+        spec, n = env_spec(env_id), len(states)
+        if states.shape != (n, spec.state_dim) or actions.shape != (n, spec.action_dim):
+            raise CheckpointError(f"demo arrays do not fit {env_id}")
+        if not n or n % spec.horizon:
             raise CheckpointError(f"demo episodes are not {spec.horizon}-step episodes")
-        return cls(header["env_id"], header["env_digest"],
-                   *(arrays[name].copy() for name in _DEMO_ARRAYS), bounds)
+        if not (np.isfinite(states).all() and (np.abs(actions) <= 1.0).all()):
+            raise CheckpointError("demo states must be finite and actions in [-1, 1]")
+        return cls(env_id, header["env_digest"], states.copy(), actions.copy())
 
 
 def _ou_steps(z, sigma, tau, dt):
@@ -564,7 +571,8 @@ def collect_demos(env_id: str, n_episodes: int = 64, seed: int = 0,
     Arm timesteps compute the link vectors and Jacobian once, for the goal
     distance, the expert torque and the nullspace direction alike. The act
     function records each state it sees and each action it returns; the
-    actions are in the unit box already, so they are the actions the env steps.
+    actions are in the unit box already, so they are the actions the env
+    steps, and `DemoBuffer` derives the next states and rewards from the two.
     """
     if n_episodes < 1:
         raise ConfigError("need at least one episode")
@@ -593,19 +601,11 @@ def collect_demos(env_id: str, n_episodes: int = 64, seed: int = 0,
                                          None if null_amp is None else null_amp[:, t])
         return a
 
-    path[:, -1], rewards = rollout_episodes(env_id, act, np.stack(starts))
+    path[:, -1] = rollout_episodes(env_id, act, np.stack(starts))[0]
     settle_dist = np.mean(goal_distance(env, path[:, -10:]), axis=1)
     rate = np.count_nonzero(settle_dist <= env.params.success_tol) / n_episodes
-    buffer = DemoBuffer(
-        env_id=env_id,
-        env_digest=spec.digest(),
-        states=np.concatenate(path[:, :-1]),               # copied out of the state
-        actions=actions.reshape(-1, spec.action_dim),
-        next_states=np.concatenate(path[:, 1:]),           # path, so never aliased
-        dones=np.tile(np.arange(spec.horizon) == spec.horizon - 1, n_episodes).astype(float),
-        rewards=rewards.reshape(-1),
-        episode_boundaries=np.arange(n_episodes, dtype=np.int64) * spec.horizon,
-    )
+    buffer = DemoBuffer(env_id, spec.digest(), np.concatenate(path[:, :-1]),
+                        actions.reshape(-1, spec.action_dim))
     if rate < min_success_rate:
         raise QualityGateError(
             f"{env_id}: expert settled within {env.params.success_tol} of the goal in "

@@ -314,14 +314,10 @@ def _split_episodes(demos: envsim.DemoBuffer, holdout_fraction: float) -> tuple:
     """Row indices of the train and held-out episodes: the last
     `holdout_fraction` of the episodes, at least one, are held out; a single
     episode is both."""
-    slices = demos.episode_slices()
-    n_hold = max(1, int(round(holdout_fraction * len(slices)))) if len(slices) > 1 else 0
-    hold_slices = slices[len(slices) - n_hold:]
-    train_slices = slices[: len(slices) - n_hold] or slices
-    tr_idx = np.concatenate([np.arange(s.start, s.stop) for s in train_slices])
-    ho_idx = (np.concatenate([np.arange(s.start, s.stop) for s in hold_slices])
-              if hold_slices else tr_idx)
-    return tr_idx, ho_idx
+    h = envsim.env_spec(demos.env_id).horizon
+    rows, n_eps = np.arange(len(demos)), len(demos) // h
+    cut = (n_eps - max(1, int(round(holdout_fraction * n_eps)))) * h
+    return (rows[:cut], rows[cut:]) if cut > 0 else (rows, rows)
 
 
 def _fit(cfg: CVAEConfig, rng, step, trees, holdout, A_tr, A_ho) -> dict:

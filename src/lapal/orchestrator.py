@@ -61,7 +61,7 @@ loop would.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -278,7 +278,8 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
     per-update passes they replace only when a phase runs fewer updates than
     that. A run without updates only collects and evaluates. A curve row holds
     each update's last loss, NaN before it first runs; the divergence guard
-    checks the losses of the updates that just ran, and the temperature."""
+    checks the losses of the updates that just ran, and the temperature. The
+    returned discriminator's composition names the codec the run ends with."""
     spec = envsim.env_spec(cfg.env_id)
     if demos.env_digest != spec.digest():
         raise ConfigError(f"demos were generated for a different {cfg.env_id}")
@@ -407,6 +408,8 @@ def run_training(cfg: RunConfig, sac_cfg: SacConfig, demos: envsim.DemoBuffer,
                 "buffer_size": len(buf),
             })
 
+    if aware:  # the codec trained with the discriminator
+        disc.composition = replace(comp, codec_digest=run_codec.digest())
     return RunResult(curve=curve, bundle=bundle, discriminator=disc,
                      expert_return=expert_ret, random_return=random_ret)
 

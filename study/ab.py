@@ -30,10 +30,11 @@ With `--round` each rep runs perfbench/run.py's `run_round`, the whole
 benchmark pipeline, once per side instead, alternating which side goes first,
 after one untimed warm-up round per side. For each time metric that
 BENCHMARK.json declares it prints each side's median and quartiles, the
-number of reps the new side was faster and the new/old median ratio; then
-each side's failed operations, and whether the two sides' round records are
-identical. Peak RSS is per process, so it is left out. This script is not
-part of the test suite.
+number of reps the new side was faster, the new/old median ratio and, next to
+it, each side's quartile spread as a share of its median; then the median
+minor page faults of each `run_round` phase on each side, each side's failed
+operations, and whether the two sides' round records are identical. Peak RSS
+is per process, so it is left out. This script is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -56,6 +57,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MODES = ("gail", "lapal-agnostic")
 DIGESTS = ("actor_digest", "critic_digest", "disc_digest", "codec_digest")
+
+
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+@contextlib.contextmanager
+def counting_faults(counts: dict, phase: str):
+    """Append the minor page faults taken inside the block to counts[phase]."""
+    f0 = minor_faults()
+    try:
+        yield
+    finally:
+        counts.setdefault(phase, []).append(minor_faults() - f0)
 
 
 def load_bench():
@@ -98,14 +113,14 @@ class Side:
             gen_updates_per_iteration=b.gen_updates, eval_every=b.steps_per_iteration,
             eval_episodes=b.train_eval_episodes, divergence_guard=False)
         hook = []
-        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        f0 = minor_faults()
         t0 = time.perf_counter()
         res = self.orch.run_training(cfg, self.sacgen.SacConfig(), self.demos,
                                      self.codec if cfg.latent else None, self.seeds.run,
                                      on_iteration=hook.append)
         t1 = time.perf_counter()
         self.times[algo].append(t1 - t0)
-        self.faults[algo].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+        self.faults[algo].append(minor_faults() - f0)
         # repr, so that the NaN losses of updates that never ran compare equal
         self.outcome[algo] = ([hook[-1][k] for k in DIGESTS],
                               repr([dataclasses.astuple(row) for row in res.curve]))
@@ -113,16 +128,19 @@ class Side:
 
 def compare_rounds(run, budget, seeds, reps) -> None:
     """`reps` interleaved benchmark rounds per side, after one untimed warm-up
-    round each; prints the time metrics, failures and record comparison."""
+    round each; prints the time metrics, the minor faults of each phase,
+    failures and record comparison."""
     sides = {"old": import_lapal("lapal_old"), "new": import_lapal("lapal")}
     ledgers = {name: run.Ledger() for name in sides}
     times = {name: {} for name in sides}
+    faults = {name: {} for name in sides}      # phase -> minor faults per round
     records = {name: [] for name in sides}
     (run.OUT / "ckpt").mkdir(parents=True, exist_ok=True)     # run_round saves here
     for rep in range(-1, reps):
         for name in ("old", "new") if rep % 2 == 0 else ("new", "old"):
+            counts = faults[name] if rep >= 0 else {}
             t, rec = run.run_round(sides[name], budget, seeds, ledgers[name],
-                                   lambda phase: contextlib.nullcontext())
+                                   lambda phase: counting_faults(counts, phase))
             if rep >= 0:
                 for k, v in t.items():
                     times[name].setdefault(k, []).append(v)
@@ -134,12 +152,18 @@ def compare_rounds(run, budget, seeds, reps) -> None:
             print(f"{metric}: not measured (old {len(old)}, new {len(new)} rounds)")
             continue
         wins = sum(n < o for o, n in zip(old, new))
+        q = {"old": run.quartiles(old), "new": run.quartiles(new)}
+        spread = ", ".join(f"{name} {(q3 - q1) / q2:.1%}" for name, (q1, q2, q3) in q.items())
         print(f"{metric}: new faster in {wins}/{min(len(old), len(new))} rounds; "
-              f"new/old median {statistics.median(new) / statistics.median(old):.3f}")
-        for name, values in (("old", old), ("new", new)):
-            q1, q2, q3 = run.quartiles(values)
+              f"new/old median {q['new'][1] / q['old'][1]:.3f} "
+              f"(quartile spread / median: {spread})")
+        for name, (q1, q2, q3) in q.items():
             print(f"  {name}: median {1e3 * q2:.1f} ms, quartiles {1e3 * q1:.1f}-"
                   f"{1e3 * q3:.1f} ms")
+    print("median minor page faults per round:")
+    for phase in faults["old"]:
+        print(f"  {phase}: " + ", ".join(
+            f"{name} {statistics.median(faults[name].get(phase, [0])):.0f}" for name in sides))
     for name, ledger in ledgers.items():
         print(f"{name}: operations attempted {ledger.attempted} failed {len(ledger.failures)}")
         for op, kind, msg in ledger.failures:

@@ -439,11 +439,8 @@ def batched_collect_demos(env_id, n_episodes, seed, jitter=None):
     eps = batched_rollout_episodes(env_id, lambda s, t: batched_demo_action(
         env_id, jitter, s, kp_scale, noise[:, t], None if null_amp is None else null_amp[:, t]),
         rngs)
-    return envsim.DemoBuffer(
-        env_id, spec.digest(), np.concatenate(eps["states"]),
-        eps["actions"].reshape(-1, spec.action_dim), np.concatenate(eps["next_states"]),
-        eps["dones"].reshape(-1), eps["rewards"].reshape(-1),
-        np.arange(n_episodes, dtype=np.int64) * spec.horizon)
+    return envsim.DemoBuffer(env_id, spec.digest(), np.concatenate(eps["states"]),
+                             eps["actions"].reshape(-1, spec.action_dim))
 
 
 def batched_cvae_loss_and_grad(codec, feats, actions, noise):

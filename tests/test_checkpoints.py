@@ -16,16 +16,20 @@ FEAT = envsim.feature_dim("pointmass")
 FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
 
-def random_demo(n_episodes, rng, boundaries=None):
-    """Random pointmass demo arrays for `n_episodes` fixed-horizon episodes."""
+def random_demo(n_episodes, rng):
+    """Pointmass demos of `n_episodes` fixed-horizon episodes: random states,
+    random actions in the unit box, and what the constructor derives."""
     spec = envsim.env_spec("pointmass")
     n = n_episodes * spec.horizon
-    if boundaries is None:
-        boundaries = np.arange(n_episodes) * spec.horizon
-    return envsim.DemoBuffer(
-        "pointmass", spec.digest(), rng.standard_normal((n, 4)), rng.standard_normal((n, 2)),
-        rng.standard_normal((n, 4)), np.zeros(n), rng.standard_normal(n),
-        np.asarray(boundaries))
+    return envsim.DemoBuffer("pointmass", spec.digest(), rng.standard_normal((n, 4)),
+                             rng.uniform(-1.0, 1.0, (n, 2)))
+
+
+def write_demo_file(path, states, actions):
+    """An intact pointmass demo file (valid checksum) of these two arrays."""
+    configio.write_checkpoint(path, {"kind": "demo", "env_id": "pointmass",
+                                     "env_digest": envsim.env_spec("pointmass").digest()},
+                              {"states": states, "actions": actions})
 
 
 def small_artifacts():
@@ -173,24 +177,30 @@ def test_array_shape_that_does_not_fit_the_env_raises(saved):
         envsim.DemoBuffer.load(path)
 
 
-@pytest.mark.parametrize("n_episodes,boundaries", [
-    (2, [7, 3]), (2, [0]), (2, [0, 59]), (2, [60, 0]), (1, [0, 0]), (1, []), (0, []),
+@pytest.mark.parametrize("rows", [0, 1, 59, 61, 119, 121])
+def test_demo_rows_that_are_not_whole_episodes_raise(rows, tmp_path):
+    rng = np.random.default_rng(1)
+    write_demo_file(tmp_path / "d", rng.standard_normal((rows, 4)),
+                    rng.uniform(-1.0, 1.0, (rows, 2)))
+    with pytest.raises(CheckpointError, match="60-step episodes"):
+        envsim.DemoBuffer.load(tmp_path / "d")
+
+
+@pytest.mark.parametrize("name,row,value", [
+    ("states", 0, np.nan), ("states", 119, -np.inf), ("actions", 7, np.nan),
+    ("actions", 60, np.inf), ("actions", 3, 1.0 + 2.0 ** -52), ("actions", 119, -1.5),
 ])
-def test_demo_episodes_that_are_not_horizon_steps_raise(n_episodes, boundaries, tmp_path):
-    # the file is intact (valid checksum); only its episode layout is wrong
-    random_demo(n_episodes, np.random.default_rng(1), boundaries).save(tmp_path / "d")
-    with pytest.raises(CheckpointError, match="60-step episodes"):
+def test_demo_rows_that_are_not_finite_or_in_the_box_raise(name, row, value, tmp_path):
+    """Checked before the constructor steps them, which would raise another
+    error or clamp the action and count the clamp."""
+    demo = random_demo(2, np.random.default_rng(3))
+    arrays = {"states": demo.states.copy(), "actions": demo.actions.copy()}
+    arrays[name][row, -1] = value
+    write_demo_file(tmp_path / "d", **arrays)
+    envsim.reset_clamp_counts()
+    with pytest.raises(CheckpointError, match=r"finite and actions in \[-1, 1\]"):
         envsim.DemoBuffer.load(tmp_path / "d")
-
-
-def test_demo_length_that_is_not_whole_episodes_raises(tmp_path):
-    demo = random_demo(1, np.random.default_rng(2))
-    n = len(demo) - 1
-    for name in ("states", "actions", "next_states", "dones", "rewards"):
-        setattr(demo, name, getattr(demo, name)[:n])
-    demo.save(tmp_path / "d")
-    with pytest.raises(CheckpointError, match="60-step episodes"):
-        envsim.DemoBuffer.load(tmp_path / "d")
+    assert envsim.clamp_counts() == {}
 
 
 def test_saved_trees_load_float32_with_the_same_bytes_and_passes(tmp_path):

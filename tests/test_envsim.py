@@ -259,11 +259,17 @@ def test_collect_demos_shapes_and_boundaries():
 
 
 def test_demo_replay_audit():
+    """Within each episode, each state is the step of the state and action
+    before it, and `next_states` holds each episode's final step."""
     demos = collect_demos("arm2", n_episodes=3, seed=1)
-    for i in range(len(demos)):
-        nxt, r = env_step("arm2", demos.states[i], demos.actions[i])
-        np.testing.assert_array_equal(nxt, demos.next_states[i])
-        assert r == demos.rewards[i]
+    h = env_spec("arm2").horizon
+    for start in range(0, len(demos), h):
+        path = np.concatenate([demos.states[start:start + h],
+                               demos.next_states[start + h - 1:start + h]])
+        for t in range(h):
+            nxt, r = env_step("arm2", path[t], demos.actions[start + t])
+            np.testing.assert_array_equal(nxt, path[t + 1])
+            assert r == demos.rewards[start + t]
 
 
 def test_demo_quality_gate_rejects_bad_expert():
@@ -272,18 +278,38 @@ def test_demo_quality_gate_rejects_bad_expert():
         collect_demos("arm6", n_episodes=8, seed=0, jitter=wild)
 
 
+DEMO_ARRAYS = ("states", "actions", "next_states", "dones", "rewards", "episode_boundaries")
+
+
+def assert_same_demo_arrays(back, demos):
+    assert back.env_id == demos.env_id and back.env_digest == demos.env_digest
+    for name in DEMO_ARRAYS:
+        ours, theirs = getattr(back, name), getattr(demos, name)
+        assert (ours.dtype, ours.shape, ours.tobytes()) == (
+            theirs.dtype, theirs.shape, theirs.tobytes()), name
+
+
 def test_demo_file_round_trip(tmp_path):
+    """A demo file holds the states and actions; loading derives the rest."""
     demos = collect_demos("arm6", n_episodes=4, seed=2)
     path = tmp_path / "demo.bin"
     demos.save(path)
     demos.save(tmp_path / "demo2.bin")
     assert (tmp_path / "demo.bin").read_bytes() == (tmp_path / "demo2.bin").read_bytes()
-    back = DemoBuffer.load(path)
-    assert back.env_id == "arm6"
-    np.testing.assert_array_equal(back.states, demos.states)
-    np.testing.assert_array_equal(back.actions, demos.actions)
-    np.testing.assert_array_equal(back.episode_boundaries, demos.episode_boundaries)
-    np.testing.assert_array_equal(back.rewards, demos.rewards)
+    stored = configio.read_checkpoint(path, "demo", lambda header, arrays: sorted(arrays))
+    assert stored == ["actions", "states"]
+    assert_same_demo_arrays(DemoBuffer.load(path), demos)
+
+
+def test_six_array_demo_file_loads_to_the_same_arrays(tmp_path):
+    """A file that also stores the four derived arrays, as demo files did
+    before they held only states and actions, loads to the same arrays."""
+    demos = collect_demos("arm3", n_episodes=3, seed=4)
+    arrays = {name: getattr(demos, name) for name in DEMO_ARRAYS}
+    arrays["episode_boundaries"] = demos.episode_boundaries.astype(np.uint64)
+    configio.write_checkpoint(tmp_path / "six.bin", {
+        "kind": "demo", "env_id": "arm3", "env_digest": demos.env_digest}, arrays)
+    assert_same_demo_arrays(DemoBuffer.load(tmp_path / "six.bin"), demos)
 
 
 def test_demo_file_rejects_wrong_env(tmp_path):

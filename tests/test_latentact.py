@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -192,7 +193,8 @@ def test_train_codec_rejects_non_finite_demos(pm_demos, epochs):
                              ("states", holdout_row, -np.inf), ("actions", holdout_row, np.nan)):
         bad = getattr(pm_demos, name).copy()
         bad[row, 0] = value
-        demos = dataclasses.replace(pm_demos, **{name: bad})
+        demos = copy.copy(pm_demos)     # the constructor would step, and reject, the bad row
+        setattr(demos, name, bad)
         with pytest.raises(ConfigError, match="non-finite"):
             train_codec(demos, CVAEConfig(latent_dim=2, epochs=epochs), seed=0)
 

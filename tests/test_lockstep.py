@@ -209,6 +209,11 @@ def test_state_path_and_demos_match_separate_arrays(env_id, tmp_path):
             "actions": actions}            # the expert's actions are in bounds already
     for key, value in ours.items():
         assert bits(value) == bits(theirs[key]), key
+    # one step over all rows derives the bits that the lockstep rollout stepped
+    demos = envsim.DemoBuffer(env_id, envsim.env_spec(env_id).digest(),
+                              np.concatenate(path[:, :-1]), np.concatenate(actions))
+    assert bits(demos.next_states) == bits(np.concatenate(path[:, 1:]))
+    assert bits(demos.rewards) == bits(rewards.reshape(-1))
     envsim.collect_demos(env_id, n_episodes=3, seed=9, min_success_rate=0.0).save(
         tmp_path / "ours")
     one = envsim.collect_demos(env_id, n_episodes=1, seed=9, min_success_rate=0.0)

@@ -26,7 +26,7 @@ from lapal.orchestrator import (
 from lapal.sacgen import SacConfig
 
 SMALL_SAC = SacConfig(batch_size=64, actor_hidden=(24, 24), critic_hidden=(24, 24))
-ENVS = ("pointmass", "arm2", "arm3")
+ENVS = ("pointmass", "arm2", "arm3", "arm3-perturbed")
 REGISTERED = ("pointmass", "arm1", "arm2", "arm3", "arm6", "arm3-perturbed", "arm6-perturbed")
 
 
@@ -190,13 +190,23 @@ def test_frozen_codec_untouched_by_agnostic_run(pm_demos, pm_codec):
                        codec=pm_codec, seed=2)
     assert pm_codec.digest() == before
     assert res.bundle.codec.digest() == before  # run copy trained nothing either
+    assert res.discriminator.composition.codec_digest == before
     assert res.bundle.codec.frozen
 
 
-def test_aware_run_moves_codec(pm_demos, pm_codec):
+def test_aware_run_moves_codec(pm_demos, pm_codec, tmp_path):
+    """The codec moves, and the returned discriminator names the codec the run
+    ends with, so it saves and loads against that codec's composition."""
     cfg = small_run_cfg("lapal-aware", codec_disc_lr=1e-3, codec_gen_lr=1e-3)
     res = run_training(cfg, SMALL_SAC, pm_demos, codec=pm_codec, seed=2)
-    assert res.bundle.codec.digest() != pm_codec.digest()
+    trained = res.bundle.codec.digest()
+    assert trained != pm_codec.digest()
+    assert res.discriminator.composition.codec_digest == trained
+    adversary.save_discriminator(tmp_path / "disc", res.discriminator)
+    expected = adversary.DiscComposition("pointmass", "latent", envsim.feature_dim("pointmass"),
+                                         pm_codec.latent_dim, trained)
+    back = adversary.load_discriminator(tmp_path / "disc", expected)
+    assert back.digest() == res.discriminator.digest()
 
 
 @pytest.mark.parametrize("env_id", ENVS)
